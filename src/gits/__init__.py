@@ -17,17 +17,16 @@ from .pilot_scoring import (
     train_pilot,
 )
 from .selector import (
+    SAMPLER_TABLE,
+    SAMPLERS,
     ObjectiveConfig,
     SelectionResult,
     budget_from_ratio,
+    grad_match_from_gradients,
     greedy_select,
-    sample_coverage_only,
-    sample_gits,
-    sample_grad_match,
-    sample_grad_only,
-    sample_loss_div,
-    sample_loss_only,
+    run_sampler,
     sample_uniform,
+    top_k,
 )
 from .surrogate import (
     SurrogateArch,

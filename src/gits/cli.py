@@ -39,8 +39,9 @@ def default_config_text() -> str:
         "family": cfg.solver.family,
         "spatial_size": str(cfg.solver.spatial_size),
         "t_count": str(cfg.solver.t_count),
-        "dt": repr(cfg.solver.dt),
-        "snapshot_stride": str(cfg.solver.snapshot_stride),
+        # blank: the family's own solver defaults apply
+        "dt": "",
+        "snapshot_stride": "",
         "boundary": cfg.solver.boundary,
         "seed": str(cfg.solver.seed),
         "n_traj": str(cfg.n_traj),
@@ -105,8 +106,8 @@ def load_config(path: str | None) -> harness.ExperimentConfig:
             family=d.get("family"),
             spatial_size=d.getint("spatial_size"),
             t_count=d.getint("t_count"),
-            dt=d.getfloat("dt"),
-            snapshot_stride=d.getint("snapshot_stride"),
+            dt=d.getfloat("dt") if d.get("dt") else None,
+            snapshot_stride=d.getint("snapshot_stride") if d.get("snapshot_stride") else None,
             boundary=d.get("boundary"),
             seed=d.getint("seed"),
             diffusivity=_pair(d.get("diffusivity")),
@@ -215,10 +216,8 @@ def _cmd_select(args) -> int:
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     ds, _, selection, _ = _prepare_cell(cfg, args.sampler, args.ratio, args.seed)
-    train_cfg = dataclasses.replace(cfg.train, seed=harness.stage_seed(args.seed, "train"))
-    params0 = surrogate.init_params(harness._model_arch(cfg, ds), train_cfg.seed)
-    params, history = surrogate.train(params0, selection.selected, ds, train_cfg)
-    surrogate.save_params(params, args.output, seed=train_cfg.seed,
+    params, history = harness.train_downstream(cfg, ds, selection.selected, args.seed)
+    surrogate.save_params(params, args.output, seed=harness.stage_seed(args.seed, "train"),
                           epoch=history[-1].epoch if history else 0)
     print(f"trained on K={selection.budget} starts, {len(history)} epochs "
           f"-> {args.output}.json/.f64")

@@ -32,14 +32,12 @@ import numpy as np
 from . import diagnostics, pde_data, pilot_scoring, selector, surrogate, temporal_coverage
 from .diagnostics import RESULT_COLUMNS, RolloutReport
 from .pde_data import SolverConfig, TrajectoryDataset
-from .pilot_scoring import CandidateSet
+from .pilot_scoring import CandidateSet, PilotMeta
 from .selector import SAMPLERS, ObjectiveConfig, SelectionResult
-from .surrogate import SurrogateArch, SurrogateParams, TrainConfig
+from .surrogate import EpochStats, SurrogateArch, SurrogateParams, TrainConfig
 
 PILOT_SEED_OFFSET = 10007
 SCORING_SEED_OFFSET = 20011
-
-_PILOT_BASED = frozenset({"gits", "loss_only", "grad_only", "loss_div", "grad_match"})
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -116,18 +114,6 @@ class ExperimentResult:
         return sum(1 for c in self.cells if not c.ok)
 
 
-def _model_arch(cfg: ExperimentConfig, ds: TrajectoryDataset) -> SurrogateArch:
-    padding = "reflect" if ds.meta.get("boundary") == "neumann" else "periodic"
-    return SurrogateArch(
-        history_len=cfg.history_len,
-        hidden=cfg.hidden,
-        kernel_radius=cfg.kernel_radius,
-        channels=ds.channels,
-        padding=padding,
-        clamp=cfg.clamp,
-    )
-
-
 def load_or_generate_dataset(cfg: ExperimentConfig) -> TrajectoryDataset:
     if cfg.dataset_path:
         return pde_data.read_dataset(cfg.dataset_path)
@@ -159,42 +145,35 @@ def select_starts(
     obj = _objective(cfg, ds.t_count, budget)
     t0 = time.perf_counter()
 
-    pilot = None
-    if sampler in _PILOT_BASED:
-        pilot_cfg = replace(
-            cfg.train,
-            epochs_max=cfg.pilot_epochs,
-            early_stop=False,
-            seed=stage_seed(seed, "pilot"),
+    needs = selector.SAMPLER_TABLE[sampler].needs
+    pilot_input = None
+    if needs is not None:
+        arch = pilot_scoring.default_arch(ds, cfg.history_len, cfg.hidden,
+                                          cfg.kernel_radius, cfg.clamp)
+        pilot_cfg = replace(cfg.train, epochs_max=cfg.pilot_epochs,
+                            seed=stage_seed(seed, "pilot"))
+        pilot = pilot_scoring.train_pilot(ds, candidates, pilot_cfg, arch=arch)
+        scoring_seed = stage_seed(seed, "scoring")
+        losses, grads = pilot_scoring.candidate_gradients(
+            pilot, candidates, ds, cfg.horizon, cfg.batch_traj, scoring_seed
         )
-        pilot = pilot_scoring.train_pilot(ds, candidates, pilot_cfg, arch=_model_arch(cfg, ds))
-
-    scoring_seed = stage_seed(seed, "scoring")
-    if sampler == "uniform":
-        result = selector.sample_uniform(candidates, budget, seed)
-    elif sampler == "coverage_only":
-        result = selector.sample_coverage_only(candidates, obj, budget)
-    elif sampler == "grad_match":
-        result = selector.sample_grad_match(
-            pilot, candidates, ds, cfg.horizon, budget, cfg.batch_traj, scoring_seed
+        pilot_input = pilot_scoring.pilot_input(
+            needs, losses, grads, candidates,
+            PilotMeta(cfg.pilot_epochs, cfg.horizon, scoring_seed),
         )
-    elif sampler in ("loss_only", "loss_div"):
-        scores = pilot_scoring.score_rollout_loss(
-            pilot, candidates, ds, cfg.horizon, cfg.batch_traj, scoring_seed, cfg.pilot_epochs
-        )
-        if sampler == "loss_only":
-            result = selector.sample_loss_only(scores, budget)
-        else:
-            result = selector.sample_loss_div(scores, candidates, obj, budget)
-    else:  # gits, grad_only
-        scores = pilot_scoring.score_grad_norm(
-            pilot, candidates, ds, cfg.horizon, cfg.batch_traj, scoring_seed, cfg.pilot_epochs
-        )
-        if sampler == "grad_only":
-            result = selector.sample_grad_only(scores, budget)
-        else:
-            result = selector.sample_gits(scores, candidates, obj, budget)
+    result = selector.run_sampler(sampler, candidates, obj, budget, pilot_input)
     return result, time.perf_counter() - t0
+
+
+def train_downstream(
+    cfg: ExperimentConfig, ds: TrajectoryDataset, starts, seed: int
+) -> tuple[SurrogateParams, list[EpochStats]]:
+    """Train the downstream surrogate on ``starts`` under the cell's train seed."""
+    train_cfg = replace(cfg.train, seed=stage_seed(seed, "train"))
+    arch = pilot_scoring.default_arch(ds, cfg.history_len, cfg.hidden,
+                                      cfg.kernel_radius, cfg.clamp)
+    params0 = surrogate.init_params(arch, train_cfg.seed)
+    return surrogate.train(params0, starts, ds, train_cfg)
 
 
 def _run_cell(
@@ -219,9 +198,7 @@ def _run_cell(
         cell.selection_time_s = sel_time
 
         t0 = time.perf_counter()
-        train_cfg = replace(cfg.train, seed=stage_seed(seed, "train"))
-        params0 = surrogate.init_params(_model_arch(cfg, ds), train_cfg.seed)
-        params, _ = surrogate.train(params0, selection.selected, ds, train_cfg)
+        params, _ = train_downstream(cfg, ds, selection.selected, seed)
         cell.train_time_s = time.perf_counter() - t0
 
         cell.report = diagnostics.rollout_report(params, ds, split="test")

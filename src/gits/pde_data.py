@@ -22,6 +22,7 @@ little-endian float32 payload in (trajectory, time, cell, channel) order).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -165,6 +166,9 @@ class TrajectoryDataset:
                 raise DatasetFormatError(f"unknown split label {s!r}")
         if not np.all(np.isfinite(self.data)):
             raise DatasetFormatError("dataset contains non-finite samples")
+        for name in ("norm_mean", "norm_std"):
+            if np.shape(getattr(self, name)) != (self.channels,):
+                raise DatasetFormatError(f"{name} length does not match {self.channels} channel(s)")
 
     @property
     def n_traj(self) -> int:
@@ -361,12 +365,17 @@ def write_dataset(ds: TrajectoryDataset, path) -> None:
 
 
 def read_dataset(path) -> TrajectoryDataset:
-    """Read a dataset pair written by :func:`write_dataset`."""
+    """Read a dataset pair written by :func:`write_dataset`.
+
+    Any malformed or inconsistent pair raises :class:`DatasetFormatError`.
+    """
     stem = _stem(path)
     try:
         manifest = json.loads(stem.with_suffix(".json").read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DatasetFormatError(f"malformed manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError("malformed manifest: not a JSON object")
 
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
@@ -374,25 +383,33 @@ def read_dataset(path) -> TrajectoryDataset:
     for key in ("n_traj", "t_count", "spatial_size", "channels", "split", "normalization"):
         if key not in manifest:
             raise DatasetFormatError(f"manifest missing key {key!r}")
-    dims = tuple(
-        int(manifest[k]) for k in ("n_traj", "t_count", "spatial_size", "channels")
-    )
-    if any(d <= 0 for d in dims):
-        raise DatasetFormatError(f"non-positive dimension in manifest: {dims}")
+    dims = tuple(manifest[k] for k in ("n_traj", "t_count", "spatial_size", "channels"))
+    if any(type(d) is not int or d <= 0 for d in dims):
+        raise DatasetFormatError(f"dimensions must be positive integers: {dims}")
+    if not isinstance(manifest["split"], list):
+        raise DatasetFormatError("split must be a list of labels")
+    meta = manifest.get("meta")
+    if not isinstance(meta, dict) or meta.get("boundary") not in BOUNDARIES:
+        raise DatasetFormatError(f"meta.boundary must be one of {BOUNDARIES}")
+    norm = manifest["normalization"]
+    try:
+        norm_mean = np.asarray(norm["mean"], dtype=np.float64)
+        norm_std = np.asarray(norm["std"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DatasetFormatError(f"malformed normalization: {exc!r}") from exc
 
     blob = stem.with_suffix(".f32").read_bytes()
-    expected = 4 * int(np.prod(dims))
+    expected = 4 * math.prod(dims)
     if len(blob) != expected:
         raise DatasetFormatError(
             f"payload length mismatch: got {len(blob)} bytes, manifest implies {expected}"
         )
     data = np.frombuffer(blob, dtype="<f4").reshape(dims).astype(np.float32)
 
-    norm = manifest["normalization"]
     return TrajectoryDataset(
         data=data,
         split=tuple(manifest["split"]),
-        norm_mean=np.asarray(norm["mean"], dtype=np.float64),
-        norm_std=np.asarray(norm["std"], dtype=np.float64),
-        meta=manifest.get("meta", {}),
+        norm_mean=norm_mean,
+        norm_std=norm_std,
+        meta=meta,
     )

@@ -27,6 +27,7 @@ from .surrogate import (
 )
 
 SCORE_KINDS = ("grad_norm", "rollout_loss")
+GRADIENTS = "gradients"  # the raw (|C|, param_count) gradient matrix, as a sampler's need
 DEFAULT_HORIZON = 10
 DEFAULT_BATCH_TRAJ = 32
 
@@ -157,6 +158,22 @@ def candidate_gradients(
     return losses, grads
 
 
+def pilot_input(need: str, losses, grads, candidates: CandidateSet, meta: PilotMeta):
+    """What a sampler needs, made from :func:`candidate_gradients`' output.
+
+    ``need`` is :data:`GRADIENTS` (the matrix itself) or a score kind:
+    ``grad_norm`` is ||grad loss_k||_2 per candidate, ``rollout_loss`` the loss.
+    """
+    if need == GRADIENTS:
+        return grads
+    return CandidateScores(
+        indices=candidates.indices.copy(),
+        scores=np.linalg.norm(grads, axis=1) if need == "grad_norm" else losses,
+        kind=need,
+        pilot_meta=meta,
+    )
+
+
 def score_grad_norm(
     pilot: SurrogateParams,
     candidates: CandidateSet,
@@ -167,13 +184,9 @@ def score_grad_norm(
     pilot_epochs: int | None = None,
 ) -> CandidateScores:
     """Gradient-norm informativeness score ||grad loss_k||_2 per candidate."""
-    _, grads = candidate_gradients(pilot, candidates, ds, horizon, batch_traj, seed)
-    return CandidateScores(
-        indices=candidates.indices.copy(),
-        scores=np.linalg.norm(grads, axis=1),
-        kind="grad_norm",
-        pilot_meta=PilotMeta(pilot_epochs, horizon, seed),
-    )
+    losses, grads = candidate_gradients(pilot, candidates, ds, horizon, batch_traj, seed)
+    return pilot_input("grad_norm", losses, grads, candidates,
+                       PilotMeta(pilot_epochs, horizon, seed))
 
 
 def score_rollout_loss(
@@ -186,13 +199,9 @@ def score_rollout_loss(
     pilot_epochs: int | None = None,
 ) -> CandidateScores:
     """Short-rollout loss per candidate under the pilot parameters."""
-    losses, _ = candidate_gradients(pilot, candidates, ds, horizon, batch_traj, seed)
-    return CandidateScores(
-        indices=candidates.indices.copy(),
-        scores=losses,
-        kind="rollout_loss",
-        pilot_meta=PilotMeta(pilot_epochs, horizon, seed),
-    )
+    losses, grads = candidate_gradients(pilot, candidates, ds, horizon, batch_traj, seed)
+    return pilot_input("rollout_loss", losses, grads, candidates,
+                       PilotMeta(pilot_epochs, horizon, seed))
 
 
 def write_scores_csv(scores: CandidateScores, path) -> None:

@@ -9,13 +9,15 @@ from :mod:`gits.temporal_coverage`. The score term is modular and the
 coverage terms are monotone submodular, so greedy selection with exact
 incremental marginal gains carries the usual (1 - 1/e) guarantee.
 
-All samplers are deterministic; ties always break toward the lowest
-candidate index. Every sampler returns a :class:`SelectionResult`. For the
-greedy family, ``gains`` are the per-step marginal gains and ``objective``
-is F(S) recomputed from scratch. ``sample_uniform`` has no objective
-(stored as 0.0, empty gains); ``sample_grad_match`` stores the final
-gradient-matching residual in ``objective`` (lower is better) and per-step
-residual reductions in ``gains``.
+Every sampler is one row of :data:`SAMPLER_TABLE`: what it needs from the
+pilot, and which selection algorithm runs on it. :func:`run_sampler` is
+the one dispatch point. All samplers are deterministic; ties always break
+toward the lowest candidate index. Every sampler returns a
+:class:`SelectionResult`. For the greedy family, ``gains`` are the
+per-step marginal gains and ``objective`` is F(S) recomputed from scratch.
+``uniform`` has no objective (stored as 0.0, empty gains); ``grad_match``
+stores the final gradient-matching residual in ``objective`` (lower is
+better) and per-step residual reductions in ``gains``.
 """
 
 from __future__ import annotations
@@ -23,28 +25,19 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .pde_data import TrajectoryDataset
-from .pilot_scoring import CandidateScores, CandidateSet, candidate_gradients
-from .surrogate import SurrogateParams
+from .pilot_scoring import GRADIENTS, SCORE_KINDS, CandidateScores, CandidateSet
 from .temporal_coverage import (
     CoverageConfig,
     build_windows,
     coverage_values,
+    empty_state,
     kernel_matrix_global,
     kernel_matrix_window,
-)
-
-SAMPLERS = (
-    "gits",
-    "uniform",
-    "loss_only",
-    "coverage_only",
-    "grad_only",
-    "loss_div",
-    "grad_match",
+    state_update,
 )
 
 
@@ -71,7 +64,11 @@ class SelectionResult:
 
 
 def budget_from_ratio(ratio: float, n_candidates: int) -> int:
-    """K = max(1, round(ratio * |C|))."""
+    """K = max(1, round(ratio * |C|)), capped at |C|.
+
+    ``round`` is Python's, which rounds halves to even: 0.05 * 90 = 4.5
+    gives K = 4, and 0.25 * 90 = 22.5 gives K = 22.
+    """
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must lie in (0, 1]")
     return max(1, min(n_candidates, round(ratio * n_candidates)))
@@ -102,7 +99,6 @@ def greedy_select(
     candidates: CandidateSet,
     obj: ObjectiveConfig,
     budget: int,
-    label: str = "gits",
 ) -> SelectionResult:
     """Greedy maximization of the joint objective under |S| = budget.
 
@@ -113,8 +109,9 @@ def greedy_select(
                           + c_win      * sum_m (max(u_m, R_mk) - u_m)
 
     over unselected k, breaking ties toward the lowest candidate index.
+    The running maxima (m, u) are a :class:`CoverageState`, folded one pick
+    at a time by :func:`state_update`.
     """
-    t0 = time.perf_counter()
     _check_budget(budget, candidates.size)
     s = _score_vector(scores, candidates)
     if obj.normalize_scores and s.max() > 0.0:
@@ -126,28 +123,23 @@ def greedy_select(
     s_mat = kernel_matrix_global(candidates, obj.coverage.tau) if use_cov else None
     r_mat = kernel_matrix_window(candidates, windows, obj.coverage.tau_w) if use_win else None
 
-    n = candidates.size
-    m = np.zeros(n)
-    u = np.zeros(windows.count)
-    available = np.ones(n, dtype=bool)
+    state = empty_state(candidates, windows)
+    available = np.ones(candidates.size, dtype=bool)
     picks: list[int] = []
     gains: list[float] = []
 
     for _ in range(budget):
         gain = s.copy()
         if use_cov:
-            gain += obj.lambda_cov * np.maximum(s_mat - m[:, None], 0.0).sum(axis=0)
+            gain += obj.lambda_cov * np.maximum(s_mat - state.m[:, None], 0.0).sum(axis=0)
         if use_win:
-            gain += obj.c_win * np.maximum(r_mat - u[:, None], 0.0).sum(axis=0)
+            gain += obj.c_win * np.maximum(r_mat - state.u[:, None], 0.0).sum(axis=0)
         gain[~available] = -np.inf
         pos = int(np.argmax(gain))  # first occurrence = lowest candidate index
         picks.append(pos)
         gains.append(float(gain[pos]))
         available[pos] = False
-        if use_cov:
-            m = np.maximum(m, s_mat[:, pos])
-        if use_win:
-            u = np.maximum(u, r_mat[:, pos])
+        state = state_update(state, candidates.indices[pos], candidates, windows, obj.coverage)
 
     selected = [int(candidates.indices[p]) for p in picks]
     f_cov, f_win = coverage_values(selected, candidates, windows, obj.coverage)
@@ -156,14 +148,13 @@ def greedy_select(
         selected=selected,
         gains=gains,
         objective=objective,
-        sampler=label,
+        sampler="greedy",
         budget=budget,
-        wall_time=time.perf_counter() - t0,
     )
 
 
-def _top_k(scores: CandidateScores, budget: int, label: str) -> SelectionResult:
-    t0 = time.perf_counter()
+def top_k(scores: CandidateScores, budget: int) -> SelectionResult:
+    """The ``budget`` highest scores, ties toward the lowest candidate index."""
     indices = scores.indices
     s = scores.scores
     _check_budget(budget, len(indices))
@@ -175,18 +166,13 @@ def _top_k(scores: CandidateScores, budget: int, label: str) -> SelectionResult:
         selected=selected,
         gains=gains,
         objective=float(s[picks].sum()),
-        sampler=label,
+        sampler="top_k",
         budget=budget,
-        wall_time=time.perf_counter() - t0,
     )
 
 
-def sample_uniform(candidates: CandidateSet, budget: int, seed: int | None = None) -> SelectionResult:
-    """Evenly spaced positions across the sorted candidate list.
-
-    Deterministic; ``seed`` is accepted only for interface uniformity.
-    """
-    t0 = time.perf_counter()
+def sample_uniform(candidates: CandidateSet, budget: int) -> SelectionResult:
+    """Evenly spaced positions across the sorted candidate list."""
     n = candidates.size
     _check_budget(budget, n)
     if budget == 1:
@@ -200,47 +186,13 @@ def sample_uniform(candidates: CandidateSet, budget: int, seed: int | None = Non
         objective=0.0,
         sampler="uniform",
         budget=budget,
-        wall_time=time.perf_counter() - t0,
     )
-
-
-def sample_loss_only(loss_scores: CandidateScores, budget: int) -> SelectionResult:
-    if loss_scores.kind != "rollout_loss":
-        raise ValueError("loss_only expects rollout_loss scores")
-    return _top_k(loss_scores, budget, "loss_only")
-
-
-def sample_grad_only(grad_scores: CandidateScores, budget: int) -> SelectionResult:
-    if grad_scores.kind != "grad_norm":
-        raise ValueError("grad_only expects grad_norm scores")
-    return _top_k(grad_scores, budget, "grad_only")
-
-
-def sample_coverage_only(candidates: CandidateSet, obj: ObjectiveConfig, budget: int) -> SelectionResult:
-    return greedy_select(None, candidates, obj, budget, label="coverage_only")
-
-
-def sample_loss_div(
-    loss_scores: CandidateScores, candidates: CandidateSet, obj: ObjectiveConfig, budget: int
-) -> SelectionResult:
-    if loss_scores.kind != "rollout_loss":
-        raise ValueError("loss_div expects rollout_loss scores")
-    return greedy_select(loss_scores, candidates, obj, budget, label="loss_div")
-
-
-def sample_gits(
-    grad_scores: CandidateScores, candidates: CandidateSet, obj: ObjectiveConfig, budget: int
-) -> SelectionResult:
-    if grad_scores.kind != "grad_norm":
-        raise ValueError("gits expects grad_norm scores")
-    return greedy_select(grad_scores, candidates, obj, budget, label="gits")
 
 
 def grad_match_from_gradients(
     grads: np.ndarray, candidates: CandidateSet, budget: int
 ) -> SelectionResult:
-    """Greedy gradient matching given the per-candidate gradient matrix."""
-    t0 = time.perf_counter()
+    """Greedily match the mean full-candidate gradient with a K-subset mean."""
     n = candidates.size
     _check_budget(budget, n)
     if grads.shape[0] != n:
@@ -267,24 +219,57 @@ def grad_match_from_gradients(
         objective=residual,
         sampler="grad_match",
         budget=budget,
-        wall_time=time.perf_counter() - t0,
     )
 
 
-def sample_grad_match(
-    pilot: SurrogateParams,
+class Sampler(NamedTuple):
+    """What a sampler needs from the pilot and its selection step.
+
+    ``needs`` is None, a score kind, or ``GRADIENTS`` (the gradient matrix).
+    """
+
+    needs: str | None
+    step: Callable[..., SelectionResult]  # (pilot_input, candidates, obj, budget)
+
+
+# The one place a sampler is defined. Steps look the algorithms up by name
+# when they run, so a wrapper installed on a module attribute (a profiler
+# or tracer) sees every call.
+SAMPLER_TABLE = {
+    "gits": Sampler("grad_norm", lambda x, c, obj, k: greedy_select(x, c, obj, k)),
+    "uniform": Sampler(None, lambda x, c, obj, k: sample_uniform(c, k)),
+    "loss_only": Sampler("rollout_loss", lambda x, c, obj, k: top_k(x, k)),
+    "coverage_only": Sampler(None, lambda x, c, obj, k: greedy_select(None, c, obj, k)),
+    "grad_only": Sampler("grad_norm", lambda x, c, obj, k: top_k(x, k)),
+    "loss_div": Sampler("rollout_loss", lambda x, c, obj, k: greedy_select(x, c, obj, k)),
+    "grad_match": Sampler(GRADIENTS, lambda x, c, obj, k: grad_match_from_gradients(x, c, k)),
+}
+SAMPLERS = tuple(SAMPLER_TABLE)
+
+
+def run_sampler(
+    sampler: str,
     candidates: CandidateSet,
-    ds: TrajectoryDataset,
-    horizon: int,
+    obj: ObjectiveConfig,
     budget: int,
-    batch_traj: int = 32,
-    seed: int = 0,
+    pilot_input=None,
 ) -> SelectionResult:
-    """Greedily match the mean full-candidate gradient with a K-subset mean."""
+    """Run one named sampler on what its table row needs from the pilot.
+
+    A score vector of the wrong kind raises ValueError. The result carries
+    the sampler's name and the selection's wall time.
+    """
+    if sampler not in SAMPLER_TABLE:
+        raise ValueError(f"unknown sampler {sampler!r}")
+    spec = SAMPLER_TABLE[sampler]
+    if spec.needs in SCORE_KINDS and (
+        not isinstance(pilot_input, CandidateScores) or pilot_input.kind != spec.needs
+    ):
+        raise ValueError(f"{sampler} expects {spec.needs} scores")
     t0 = time.perf_counter()
-    _, grads = candidate_gradients(pilot, candidates, ds, horizon, batch_traj, seed)
-    result = grad_match_from_gradients(grads, candidates, budget)
+    result = spec.step(pilot_input, candidates, obj, budget)
     result.wall_time = time.perf_counter() - t0
+    result.sampler = sampler
     return result
 
 

@@ -22,7 +22,7 @@ H = min(horizon, t_count - 1 - k) truncated at the end of the time axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -275,13 +275,21 @@ def rollout_batch(params: SurrogateParams, histories: np.ndarray, steps: int) ->
         raise ValueError("channel count mismatch")
     views = _unpack(params.theta, arch)
     frames = [histories[:, i].transpose(0, 2, 1) for i in range(arch.history_len)]
-    preds = []
+    _advance(views, arch, frames, steps)
+    return np.stack(frames[arch.history_len :], axis=1).transpose(0, 1, 3, 2)
+
+
+def _advance(views: _Views, arch: SurrogateArch, frames: list, steps: int, tapes=None):
+    """Append ``steps`` autoregressive predictions to ``frames`` (each (B, C, X)).
+
+    Each step's tape is appended to ``tapes`` when a list is given.
+    """
     for _ in range(steps):
         window = np.stack(frames[-arch.history_len :], axis=1)
-        pred, _ = _step_forward(views, arch, window)
+        pred, tape = _step_forward(views, arch, window)
         frames.append(pred)
-        preds.append(pred)
-    return np.stack(preds, axis=1).transpose(0, 1, 3, 2)
+        if tapes is not None:
+            tapes.append(tape)
 
 
 # ----------------------------------------------------------------------
@@ -351,11 +359,7 @@ def rollout_loss_grad(
 
         frames = [hist[:, i] for i in range(length)]
         tapes = []
-        for h in range(h_eff):
-            window = np.stack(frames[-length:], axis=1)
-            pred, tape = _step_forward(views, arch, window)
-            frames.append(pred)
-            tapes.append(tape)
+        _advance(views, arch, frames, h_eff, tapes)
 
         # per-frame NRMSE^2, each pair weighted 1 / (n_total * h_eff)
         denom = (np.sqrt(np.sum(targets**2, axis=(2, 3))) + NRMSE_EPS) ** 2  # (H, B)
@@ -544,7 +548,3 @@ def load_params(path) -> tuple[SurrogateParams, dict]:
         raise ValueError("checkpoint payload length does not match its header")
     return SurrogateParams(theta=theta.copy(), arch=arch), header
 
-
-def pilot_config(cfg: TrainConfig, epochs: int, seed: int) -> TrainConfig:
-    """Training protocol for a pilot pass: fixed epoch budget, no early stop."""
-    return replace(cfg, epochs_max=epochs, early_stop=False, seed=seed)

@@ -96,7 +96,10 @@ def build_windows(candidates: CandidateSet, cfg: CoverageConfig) -> WindowList:
 
 
 def window_distance(interval: tuple[int, int], j) -> np.ndarray:
-    """Distance from index j to [a, b]: 0 inside, a - j below, j - b above."""
+    """Distance from index j to [a, b]: 0 inside, a - j below, j - b above.
+
+    ``a`` and ``b`` may be arrays of bounds, one distance per window.
+    """
     a, b = interval
     j = np.asarray(j, dtype=np.float64)
     return np.where(j < a, a - j, np.where(j > b, j - b, 0.0))
@@ -194,11 +197,8 @@ def state_update(
     if new_index in state.selected:
         raise ValueError(f"index {new_index} already folded into the state")
     s_col = kernel_global(candidates.indices, new_index, cfg.tau)
-    lo = np.array([a for a, _ in windows.intervals], dtype=np.float64)
-    hi = np.array([b for _, b in windows.intervals], dtype=np.float64)
-    dist = np.where(new_index < lo, lo - new_index,
-                    np.where(new_index > hi, new_index - hi, 0.0))
-    r_col = np.exp(-dist / cfg.tau_w)
+    lo, hi = np.array(windows.intervals, dtype=np.float64).T
+    r_col = kernel_window((lo, hi), new_index, cfg.tau_w)
     return CoverageState(
         m=np.maximum(state.m, s_col),
         u=np.maximum(state.u, r_col),

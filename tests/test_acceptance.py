@@ -17,8 +17,7 @@ from gits.pilot_scoring import CandidateScores, PilotMeta, build_candidates
 from gits.selector import (
     ObjectiveConfig,
     greedy_select,
-    sample_coverage_only,
-    sample_grad_only,
+    run_sampler,
 )
 from gits.surrogate import SurrogateArch, SurrogateParams, init_params, rollout_loss_grad
 from gits.temporal_coverage import (
@@ -226,13 +225,13 @@ def test_degenerate_sampler_equivalences():
     flat = ObjectiveConfig(coverage=cov, lambda_cov=0.0, c_win=0.0)
     top_k_match = (
         greedy_select(scores, cands, flat, 10).selected
-        == sample_grad_only(scores, 10).selected
+        == run_sampler("grad_only", cands, flat, 10, scores).selected
     )
 
     obj = ObjectiveConfig(coverage=cov)
     zero_scores_match = (
         greedy_select(None, cands, obj, 10).selected
-        == sample_coverage_only(cands, obj, 10).selected
+        == run_sampler("coverage_only", cands, obj, 10).selected
     )
 
     full = greedy_select(scores, cands, obj, cands.size)

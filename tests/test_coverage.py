@@ -9,6 +9,8 @@ from gits.temporal_coverage import (
     derive_coverage_config,
     empty_state,
     kernel_global,
+    kernel_matrix_global,
+    kernel_matrix_window,
     kernel_window,
     state_update,
     window_distance,
@@ -175,6 +177,22 @@ def test_state_update_incremental_equals_batch():
         assert state.m.sum() == pytest.approx(f_cov, abs=1e-12)
         assert state.u.sum() == pytest.approx(f_win, abs=1e-12)
         assert state.selected_count == size
+
+
+@pytest.mark.parametrize("t_count", [30, 101, 1501])
+def test_state_update_columns_equal_kernel_matrix_columns(t_count):
+    # Greedy takes gains from the kernel matrices and folds picks with
+    # state_update; the two must agree bit for bit, not just to a tolerance.
+    cands = build_candidates(t_count, 4)
+    cfg = derive_coverage_config(t_count, 10)
+    windows = build_windows(cands, cfg)
+    s_mat = kernel_matrix_global(cands, cfg.tau)
+    r_mat = kernel_matrix_window(cands, windows, cfg.tau_w)
+    empty = empty_state(cands, windows)
+    for pos, k in enumerate(cands.indices):
+        state = state_update(empty, int(k), cands, windows, cfg)
+        assert np.array_equal(state.m, s_mat[:, pos])
+        assert np.array_equal(state.u, r_mat[:, pos])
 
 
 def test_state_update_rejects_duplicates():

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gits
 from gits import cli, harness
 from gits.diagnostics import RESULT_COLUMNS, RolloutReport
 from gits.harness import (
@@ -18,6 +22,7 @@ from gits.harness import (
     write_results,
 )
 from gits.pde_data import SolverConfig
+from gits.selector import SAMPLERS
 from gits.surrogate import TrainConfig
 
 
@@ -62,27 +67,48 @@ def test_single_cell_config_produces_one_csv_row(tmp_path):
     assert rows[1][0] == "diffusion1d" and rows[1][1] == "uniform"
 
 
+def _strip_timing(path):
+    rows = list(csv.reader(Path(path).open()))
+    drop = [rows[0].index("selection_time_s"), rows[0].index("train_time_s")]
+    return [[v for i, v in enumerate(row) if i not in drop] for row in rows]
+
+
+def _strip_json(path):
+    payload = json.loads(Path(path).read_text())
+    for cell in payload["cells"]:
+        cell.pop("selection_time_s"), cell.pop("train_time_s")
+    payload["config_echo"].pop("output_dir")
+    return payload
+
+
 def test_rerun_is_byte_identical_modulo_timing(tmp_path):
-    cfg = small_experiment(samplers=("uniform", "gits"), seeds=(0, 1))
+    cfg = small_experiment(samplers=SAMPLERS, seeds=(0, 1))
     a = run_experiment(cfg)
     b = run_experiment(cfg)
+    assert a.failed == 0
     write_results(a, tmp_path / "a")
     write_results(b, tmp_path / "b")
+    assert _strip_timing(tmp_path / "a/results.csv") == _strip_timing(tmp_path / "b/results.csv")
+    assert _strip_json(tmp_path / "a/summary.json") == _strip_json(tmp_path / "b/summary.json")
 
-    def strip_timing(path):
-        rows = list(csv.reader(Path(path).open()))
-        drop = [rows[0].index("selection_time_s"), rows[0].index("train_time_s")]
-        return [[v for i, v in enumerate(row) if i not in drop] for row in rows]
 
-    assert strip_timing(tmp_path / "a/results.csv") == strip_timing(tmp_path / "b/results.csv")
-
-    def strip_json(path):
-        payload = json.loads(Path(path).read_text())
-        for cell in payload["cells"]:
-            cell.pop("selection_time_s"), cell.pop("train_time_s")
-        return payload
-
-    assert strip_json(tmp_path / "a/summary.json") == strip_json(tmp_path / "b/summary.json")
+def test_rerun_is_byte_identical_across_blas_thread_counts(tmp_path):
+    cfg_path = _write_small_config(tmp_path, samplers=",".join(SAMPLERS))
+    src = str(Path(gits.__file__).resolve().parents[1])
+    outputs = []
+    for threads in (1, min(2, os.cpu_count() or 1)):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "gits.cli", "run", "--config", str(cfg_path),
+                        "--output", str(out)], env=env, check=True, capture_output=True)
+        outputs.append(out)
+    a, b = outputs
+    summary = _strip_json(a / "summary.json")
+    assert [c["error"] for c in summary["cells"]] == [None] * len(SAMPLERS)
+    assert summary == _strip_json(b / "summary.json")
+    assert _strip_timing(a / "results.csv") == _strip_timing(b / "results.csv")
 
 
 def test_budget_rule_per_row():
@@ -232,6 +258,17 @@ def test_cli_print_defaults_round_trips(tmp_path, capsys):
     assert cfg == ExperimentConfig()
 
 
+def test_cli_family_solver_defaults_apply(tmp_path):
+    path = tmp_path / "burgers.ini"
+    path.write_text("[dataset]\nfamily = burgers1d\n")
+    cfg = cli.load_config(str(path))
+    assert cfg.solver.dt == 1e-3
+    assert cfg.solver.snapshot_stride == 2
+    path.write_text("[dataset]\nfamily = burgers1d\ndt = 0.0005\nsnapshot_stride = 3\n")
+    cfg = cli.load_config(str(path))
+    assert (cfg.solver.dt, cfg.solver.snapshot_stride) == (0.0005, 3)
+
+
 def test_cli_config_error_exit_code(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[experiment]\nratios = 2.0\n")
@@ -239,7 +276,7 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "missing.ini")]) == cli.EXIT_CONFIG
 
 
-def _write_small_config(tmp_path):
+def _write_small_config(tmp_path, samplers="uniform,gits"):
     path = tmp_path / "small.ini"
     path.write_text(
         "[dataset]\n"
@@ -249,7 +286,7 @@ def _write_small_config(tmp_path):
         "seed = 3\n"
         "[experiment]\n"
         "ratios = 0.3\n"
-        "samplers = uniform,gits\n"
+        f"samplers = {samplers}\n"
         "seeds = 0\n"
         f"output_dir = {tmp_path / 'out'}\n"
         "[pilot]\n"

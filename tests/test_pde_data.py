@@ -1,13 +1,20 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gits import pde_data
 from gits.pde_data import (
+    BOUNDARIES,
+    SPLIT_NAMES,
     ConfigurationError,
     DatasetFormatError,
     SolverConfig,
+    TrajectoryDataset,
     generate_dataset,
     read_dataset,
     simulate_trajectory,
@@ -143,3 +150,89 @@ def test_malformed_manifest_rejected(tmp_path, small_ds):
     (tmp_path / "ds.json").write_text("{not json")
     with pytest.raises(DatasetFormatError, match="manifest"):
         read_dataset(tmp_path / "ds")
+
+
+def test_normalization_length_must_match_channels(small_ds):
+    with pytest.raises(DatasetFormatError, match="norm_mean"):
+        TrajectoryDataset(data=small_ds.data, split=small_ds.split,
+                          norm_mean=np.zeros(2), norm_std=small_ds.norm_std)
+    with pytest.raises(DatasetFormatError, match="norm_std"):
+        TrajectoryDataset(data=small_ds.data, split=small_ds.split,
+                          norm_mean=small_ds.norm_mean, norm_std=np.ones(0))
+
+
+@pytest.mark.parametrize("meta", [{}, {"boundary": "dirichlet"}, None, ["periodic"]])
+def test_missing_or_unknown_boundary_rejected(tmp_path, small_ds, meta):
+    write_dataset(small_ds, tmp_path / "ds")
+    manifest = json.loads((tmp_path / "ds.json").read_text())
+    if meta is None:
+        del manifest["meta"]
+    else:
+        manifest["meta"] = meta
+    (tmp_path / "ds.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetFormatError, match="boundary"):
+        read_dataset(tmp_path / "ds")
+
+
+# ----------------------------------------------------------------------
+# reader fuzz: every corrupt pair loads or raises DatasetFormatError
+# ----------------------------------------------------------------------
+
+_FUZZ_DS = generate_dataset(SolverConfig(spatial_size=4, t_count=6, seed=1), 10)
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+_dims = st.sampled_from(["n_traj", "t_count", "spatial_size", "channels"])
+_mutations = st.one_of(
+    st.tuples(st.just("truncate_payload"), st.integers(0, _FUZZ_DS.data.nbytes - 1)),
+    st.tuples(st.just("truncate_manifest"), st.integers(0, 400)),
+    st.tuples(st.just("dim"), st.tuples(_dims, st.integers(-2, 30) | _json_values)),
+    st.tuples(st.just("split"), st.lists(st.sampled_from(SPLIT_NAMES + ("bogus",)),
+                                         max_size=12) | _json_values),
+    st.tuples(st.just("normalization"), st.fixed_dictionaries(
+        {"mean": st.lists(st.floats(), max_size=3), "std": st.lists(st.floats(), max_size=3)}
+    ) | _json_values),
+    st.tuples(st.just("meta"), st.fixed_dictionaries(
+        {"boundary": st.sampled_from(BOUNDARIES + ("dirichlet",)) | _json_values}
+    ) | _json_values),
+    st.tuples(st.just("delete"), st.sampled_from(
+        ["format_version", "n_traj", "channels", "split", "normalization", "meta"])),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(mutations=st.lists(_mutations, min_size=1, max_size=3))
+def test_reader_fuzz_raises_only_dataset_format_error(mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        stem = Path(tmp) / "ds"
+        write_dataset(_FUZZ_DS, stem)
+        manifest_text = stem.with_suffix(".json").read_text()
+        manifest = json.loads(manifest_text)
+        payload = stem.with_suffix(".f32").read_bytes()
+        for op, arg in mutations:
+            if op == "truncate_payload":
+                payload = payload[:arg]
+            elif op == "truncate_manifest":
+                manifest = None
+                manifest_text = manifest_text[:arg]
+            elif manifest is None:
+                continue
+            elif op == "dim":
+                manifest[arg[0]] = arg[1]
+            elif op == "delete":
+                manifest.pop(arg, None)
+            else:
+                manifest[op] = arg
+        if manifest is not None:
+            manifest_text = json.dumps(manifest)
+        stem.with_suffix(".json").write_text(manifest_text)
+        stem.with_suffix(".f32").write_bytes(payload)
+        try:
+            ds = read_dataset(stem)
+        except DatasetFormatError:
+            return
+        assert isinstance(ds, TrajectoryDataset)

@@ -13,17 +13,15 @@ from gits.pilot_scoring import (
     train_pilot,
 )
 from gits.selector import (
+    SAMPLER_TABLE,
+    SAMPLERS,
     ObjectiveConfig,
     budget_from_ratio,
     grad_match_from_gradients,
     greedy_select,
-    sample_coverage_only,
-    sample_gits,
-    sample_grad_match,
-    sample_grad_only,
-    sample_loss_div,
-    sample_loss_only,
+    run_sampler,
     sample_uniform,
+    top_k,
     write_selection_json,
 )
 from gits.surrogate import SurrogateArch, TrainConfig
@@ -53,6 +51,11 @@ def default_obj(candidates=CANDS, budget=10, lambda_cov=1.0, c_win=0.5):
     return ObjectiveConfig(coverage=cov, lambda_cov=lambda_cov, c_win=c_win)
 
 
+def sampled(name, budget, pilot_input=None, candidates=CANDS, obj=None):
+    """One sampler run through the table's dispatch."""
+    return run_sampler(name, candidates, obj or default_obj(candidates), budget, pilot_input)
+
+
 def exhaustive_optimum(scores, candidates, obj, budget):
     windows = build_windows(candidates, obj.coverage)
     s_mat = kernel_matrix_global(candidates, obj.coverage.tau)
@@ -78,7 +81,7 @@ def test_zero_weights_reduce_to_top_k():
     scores = make_scores(rng.uniform(0, 1, CANDS.size))
     obj = default_obj(lambda_cov=0.0, c_win=0.0)
     g = greedy_select(scores, CANDS, obj, 7)
-    t = sample_grad_only(scores, 7)
+    t = sampled("grad_only", 7, scores)
     assert g.selected == t.selected
     assert g.gains == pytest.approx(t.gains)
     assert g.objective == pytest.approx(t.objective)
@@ -145,7 +148,7 @@ def test_gains_non_increasing_for_submodular_objective():
         ("coverage_only", None),
         ("loss_div", make_scores(rng.uniform(0, 0.5, CANDS.size), kind="rollout_loss")),
     ):
-        r = greedy_select(scores, CANDS, default_obj(), 12, label=label)
+        r = greedy_select(scores, CANDS, default_obj(), 12)
         diffs = np.diff(r.gains)
         assert np.all(diffs <= 1e-9), label
 
@@ -189,12 +192,11 @@ def test_uniform_saturation_endpoints_and_spacing():
 def test_loss_only_is_top_k_and_matches_greedy():
     rng = np.random.default_rng(5)
     scores = make_scores(rng.uniform(0, 1, CANDS.size), kind="rollout_loss")
-    r = sample_loss_only(scores, 6)
-    g = greedy_select(scores, CANDS, default_obj(lambda_cov=0.0, c_win=0.0), 6,
-                      label="loss_only")
+    r = sampled("loss_only", 6, scores)
+    g = greedy_select(scores, CANDS, default_obj(lambda_cov=0.0, c_win=0.0), 6)
     assert r.selected == g.selected
     assert r.sampler == "loss_only"
-    single = sample_loss_only(scores, 1)
+    single = sampled("loss_only", 1, scores)
     assert single.selected == [int(CANDS.indices[int(np.argmax(scores.scores))])]
 
 
@@ -202,10 +204,10 @@ def test_loss_only_permutation_equivariance():
     rng = np.random.default_rng(6)
     values = rng.permutation(np.linspace(0.01, 1.0, CANDS.size))  # distinct scores
     scores = make_scores(values, kind="rollout_loss")
-    base = sample_loss_only(scores, 8)
+    base = sampled("loss_only", 8, scores)
     perm = rng.permutation(CANDS.size)
     permuted = make_scores(values[perm], kind="rollout_loss")
-    moved = sample_loss_only(permuted, 8)
+    moved = sampled("loss_only", 8, permuted)
     # the selected positions move with the permutation
     base_pos = sorted(CANDS.position(k) for k in base.selected)
     moved_pos = sorted(CANDS.position(k) for k in moved.selected)
@@ -216,32 +218,39 @@ def test_grad_only_mirrors_loss_only_tie_breaks():
     rng = np.random.default_rng(7)
     values = rng.uniform(0, 1, CANDS.size)
     values[10] = values[20] = values[30] = 0.9  # forced ties
-    g = sample_grad_only(make_scores(values, kind="grad_norm"), 5)
-    l = sample_loss_only(make_scores(values, kind="rollout_loss"), 5)
+    g = sampled("grad_only", 5, make_scores(values, kind="grad_norm"))
+    l = sampled("loss_only", 5, make_scores(values, kind="rollout_loss"))
     assert g.selected == l.selected
-    assert sorted(sample_grad_only(make_scores(values), CANDS.size).selected) == list(CANDS.indices)
+    assert sorted(sampled("grad_only", CANDS.size, make_scores(values)).selected) == list(CANDS.indices)
 
 
 def test_kind_checks_enforced():
     grad = make_scores(np.ones(CANDS.size), kind="grad_norm")
     loss = make_scores(np.ones(CANDS.size), kind="rollout_loss")
     with pytest.raises(ValueError):
-        sample_loss_only(grad, 3)
+        sampled("loss_only", 3, grad)
     with pytest.raises(ValueError):
-        sample_grad_only(loss, 3)
+        sampled("grad_only", 3, loss)
     with pytest.raises(ValueError):
-        sample_gits(loss, CANDS, default_obj(), 3)
+        sampled("gits", 3, loss)
     with pytest.raises(ValueError):
-        sample_loss_div(grad, CANDS, default_obj(), 3)
+        sampled("loss_div", 3, grad)
+    # a score-based sampler given no scores, or a raw vector, is refused too
+    with pytest.raises(ValueError):
+        sampled("gits", 3, None)
+    with pytest.raises(ValueError):
+        sampled("loss_only", 3, np.ones(CANDS.size))
+    with pytest.raises(ValueError):
+        sampled("bogus", 3)
 
 
 def test_coverage_only_ignores_scores_and_centers_single_pick():
     obj = default_obj()
-    r1 = sample_coverage_only(CANDS, obj, 4)
-    r2 = sample_coverage_only(CANDS, obj, 4)
+    r1 = sampled("coverage_only", 4, obj=obj)
+    r2 = sampled("coverage_only", 4, make_scores(np.linspace(0, 1, CANDS.size)), obj=obj)
     assert r1.selected == r2.selected
     # single pick maximizes the coverage gain: an (near-)central candidate
-    one = sample_coverage_only(CANDS, default_obj(budget=1), 1)
+    one = sampled("coverage_only", 1, obj=default_obj(budget=1))
     windows = build_windows(CANDS, default_obj(budget=1).coverage)
     cfg = default_obj(budget=1)
     gains = []
@@ -260,7 +269,7 @@ def test_coverage_only_respects_bound_on_small_instances():
         cands = build_candidates(4 + 1 + size, 4)
         budget = int(rng.integers(2, 4))
         obj = ObjectiveConfig(coverage=derive_coverage_config(cands.t_count, budget))
-        r = sample_coverage_only(cands, obj, budget)
+        r = sampled("coverage_only", budget, candidates=cands, obj=obj)
         optimum, _ = exhaustive_optimum(np.zeros(size), cands, obj, budget)
         assert r.objective >= bound * optimum - 1e-9
 
@@ -269,12 +278,12 @@ def test_loss_div_degenerate_reductions():
     rng = np.random.default_rng(9)
     loss = make_scores(rng.uniform(0, 1, CANDS.size), kind="rollout_loss")
     flat = default_obj(lambda_cov=0.0, c_win=0.0)
-    assert sample_loss_div(loss, CANDS, flat, 5).selected == sample_loss_only(loss, 5).selected
+    assert sampled("loss_div", 5, loss, obj=flat).selected == sampled("loss_only", 5, loss).selected
     zero = make_scores(np.zeros(CANDS.size), kind="rollout_loss")
     obj = default_obj()
     assert (
-        sample_loss_div(zero, CANDS, obj, 5).selected
-        == sample_coverage_only(CANDS, obj, 5).selected
+        sampled("loss_div", 5, zero, obj=obj).selected
+        == sampled("coverage_only", 5, obj=obj).selected
     )
 
 
@@ -322,12 +331,14 @@ def test_grad_match_end_to_end_deterministic():
     arch = SurrogateArch(history_len=3, hidden=3, kernel_radius=1)
     pilot = train_pilot(ds, cands, TrainConfig(epochs_max=1, seed=0, early_stop=False),
                         arch=arch)
-    a = sample_grad_match(pilot, cands, ds, 3, 3, batch_traj=4, seed=0)
-    b = sample_grad_match(pilot, cands, ds, 3, 3, batch_traj=4, seed=0)
+    obj = default_obj(cands, budget=3)
+    _, grads_a = candidate_gradients(pilot, cands, ds, 3, 4, 0)
+    _, grads_b = candidate_gradients(pilot, cands, ds, 3, 4, 0)
+    a = run_sampler("grad_match", cands, obj, 3, grads_a)
+    b = run_sampler("grad_match", cands, obj, 3, grads_b)
     assert a.selected == b.selected
     assert a.sampler == "grad_match"
-    losses, grads = candidate_gradients(pilot, cands, ds, 3, 4, 0)
-    assert a.selected == grad_match_from_gradients(grads, cands, 3).selected
+    assert a.selected == grad_match_from_gradients(grads_a, cands, 3).selected
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +351,9 @@ def test_budget_from_ratio():
     assert budget_from_ratio(0.20, 96) == 19
     assert budget_from_ratio(0.001, 96) == 1
     assert budget_from_ratio(1.0, 96) == 96
+    # Python's round: halves go to the even neighbour
+    assert budget_from_ratio(0.05, 90) == 4
+    assert budget_from_ratio(0.25, 90) == 22
     with pytest.raises(ValueError):
         budget_from_ratio(0.0, 96)
     with pytest.raises(ValueError):
@@ -348,7 +362,7 @@ def test_budget_from_ratio():
 
 def test_selection_json_export(tmp_path):
     scores = make_scores(np.linspace(0, 1, CANDS.size))
-    r = sample_gits(scores, CANDS, default_obj(), 5)
+    r = sampled("gits", 5, scores)
     path = tmp_path / "sel.json"
     write_selection_json(r, path, config={"ratio": 0.05})
     payload = json.loads(path.read_text())
@@ -365,3 +379,30 @@ def test_misaligned_scores_rejected():
     scores = make_scores(np.ones(other.size), indices=other.indices)
     with pytest.raises(ValueError):
         greedy_select(scores, CANDS, default_obj(), 3)
+
+
+def test_table_dispatch_matches_the_named_algorithm():
+    rng = np.random.default_rng(12)
+    grad = make_scores(rng.uniform(0, 1, CANDS.size), kind="grad_norm")
+    loss = make_scores(rng.uniform(0, 1, CANDS.size), kind="rollout_loss")
+    grads = rng.normal(size=(CANDS.size, 6))
+    obj = default_obj()
+    k = 9
+    inputs = {None: None, "grad_norm": grad, "rollout_loss": loss, "gradients": grads}
+    expected = {
+        "gits": greedy_select(grad, CANDS, obj, k),
+        "uniform": sample_uniform(CANDS, k),
+        "loss_only": top_k(loss, k),
+        "coverage_only": greedy_select(None, CANDS, obj, k),
+        "grad_only": top_k(grad, k),
+        "loss_div": greedy_select(loss, CANDS, obj, k),
+        "grad_match": grad_match_from_gradients(grads, CANDS, k),
+    }
+    assert SAMPLERS == tuple(expected)
+    for name in SAMPLERS:
+        r = run_sampler(name, CANDS, obj, k, inputs[SAMPLER_TABLE[name].needs])
+        assert r.sampler == name
+        assert r.selected == expected[name].selected, name
+        assert r.gains == expected[name].gains, name
+        assert r.objective == expected[name].objective, name
+        assert r.wall_time >= 0.0
