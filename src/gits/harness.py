@@ -3,15 +3,18 @@
 Runs the (ratio, sampler, seed) grid: build candidates, train a pilot and
 score candidates where the sampler needs them, select K = max(1,
 round(ratio * |C|)) starts, train the downstream surrogate on the selected
-starts, and evaluate the full rollout report on the test split. Each cell
-is timed separately for selection (pilot + scoring + subset optimization)
-and downstream training. Cell failures are recorded and the sweep
-continues; the exit status reports them.
+starts, and evaluate the full rollout report on the test split. The pilot
+and its candidate gradients depend only on the seed, so a grid computes
+them once per seed and every pilot-based cell of that seed reads them.
+Each cell is timed separately for selection (the seed's pilot + scoring,
+plus subset optimization) and downstream training. Cell failures are
+recorded and the sweep continues; the exit status reports them.
 
 Outputs: ``results.csv`` (one row per successful cell, schema from
 :data:`gits.diagnostics.RESULT_COLUMNS`) and ``summary.json`` with the
-config echo, per-cell details, per-sampler aggregates, and head-to-head
-win counts of the gradient-informed sampler against each baseline.
+config echo, per-cell details, the per-seed pilot and scoring times,
+per-sampler aggregates, and head-to-head win counts of the
+gradient-informed sampler against each baseline.
 
 Stage seeds: the pilot, the scoring subsample, and the downstream training
 draw from distinct sub-seeds of the cell seed, so no two stages share an
@@ -26,6 +29,7 @@ import time
 import traceback
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +42,10 @@ from .surrogate import EpochStats, SurrogateArch, SurrogateParams, TrainConfig
 
 PILOT_SEED_OFFSET = 10007
 SCORING_SEED_OFFSET = 20011
+
+# Every timing field of results.csv and summary.json (cells and per-seed
+# pilot records). All other output fields are deterministic given the config.
+TIMING_FIELDS = ("selection_time_s", "selection_wall_s", "train_time_s", "pilot_s", "scoring_s")
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -72,10 +80,12 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        if not self.seeds:
-            raise HarnessConfigError("seeds must be nonempty")
-        if not self.ratios:
-            raise HarnessConfigError("ratios must be nonempty")
+        for name in ("seeds", "ratios", "samplers"):
+            values = getattr(self, name)
+            if not values:
+                raise HarnessConfigError(f"{name} must be nonempty")
+            if len(set(values)) != len(values):
+                raise HarnessConfigError(f"{name} has duplicate entries: {values}")
         for r in self.ratios:
             if not 0.0 < r <= 1.0:
                 raise HarnessConfigError(f"ratio {r} outside (0, 1]")
@@ -95,7 +105,8 @@ class CellResult:
     budget: int
     selected: list[int] | None = None
     report: RolloutReport | None = None
-    selection_time_s: float = 0.0
+    selection_time_s: float = 0.0  # attributed: the seed's pilot + scoring, plus this selection
+    selection_wall_s: float = 0.0  # measured wall time of this cell's selection stage
     train_time_s: float = 0.0
     error: str | None = None
 
@@ -108,6 +119,7 @@ class CellResult:
 class ExperimentResult:
     config: ExperimentConfig
     cells: list[CellResult]
+    pilot_times: dict[int, dict[str, float]] = field(default_factory=dict)
 
     @property
     def failed(self) -> int:
@@ -128,6 +140,36 @@ def _objective(cfg: ExperimentConfig, t_count: int, budget: int) -> ObjectiveCon
                            c_win=cfg.c_win, normalize_scores=cfg.normalize_scores)
 
 
+class PilotGradients(NamedTuple):
+    """One seed's per-candidate pilot losses and gradients, and what they cost."""
+
+    losses: np.ndarray
+    grads: np.ndarray  # (|C|, param_count)
+    pilot_s: float
+    scoring_s: float
+
+
+def pilot_gradients(
+    cfg: ExperimentConfig, ds: TrajectoryDataset, candidates: CandidateSet, seed: int
+) -> PilotGradients:
+    """Train the seed's pilot and compute every candidate's loss and gradient.
+
+    Depends on the seed only through its pilot and scoring stage seeds, not
+    on the sampler or the ratio. The pilot parameters are not kept.
+    """
+    t0 = time.perf_counter()
+    arch = pilot_scoring.default_arch(ds, cfg.history_len, cfg.hidden,
+                                      cfg.kernel_radius, cfg.clamp)
+    pilot_cfg = replace(cfg.train, epochs_max=cfg.pilot_epochs,
+                        seed=stage_seed(seed, "pilot"))
+    pilot = pilot_scoring.train_pilot(ds, candidates, pilot_cfg, arch=arch)
+    t1 = time.perf_counter()
+    losses, grads = pilot_scoring.candidate_gradients(
+        pilot, candidates, ds, cfg.horizon, cfg.batch_traj, stage_seed(seed, "scoring")
+    )
+    return PilotGradients(losses, grads, t1 - t0, time.perf_counter() - t1)
+
+
 def select_starts(
     cfg: ExperimentConfig,
     ds: TrajectoryDataset,
@@ -135,34 +177,32 @@ def select_starts(
     sampler: str,
     ratio: float,
     seed: int,
+    *,
+    pilot: PilotGradients | None = None,
 ) -> tuple[SelectionResult, float]:
     """Run one sampler end to end; returns (selection, selection_time_s).
 
-    Selection time covers pilot training, candidate scoring, and subset
-    optimization -- everything before downstream training.
+    A sampler that needs the pilot reads ``pilot``, the seed's
+    :func:`pilot_gradients`, and computes it here when none is given.
+    Selection time is the cost of producing this selection: the pilot and
+    scoring seconds plus the sampler's own step, whether the pilot was
+    computed here or earlier for another cell of the same seed.
     """
     budget = selector.budget_from_ratio(ratio, candidates.size)
     obj = _objective(cfg, ds.t_count, budget)
-    t0 = time.perf_counter()
-
     needs = selector.SAMPLER_TABLE[sampler].needs
-    pilot_input = None
-    if needs is not None:
-        arch = pilot_scoring.default_arch(ds, cfg.history_len, cfg.hidden,
-                                          cfg.kernel_radius, cfg.clamp)
-        pilot_cfg = replace(cfg.train, epochs_max=cfg.pilot_epochs,
-                            seed=stage_seed(seed, "pilot"))
-        pilot = pilot_scoring.train_pilot(ds, candidates, pilot_cfg, arch=arch)
-        scoring_seed = stage_seed(seed, "scoring")
-        losses, grads = pilot_scoring.candidate_gradients(
-            pilot, candidates, ds, cfg.horizon, cfg.batch_traj, scoring_seed
-        )
+    if needs is None:
+        pilot_s, pilot_input = 0.0, None
+    else:
+        if pilot is None:
+            pilot = pilot_gradients(cfg, ds, candidates, seed)
+        pilot_s = pilot.pilot_s + pilot.scoring_s
         pilot_input = pilot_scoring.pilot_input(
-            needs, losses, grads, candidates,
-            PilotMeta(cfg.pilot_epochs, cfg.horizon, scoring_seed),
+            needs, pilot.losses, pilot.grads, candidates,
+            PilotMeta(cfg.pilot_epochs, cfg.horizon, stage_seed(seed, "scoring")),
         )
     result = selector.run_sampler(sampler, candidates, obj, budget, pilot_input)
-    return result, time.perf_counter() - t0
+    return result, pilot_s + result.wall_time
 
 
 def train_downstream(
@@ -176,6 +216,25 @@ def train_downstream(
     return surrogate.train(params0, starts, ds, train_cfg)
 
 
+def _seed_pilot(pilots: dict, cfg: ExperimentConfig, ds: TrajectoryDataset,
+                candidates: CandidateSet, seed: int) -> PilotGradients:
+    """The seed's :func:`pilot_gradients`, computed by the first cell that needs it.
+
+    A pilot that raised is not retried: every later cell of the seed raises
+    the same exception, with the same traceback.
+    """
+    if seed not in pilots:
+        try:
+            pilots[seed] = pilot_gradients(cfg, ds, candidates, seed)
+        except Exception as exc:
+            pilots[seed] = (exc, exc.__traceback__.tb_next)  # from pilot_gradients down
+    entry = pilots[seed]
+    if not isinstance(entry, PilotGradients):
+        exc, tb = entry
+        raise exc.with_traceback(tb)
+    return entry
+
+
 def _run_cell(
     cfg: ExperimentConfig,
     ds: TrajectoryDataset,
@@ -183,6 +242,7 @@ def _run_cell(
     sampler: str,
     ratio: float,
     seed: int,
+    pilots: dict,
 ) -> CellResult:
     budget = selector.budget_from_ratio(ratio, candidates.size)
     cell = CellResult(
@@ -193,9 +253,15 @@ def _run_cell(
         budget=budget,
     )
     try:
-        selection, sel_time = select_starts(cfg, ds, candidates, sampler, ratio, seed)
+        t0 = time.perf_counter()
+        pilot = None
+        if selector.SAMPLER_TABLE[sampler].needs is not None:
+            pilot = _seed_pilot(pilots, cfg, ds, candidates, seed)
+        selection, cell.selection_time_s = select_starts(
+            cfg, ds, candidates, sampler, ratio, seed, pilot=pilot
+        )
+        cell.selection_wall_s = time.perf_counter() - t0
         cell.selected = selection.selected
-        cell.selection_time_s = sel_time
 
         t0 = time.perf_counter()
         params, _ = train_downstream(cfg, ds, selection.selected, seed)
@@ -209,15 +275,25 @@ def _run_cell(
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Execute the full (ratio, sampler, seed) grid; deterministic given cfg."""
+    """Execute the full (ratio, sampler, seed) grid; deterministic given cfg.
+
+    The pilot and candidate gradients of each seed are computed at most
+    once and shared by every cell of that seed whose sampler needs them.
+    """
     ds = load_or_generate_dataset(cfg)
     candidates = pilot_scoring.build_candidates(ds.t_count, cfg.history_len)
+    pilots: dict = {}  # seed -> PilotGradients, or (exception, traceback)
     cells = []
     for ratio in cfg.ratios:
         for sampler in cfg.samplers:
             for seed in cfg.seeds:
-                cells.append(_run_cell(cfg, ds, candidates, sampler, ratio, seed))
-    return ExperimentResult(config=cfg, cells=cells)
+                cells.append(_run_cell(cfg, ds, candidates, sampler, ratio, seed, pilots))
+    pilot_times = {
+        seed: {"pilot_s": entry.pilot_s, "scoring_s": entry.scoring_s}
+        for seed, entry in pilots.items()
+        if isinstance(entry, PilotGradients)
+    }
+    return ExperimentResult(config=cfg, cells=cells, pilot_times=pilot_times)
 
 
 # ----------------------------------------------------------------------
@@ -327,11 +403,13 @@ def write_results(result: ExperimentResult, output_dir) -> tuple[Path, Path]:
                 "selected": c.selected,
                 "nrmse": (c.report.nrmse if c.report else None),
                 "selection_time_s": c.selection_time_s,
+                "selection_wall_s": c.selection_wall_s,
                 "train_time_s": c.train_time_s,
                 "error": c.error,
             }
             for c in result.cells
         ],
+        "pilot": {str(seed): times for seed, times in sorted(result.pilot_times.items())},
         "aggregates": summary["aggregates"],
         "wins": summary["wins"],
     }

@@ -169,6 +169,14 @@ class TrajectoryDataset:
         for name in ("norm_mean", "norm_std"):
             if np.shape(getattr(self, name)) != (self.channels,):
                 raise DatasetFormatError(f"{name} length does not match {self.channels} channel(s)")
+        mean, std = np.asarray(self.norm_mean), np.asarray(self.norm_std)
+        if not np.all(np.isfinite(mean)):
+            raise DatasetFormatError(f"norm_mean must be finite: {mean}")
+        if not np.all(np.isfinite(std) & (std > 0.0)):
+            raise DatasetFormatError(f"norm_std must be finite and positive: {std}")
+        for name in SPLIT_NAMES:
+            if name not in self.split:
+                raise DatasetFormatError(f"split has no {name!r} trajectory")
 
     @property
     def n_traj(self) -> int:

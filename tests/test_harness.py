@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import gits
-from gits import cli, harness
-from gits.diagnostics import RESULT_COLUMNS, RolloutReport
+from gits import cli, harness, pilot_scoring
+from gits.diagnostics import RESULT_COLUMNS, RolloutReport, rollout_report
 from gits.harness import (
     CellResult,
     ExperimentConfig,
@@ -69,14 +69,15 @@ def test_single_cell_config_produces_one_csv_row(tmp_path):
 
 def _strip_timing(path):
     rows = list(csv.reader(Path(path).open()))
-    drop = [rows[0].index("selection_time_s"), rows[0].index("train_time_s")]
+    drop = [i for i, name in enumerate(rows[0]) if name in harness.TIMING_FIELDS]
     return [[v for i, v in enumerate(row) if i not in drop] for row in rows]
 
 
 def _strip_json(path):
     payload = json.loads(Path(path).read_text())
-    for cell in payload["cells"]:
-        cell.pop("selection_time_s"), cell.pop("train_time_s")
+    for record in payload["cells"] + list(payload["pilot"].values()):
+        for name in harness.TIMING_FIELDS:
+            record.pop(name, None)
     payload["config_echo"].pop("output_dir")
     return payload
 
@@ -109,6 +110,71 @@ def test_rerun_is_byte_identical_across_blas_thread_counts(tmp_path):
     assert [c["error"] for c in summary["cells"]] == [None] * len(SAMPLERS)
     assert summary == _strip_json(b / "summary.json")
     assert _strip_timing(a / "results.csv") == _strip_timing(b / "results.csv")
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_pilot_is_shared_per_seed_and_matches_the_single_cell_path(monkeypatch):
+    cfg = small_experiment(samplers=SAMPLERS, ratios=(0.1, 0.2), seeds=(0, 1))
+    pilots = _count_calls(monkeypatch, pilot_scoring, "train_pilot")
+    scorings = _count_calls(monkeypatch, pilot_scoring, "candidate_gradients")
+    result = run_experiment(cfg)
+    assert result.failed == 0
+    assert len(result.cells) == len(SAMPLERS) * 2 * 2
+    assert (len(pilots), len(scorings)) == (2, 2)
+    assert sorted(result.pilot_times) == [0, 1]
+
+    ds = harness.load_or_generate_dataset(cfg)
+    candidates = pilot_scoring.build_candidates(ds.t_count, cfg.history_len)
+    for cell in result.cells:
+        selection, _ = harness.select_starts(cfg, ds, candidates, cell.sampler,
+                                             cell.ratio, cell.seed)
+        params, _ = harness.train_downstream(cfg, ds, selection.selected, cell.seed)
+        report = rollout_report(params, ds, split="test")
+        assert cell.selected == selection.selected, (cell.sampler, cell.ratio, cell.seed)
+        assert cell.report.nrmse == report.nrmse, (cell.sampler, cell.ratio, cell.seed)
+
+
+def test_grid_without_pilot_based_samplers_trains_no_pilot(monkeypatch):
+    pilots = _count_calls(monkeypatch, pilot_scoring, "train_pilot")
+    scorings = _count_calls(monkeypatch, pilot_scoring, "candidate_gradients")
+    cfg = small_experiment(samplers=("uniform", "coverage_only"), ratios=(0.1, 0.2),
+                           seeds=(0, 1))
+    result = run_experiment(cfg)
+    assert result.failed == 0 and result.pilot_times == {}
+    assert (len(pilots), len(scorings)) == (0, 0)
+
+
+def test_failed_pilot_is_attempted_once_per_seed(monkeypatch, tmp_path):
+    attempts = []
+
+    def failing_pilot(*args, **kwargs):
+        attempts.append(1)
+        raise RuntimeError("pilot diverged")
+
+    monkeypatch.setattr(pilot_scoring, "train_pilot", failing_pilot)
+    cfg = small_experiment(samplers=("gits", "uniform", "grad_match"), ratios=(0.1, 0.2),
+                           seeds=(0, 1))
+    result = run_experiment(cfg)
+    assert len(attempts) == 2
+    dependent = [c for c in result.cells if c.sampler != "uniform"]
+    assert len(dependent) == 8
+    assert {c.error.splitlines()[0] for c in dependent} == {"RuntimeError: pilot diverged"}
+    assert len({c.error for c in dependent}) == 1  # the traceback does not grow per cell
+    assert all(c.ok for c in result.cells if c.sampler == "uniform")
+    assert result.failed == 8 and result.pilot_times == {}
+    _, json_path = write_results(result, tmp_path)
+    assert json.loads(json_path.read_text())["pilot"] == {}
 
 
 def test_budget_rule_per_row():
@@ -150,7 +216,21 @@ def test_timing_fields_separate_selection_from_training():
     cfg = small_experiment(samplers=("gits",))
     cell = run_experiment(cfg).cells[0]
     assert cell.selection_time_s > 0.0
+    assert cell.selection_wall_s > 0.0
     assert cell.train_time_s > 0.0
+
+
+def test_selection_time_attributes_the_shared_pilot_to_every_cell(tmp_path):
+    cfg = small_experiment(samplers=("gits", "grad_only", "uniform"))
+    result = run_experiment(cfg)
+    shared = result.pilot_times[0]["pilot_s"] + result.pilot_times[0]["scoring_s"]
+    first, second, _ = result.cells
+    assert first.selection_wall_s >= shared  # the first cell of the seed ran the pilot
+    assert first.selection_time_s >= shared and second.selection_time_s >= shared
+    _, json_path = write_results(result, tmp_path)
+    payload = json.loads(json_path.read_text())
+    assert payload["pilot"] == {"0": result.pilot_times[0]}
+    assert {"selection_time_s", "selection_wall_s", "train_time_s"} <= set(payload["cells"][0])
 
 
 def test_config_validation():
@@ -160,6 +240,12 @@ def test_config_validation():
         small_experiment(seeds=())
     with pytest.raises(HarnessConfigError):
         small_experiment(samplers=("bogus",))
+    with pytest.raises(HarnessConfigError, match="samplers must be nonempty"):
+        small_experiment(samplers=())
+    for field, values in (("ratios", (0.1, 0.2, 0.1)), ("samplers", ("gits", "uniform", "gits")),
+                          ("seeds", (0, 0))):
+        with pytest.raises(HarnessConfigError, match=f"{field} has duplicate"):
+            small_experiment(**{field: values})
 
 
 def test_default_protocol_settings():
@@ -273,6 +359,9 @@ def test_cli_config_error_exit_code(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[experiment]\nratios = 2.0\n")
     assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    for line in ("samplers = ", "ratios = 0.1, 0.10", "seeds = 1,1"):
+        path.write_text(f"[experiment]\n{line}\n")
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG, line
     assert cli.main(["run", "--config", str(tmp_path / "missing.ini")]) == cli.EXIT_CONFIG
 
 

@@ -161,6 +161,38 @@ def test_normalization_length_must_match_channels(small_ds):
                           norm_mean=small_ds.norm_mean, norm_std=np.ones(0))
 
 
+@pytest.mark.parametrize("mean, std", [
+    ([float("nan")], [1.0]), ([float("inf")], [1.0]), ([0.0], [-0.0]), ([0.0], [0.0]),
+    ([0.0], [-2.0]), ([0.0], [float("nan")]), ([0.0], [float("inf")]),
+])
+def test_unusable_normalization_rejected(tmp_path, small_ds, mean, std):
+    write_dataset(small_ds, tmp_path / "ds")
+    manifest = json.loads((tmp_path / "ds.json").read_text())
+    manifest["normalization"] = {"mean": mean, "std": std}
+    (tmp_path / "ds.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetFormatError, match="norm_mean|norm_std"):
+        read_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("missing", SPLIT_NAMES)
+def test_split_without_a_train_val_or_test_trajectory_rejected(tmp_path, small_ds, missing):
+    write_dataset(small_ds, tmp_path / "ds")
+    manifest = json.loads((tmp_path / "ds.json").read_text())
+    other = next(name for name in SPLIT_NAMES if name != missing)
+    manifest["split"] = [other if s == missing else s for s in manifest["split"]]
+    (tmp_path / "ds.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetFormatError, match=f"no '{missing}'"):
+        read_dataset(tmp_path / "ds")
+
+
+def test_generated_splits_are_never_empty():
+    for n_traj in range(10, 130):
+        for seed in range(3):
+            assert set(pde_data.assign_splits(n_traj, seed)) == set(SPLIT_NAMES)
+    ds = generate_dataset(SolverConfig(spatial_size=4, t_count=6, seed=5), 10)
+    assert [len(ds.split_indices(name)) for name in SPLIT_NAMES] == [8, 1, 1]
+
+
 @pytest.mark.parametrize("meta", [{}, {"boundary": "dirichlet"}, None, ["periodic"]])
 def test_missing_or_unknown_boundary_rejected(tmp_path, small_ds, meta):
     write_dataset(small_ds, tmp_path / "ds")
@@ -193,9 +225,15 @@ _mutations = st.one_of(
     st.tuples(st.just("dim"), st.tuples(_dims, st.integers(-2, 30) | _json_values)),
     st.tuples(st.just("split"), st.lists(st.sampled_from(SPLIT_NAMES + ("bogus",)),
                                          max_size=12) | _json_values),
+    st.tuples(st.just("split"), st.lists(st.sampled_from(SPLIT_NAMES),
+                                         min_size=_FUZZ_DS.n_traj, max_size=_FUZZ_DS.n_traj)),
     st.tuples(st.just("normalization"), st.fixed_dictionaries(
         {"mean": st.lists(st.floats(), max_size=3), "std": st.lists(st.floats(), max_size=3)}
     ) | _json_values),
+    st.tuples(st.just("normalization"), st.fixed_dictionaries(
+        {"mean": st.lists(st.floats(), min_size=1, max_size=1),
+         "std": st.lists(st.floats(), min_size=1, max_size=1)}
+    )),
     st.tuples(st.just("meta"), st.fixed_dictionaries(
         {"boundary": st.sampled_from(BOUNDARIES + ("dirichlet",)) | _json_values}
     ) | _json_values),
@@ -236,3 +274,7 @@ def test_reader_fuzz_raises_only_dataset_format_error(mutations):
         except DatasetFormatError:
             return
         assert isinstance(ds, TrajectoryDataset)
+        # whatever loads is usable: finite scaling, and every split present
+        assert np.all(np.isfinite(ds.norm_mean))
+        assert np.all(np.isfinite(ds.norm_std)) and np.all(ds.norm_std > 0.0)
+        assert all(len(ds.split_indices(name)) > 0 for name in SPLIT_NAMES)
