@@ -205,7 +205,7 @@ def _cmd_select(args) -> int:
     cfg = load_config(args.config)
     _, _, selection, sel_time = _prepare_cell(cfg, args.sampler, args.ratio, args.seed)
     selector.write_selection_json(
-        selection, args.output,
+        selection, args.output, sel_time,
         config={"sampler": args.sampler, "ratio": args.ratio, "seed": args.seed},
     )
     print(f"{args.sampler}: K={selection.budget} starts -> {args.output} "

@@ -5,10 +5,11 @@ score candidates where the sampler needs them, select K = max(1,
 round(ratio * |C|)) starts, train the downstream surrogate on the selected
 starts, and evaluate the full rollout report on the test split. The pilot
 and its candidate gradients depend only on the seed, so a grid computes
-them once per seed and every pilot-based cell of that seed reads them.
-Each cell is timed separately for selection (the seed's pilot + scoring,
-plus subset optimization) and downstream training. Cell failures are
-recorded and the sweep continues; the exit status reports them.
+them once per seed, before its first cell, and every pilot-based cell of
+that seed reads them. All timing happens here: each seed's pilot and
+scoring, each cell's selection step, and each cell's downstream training.
+Cell failures, a failed pilot included, are recorded and the sweep
+continues; the exit status reports them.
 
 Outputs: ``results.csv`` (one row per successful cell, schema from
 :data:`gits.diagnostics.RESULT_COLUMNS`) and ``summary.json`` with the
@@ -45,7 +46,7 @@ SCORING_SEED_OFFSET = 20011
 
 # Every timing field of results.csv and summary.json (cells and per-seed
 # pilot records). All other output fields are deterministic given the config.
-TIMING_FIELDS = ("selection_time_s", "selection_wall_s", "train_time_s", "pilot_s", "scoring_s")
+TIMING_FIELDS = ("selection_time_s", "train_time_s", "pilot_s", "scoring_s")
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -105,8 +106,7 @@ class CellResult:
     budget: int
     selected: list[int] | None = None
     report: RolloutReport | None = None
-    selection_time_s: float = 0.0  # attributed: the seed's pilot + scoring, plus this selection
-    selection_wall_s: float = 0.0  # measured wall time of this cell's selection stage
+    selection_time_s: float = 0.0  # the seed's pilot + scoring, plus this cell's selection step
     train_time_s: float = 0.0
     error: str | None = None
 
@@ -186,7 +186,7 @@ def select_starts(
     :func:`pilot_gradients`, and computes it here when none is given.
     Selection time is the cost of producing this selection: the pilot and
     scoring seconds plus the sampler's own step, whether the pilot was
-    computed here or earlier for another cell of the same seed.
+    computed here or earlier for the whole seed.
     """
     budget = selector.budget_from_ratio(ratio, candidates.size)
     obj = _objective(cfg, ds.t_count, budget)
@@ -201,8 +201,9 @@ def select_starts(
             needs, pilot.losses, pilot.grads, candidates,
             PilotMeta(cfg.pilot_epochs, cfg.horizon, stage_seed(seed, "scoring")),
         )
+    t0 = time.perf_counter()
     result = selector.run_sampler(sampler, candidates, obj, budget, pilot_input)
-    return result, pilot_s + result.wall_time
+    return result, pilot_s + (time.perf_counter() - t0)
 
 
 def train_downstream(
@@ -216,23 +217,9 @@ def train_downstream(
     return surrogate.train(params0, starts, ds, train_cfg)
 
 
-def _seed_pilot(pilots: dict, cfg: ExperimentConfig, ds: TrajectoryDataset,
-                candidates: CandidateSet, seed: int) -> PilotGradients:
-    """The seed's :func:`pilot_gradients`, computed by the first cell that needs it.
-
-    A pilot that raised is not retried: every later cell of the seed raises
-    the same exception, with the same traceback.
-    """
-    if seed not in pilots:
-        try:
-            pilots[seed] = pilot_gradients(cfg, ds, candidates, seed)
-        except Exception as exc:
-            pilots[seed] = (exc, exc.__traceback__.tb_next)  # from pilot_gradients down
-    entry = pilots[seed]
-    if not isinstance(entry, PilotGradients):
-        exc, tb = entry
-        raise exc.with_traceback(tb)
-    return entry
+def _error_text(exc: Exception) -> str:
+    """How a failed cell records its exception: type, message, short traceback."""
+    return f"{type(exc).__name__}: {exc}\n" + traceback.format_exc(limit=3)
 
 
 def _run_cell(
@@ -242,8 +229,9 @@ def _run_cell(
     sampler: str,
     ratio: float,
     seed: int,
-    pilots: dict,
+    pilot: PilotGradients | str | None,
 ) -> CellResult:
+    """One cell; ``pilot`` is its seed's pilot, the seed's pilot error text, or None."""
     budget = selector.budget_from_ratio(ratio, candidates.size)
     cell = CellResult(
         dataset=ds.meta.get("family", "dataset"),
@@ -252,15 +240,13 @@ def _run_cell(
         seed=seed,
         budget=budget,
     )
+    if isinstance(pilot, str) and selector.SAMPLER_TABLE[sampler].needs is not None:
+        cell.error = pilot
+        return cell
     try:
-        t0 = time.perf_counter()
-        pilot = None
-        if selector.SAMPLER_TABLE[sampler].needs is not None:
-            pilot = _seed_pilot(pilots, cfg, ds, candidates, seed)
         selection, cell.selection_time_s = select_starts(
             cfg, ds, candidates, sampler, ratio, seed, pilot=pilot
         )
-        cell.selection_wall_s = time.perf_counter() - t0
         cell.selected = selection.selected
 
         t0 = time.perf_counter()
@@ -269,25 +255,33 @@ def _run_cell(
 
         cell.report = diagnostics.rollout_report(params, ds, split="test")
     except Exception as exc:  # per-cell failure policy: record and continue
-        cell.error = f"{type(exc).__name__}: {exc}"
-        cell.error += "\n" + traceback.format_exc(limit=3)
+        cell.error = _error_text(exc)
     return cell
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the full (ratio, sampler, seed) grid; deterministic given cfg.
 
-    The pilot and candidate gradients of each seed are computed at most
-    once and shared by every cell of that seed whose sampler needs them.
+    When any sampler needs the pilot, each seed's pilot and candidate
+    gradients are computed once, before the first cell, and shared by every
+    cell of that seed whose sampler needs them. A pilot that raises is not
+    retried: its error text is recorded in each of those cells.
     """
     ds = load_or_generate_dataset(cfg)
     candidates = pilot_scoring.build_candidates(ds.t_count, cfg.history_len)
-    pilots: dict = {}  # seed -> PilotGradients, or (exception, traceback)
+    pilots: dict[int, PilotGradients | str] = {}  # seed -> pilot, or its error text
+    if any(selector.SAMPLER_TABLE[s].needs is not None for s in cfg.samplers):
+        for seed in cfg.seeds:
+            try:
+                pilots[seed] = pilot_gradients(cfg, ds, candidates, seed)
+            except Exception as exc:  # recorded in every pilot-based cell of the seed
+                pilots[seed] = _error_text(exc)
     cells = []
     for ratio in cfg.ratios:
         for sampler in cfg.samplers:
             for seed in cfg.seeds:
-                cells.append(_run_cell(cfg, ds, candidates, sampler, ratio, seed, pilots))
+                cells.append(_run_cell(cfg, ds, candidates, sampler, ratio, seed,
+                                       pilots.get(seed)))
     pilot_times = {
         seed: {"pilot_s": entry.pilot_s, "scoring_s": entry.scoring_s}
         for seed, entry in pilots.items()
@@ -403,7 +397,6 @@ def write_results(result: ExperimentResult, output_dir) -> tuple[Path, Path]:
                 "selected": c.selected,
                 "nrmse": (c.report.nrmse if c.report else None),
                 "selection_time_s": c.selection_time_s,
-                "selection_wall_s": c.selection_wall_s,
                 "train_time_s": c.train_time_s,
                 "error": c.error,
             }

@@ -204,22 +204,21 @@ class TrajectoryDataset:
 # solvers
 # ----------------------------------------------------------------------
 
-def _laplacian(u: np.ndarray, boundary: str) -> np.ndarray:
+def _ghost(u: np.ndarray, boundary: str) -> np.ndarray:
+    """``u`` with one ghost cell at each end: wrapped (periodic) or the edge
+    value repeated (zero-flux Neumann). The stencils below read this array,
+    so the boundary enters a step only here."""
     if boundary == "periodic":
-        return np.roll(u, -1) + np.roll(u, 1) - 2.0 * u
-    # zero-flux: ghost cells replicate the edge values
-    up = np.concatenate([u[:1], u, u[-1:]])
-    return up[2:] + up[:-2] - 2.0 * u
+        return np.concatenate([u[-1:], u, u[:1]])
+    return np.concatenate([u[:1], u, u[-1:]])
 
 
-def _rusanov_divergence(u, dx, flux, speed, boundary):
+def _laplacian(ue: np.ndarray) -> np.ndarray:
+    return ue[2:] + ue[:-2] - 2.0 * ue[1:-1]
+
+
+def _rusanov_divergence(ue, dx, flux, speed):
     """Divergence of the Rusanov (local Lax-Friedrichs) numerical flux."""
-    if boundary == "periodic":
-        ul = u
-        ur = np.roll(u, -1)
-        f = 0.5 * (flux(ul) + flux(ur)) - 0.5 * speed(ul, ur) * (ur - ul)
-        return (f - np.roll(f, 1)) / dx
-    ue = np.concatenate([u[:1], u, u[-1:]])
     ul = ue[:-1]
     ur = ue[1:]
     f = 0.5 * (flux(ul) + flux(ur)) - 0.5 * speed(ul, ur) * (ur - ul)
@@ -252,7 +251,7 @@ def simulate_trajectory(cfg: SolverConfig, traj_index: int) -> np.ndarray:
         r = coef_d * cfg.dt / dx**2
 
         def step(u):
-            return u + r * _laplacian(u, cfg.boundary)
+            return u + r * _laplacian(_ghost(u, cfg.boundary))
 
     elif cfg.family == "burgers1d":
         nu = rng.uniform(*cfg.viscosity)
@@ -261,8 +260,8 @@ def simulate_trajectory(cfg: SolverConfig, traj_index: int) -> np.ndarray:
         speed = lambda a, b: np.maximum(np.abs(a), np.abs(b))
 
         def step(u):
-            div = _rusanov_divergence(u, dx, flux, speed, cfg.boundary)
-            return u - cfg.dt * div + rd * _laplacian(u, cfg.boundary)
+            ue = _ghost(u, cfg.boundary)
+            return u - cfg.dt * _rusanov_divergence(ue, dx, flux, speed) + rd * _laplacian(ue)
 
     else:
         c = rng.uniform(*cfg.speed)
@@ -272,8 +271,8 @@ def simulate_trajectory(cfg: SolverConfig, traj_index: int) -> np.ndarray:
         speed = lambda a, b: abs(c) * np.ones_like(a)
 
         def step(u):
-            div = _rusanov_divergence(u, dx, flux, speed, cfg.boundary)
-            return u - cfg.dt * div + rd * _laplacian(u, cfg.boundary)
+            ue = _ghost(u, cfg.boundary)
+            return u - cfg.dt * _rusanov_divergence(ue, dx, flux, speed) + rd * _laplacian(ue)
 
     out = np.empty((cfg.t_count, cfg.spatial_size), dtype=np.float64)
     out[0] = u

@@ -23,7 +23,6 @@ better) and per-step residual reductions in ``gains``.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -60,7 +59,6 @@ class SelectionResult:
     objective: float
     sampler: str
     budget: int
-    wall_time: float = 0.0
 
 
 def budget_from_ratio(ratio: float, n_candidates: int) -> int:
@@ -257,7 +255,7 @@ def run_sampler(
     """Run one named sampler on what its table row needs from the pilot.
 
     A score vector of the wrong kind raises ValueError. The result carries
-    the sampler's name and the selection's wall time.
+    the sampler's name.
     """
     if sampler not in SAMPLER_TABLE:
         raise ValueError(f"unknown sampler {sampler!r}")
@@ -266,14 +264,15 @@ def run_sampler(
         not isinstance(pilot_input, CandidateScores) or pilot_input.kind != spec.needs
     ):
         raise ValueError(f"{sampler} expects {spec.needs} scores")
-    t0 = time.perf_counter()
     result = spec.step(pilot_input, candidates, obj, budget)
-    result.wall_time = time.perf_counter() - t0
     result.sampler = sampler
     return result
 
 
-def write_selection_json(result: SelectionResult, path, config: dict | None = None) -> None:
+def write_selection_json(
+    result: SelectionResult, path, wall_time: float, config: dict | None = None
+) -> None:
+    """Write one selection as JSON; ``wall_time`` is the seconds it took to make."""
     payload = {
         "sampler": result.sampler,
         "K": result.budget,
@@ -281,7 +280,7 @@ def write_selection_json(result: SelectionResult, path, config: dict | None = No
         "gains": result.gains,
         "objective": result.objective,
         "config": config or {},
-        "wall_time": result.wall_time,
+        "wall_time": wall_time,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)

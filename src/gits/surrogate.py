@@ -348,14 +348,11 @@ def rollout_loss_grad(
     g_b2 = np.zeros_like(views.b2)
 
     for h_eff, members in groups.items():
-        b_sz = len(members)
-        hist = np.empty((b_sz, length, arch.channels, x_len))
-        targets = np.empty((h_eff, b_sz, arch.channels, x_len))
-        for i, (n, k) in enumerate(members):
-            hist[i] = data[n, k - length + 1 : k + 1].astype(np.float64).transpose(0, 2, 1)
-            targets[:, i] = (
-                data[n, k + 1 : k + 1 + h_eff].astype(np.float64).transpose(0, 2, 1)
-            )
+        ns, ks = np.array(members).T
+        hist = data[ns[:, None], ks[:, None] + np.arange(1 - length, 1)]  # (B, L, X, C)
+        targets = data[ns[:, None], ks[:, None] + np.arange(1, h_eff + 1)]  # (B, H, X, C)
+        hist = hist.transpose(0, 1, 3, 2).astype(np.float64, order="C")  # (B, L, C, X)
+        targets = targets.transpose(1, 0, 3, 2).astype(np.float64, order="C")  # (H, B, C, X)
 
         frames = [hist[:, i] for i in range(length)]
         tapes = []

@@ -122,9 +122,8 @@ def kernel_matrix_window(
     candidates: CandidateSet, windows: WindowList, tau_w: float
 ) -> np.ndarray:
     """R[m, j] = kernel_window(window m, C[j], tau_w), shape (M, |C|)."""
-    idx = candidates.indices
-    rows = [kernel_window(interval, idx, tau_w) for interval in windows.intervals]
-    return np.stack(rows, axis=0)
+    lo, hi = np.array(windows.intervals, dtype=np.float64).T
+    return kernel_window((lo[:, None], hi[:, None]), candidates.indices[None, :], tau_w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,21 +147,13 @@ def empty_state(candidates: CandidateSet, windows: WindowList) -> CoverageState:
     )
 
 
-def _check_selection(selection, candidates: CandidateSet) -> list[int]:
-    sel = [int(k) for k in selection]
-    idx = candidates.indices  # sorted by construction
-    for k in sel:
-        pos = int(np.searchsorted(idx, k))
-        if pos >= idx.size or idx[pos] != k:
-            raise ValueError(f"selected index {k} is not a candidate")
-    return sel
-
-
 def coverage_values(
     selection, candidates: CandidateSet, windows: WindowList, cfg: CoverageConfig
 ) -> tuple[float, float]:
     """Exact from-scratch (F_cov, F_win); the empty selection scores (0, 0)."""
-    sel = _check_selection(selection, candidates)
+    sel = [int(k) for k in selection]
+    for k in sel:
+        candidates.position(k)  # raises ValueError for a non-candidate
     if not sel:
         return 0.0, 0.0
     sel_arr = np.array(sel, dtype=np.float64)
@@ -193,7 +184,7 @@ def state_update(
 ) -> CoverageState:
     """Fold one newly selected index into the running maxima."""
     new_index = int(new_index)
-    _check_selection([new_index], candidates)
+    candidates.position(new_index)  # raises ValueError for a non-candidate
     if new_index in state.selected:
         raise ValueError(f"index {new_index} already folded into the state")
     s_col = kernel_global(candidates.indices, new_index, cfg.tau)

@@ -195,6 +195,18 @@ def test_state_update_columns_equal_kernel_matrix_columns(t_count):
         assert np.array_equal(state.u, r_mat[:, pos])
 
 
+@pytest.mark.parametrize("t_count", [30, 61, 101, 1501])
+def test_window_kernel_matrix_equals_the_per_window_rows(t_count):
+    # reference: the row-by-row construction the broadcast replaced
+    cands = build_candidates(t_count, 4)
+    cfg = derive_coverage_config(t_count, 10)
+    windows = build_windows(cands, cfg)
+    rows = [kernel_window(interval, cands.indices, cfg.tau_w) for interval in windows.intervals]
+    r_mat = kernel_matrix_window(cands, windows, cfg.tau_w)
+    assert r_mat.shape == (windows.count, cands.size)
+    assert np.array_equal(r_mat, np.stack(rows, axis=0))
+
+
 def test_state_update_rejects_duplicates():
     cfg = derive_coverage_config(101, 10)
     wins = build_windows(CANDS, cfg)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -216,7 +217,6 @@ def test_timing_fields_separate_selection_from_training():
     cfg = small_experiment(samplers=("gits",))
     cell = run_experiment(cfg).cells[0]
     assert cell.selection_time_s > 0.0
-    assert cell.selection_wall_s > 0.0
     assert cell.train_time_s > 0.0
 
 
@@ -225,12 +225,11 @@ def test_selection_time_attributes_the_shared_pilot_to_every_cell(tmp_path):
     result = run_experiment(cfg)
     shared = result.pilot_times[0]["pilot_s"] + result.pilot_times[0]["scoring_s"]
     first, second, _ = result.cells
-    assert first.selection_wall_s >= shared  # the first cell of the seed ran the pilot
     assert first.selection_time_s >= shared and second.selection_time_s >= shared
     _, json_path = write_results(result, tmp_path)
     payload = json.loads(json_path.read_text())
     assert payload["pilot"] == {"0": result.pilot_times[0]}
-    assert {"selection_time_s", "selection_wall_s", "train_time_s"} <= set(payload["cells"][0])
+    assert {"selection_time_s", "train_time_s"} <= set(payload["cells"][0])
 
 
 def test_config_validation():
@@ -422,6 +421,23 @@ def test_cli_run_generate_select_evaluate(tmp_path, capsys):
                      "--output", str(tmp_path / "report.json")]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert set(report) >= {"nrmse", "crmse", "brmse", "horizon", "n_test"}
+
+
+def test_cli_select_wall_time_includes_the_pilot(tmp_path, monkeypatch, capsys):
+    train_pilot = pilot_scoring.train_pilot
+
+    def slow_pilot(*args, **kwargs):
+        time.sleep(0.05)
+        return train_pilot(*args, **kwargs)
+
+    monkeypatch.setattr(pilot_scoring, "train_pilot", slow_pilot)
+    out = tmp_path / "sel.json"
+    assert cli.main(["select", "--config", str(_write_small_config(tmp_path)),
+                     "--sampler", "gits", "--ratio", "0.3", "--seed", "0",
+                     "--output", str(out)]) == 0
+    wall_time = json.loads(out.read_text())["wall_time"]
+    assert wall_time >= 0.05
+    assert f"(selection {wall_time:.2f}s)" in capsys.readouterr().out
 
 
 def test_cli_selftest_subcommand(capsys):

@@ -78,6 +78,43 @@ def test_neumann_boundary_runs():
     assert ds.meta["boundary"] == "neumann"
 
 
+def _oracle_laplacian(u, boundary):
+    """The per-boundary step the one ghost-cell rule replaced, kept as the reference."""
+    if boundary == "periodic":
+        return np.roll(u, -1) + np.roll(u, 1) - 2.0 * u
+    up = np.concatenate([u[:1], u, u[-1:]])
+    return up[2:] + up[:-2] - 2.0 * u
+
+
+def _oracle_rusanov_divergence(u, dx, flux, speed, boundary):
+    if boundary == "periodic":
+        ul = u
+        ur = np.roll(u, -1)
+        f = 0.5 * (flux(ul) + flux(ur)) - 0.5 * speed(ul, ur) * (ur - ul)
+        return (f - np.roll(f, 1)) / dx
+    ue = np.concatenate([u[:1], u, u[-1:]])
+    ul = ue[:-1]
+    ur = ue[1:]
+    f = 0.5 * (flux(ul) + flux(ur)) - 0.5 * speed(ul, ur) * (ur - ul)
+    return (f[1:] - f[:-1]) / dx
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("family", pde_data.FAMILIES)
+def test_ghost_cell_step_matches_the_per_boundary_oracle(tmp_path, monkeypatch, family, boundary):
+    cfg = SolverConfig(family=family, boundary=boundary, spatial_size=24, t_count=10, seed=11)
+    write_dataset(generate_dataset(cfg, 10), tmp_path / "new")
+    # the oracle steps take the bare state and the boundary, not a ghosted array
+    monkeypatch.setattr(pde_data, "_ghost", lambda u, boundary: (u, boundary))
+    monkeypatch.setattr(pde_data, "_laplacian", lambda ub: _oracle_laplacian(*ub))
+    monkeypatch.setattr(pde_data, "_rusanov_divergence", lambda ub, dx, flux, speed:
+                        _oracle_rusanov_divergence(ub[0], dx, flux, speed, ub[1]))
+    write_dataset(generate_dataset(cfg, 10), tmp_path / "oracle")
+    payload = (tmp_path / "new.f32").read_bytes()
+    assert payload == (tmp_path / "oracle.f32").read_bytes()
+    assert len(payload) == 10 * cfg.t_count * cfg.spatial_size * 4
+
+
 def test_split_fractions_and_determinism(small_ds):
     counts = {name: len(small_ds.split_indices(name)) for name in ("train", "val", "test")}
     assert counts["train"] == int(0.8 * 12)

@@ -183,6 +183,24 @@ def test_mixed_start_batch_averages_pairs(tiny_ds):
     assert loss == pytest.approx(0.5 * (l0 + l1), rel=1e-12)
 
 
+def test_loss_reads_each_pairs_history_and_target_frames(tiny_ds):
+    # per-pair reference from the public rollout: history frames k-L+1..k,
+    # targets k+1..k+h, per-frame NRMSE^2 averaged over frames, then pairs
+    params = init_params(TINY_ARCH, 8)
+    pairs = [(0, 4), (3, 5), (1, 7), (2, tiny_ds.t_count - 2), (3, 3)]
+    horizon, length = 3, TINY_ARCH.history_len
+    expected = []
+    for n, k in pairs:
+        h = effective_horizon(horizon, tiny_ds.t_count, k)
+        pred = rollout(params, tiny_ds.data[n, k - length + 1 : k + 1], h)
+        target = tiny_ds.data[n, k + 1 : k + 1 + h].astype(np.float64)
+        sq = np.sum((pred - target) ** 2, axis=(1, 2))
+        norm = (np.sqrt(np.sum(target**2, axis=(1, 2))) + surrogate.NRMSE_EPS) ** 2
+        expected.append(np.mean(sq / norm))
+    loss, _ = rollout_loss_grad(params, pairs, horizon, tiny_ds)
+    assert loss == pytest.approx(np.mean(expected), rel=1e-12)
+
+
 # ----------------------------------------------------------------------
 # training
 # ----------------------------------------------------------------------
