@@ -95,6 +95,10 @@ class ExperimentConfig:
                 raise HarnessConfigError(f"unknown sampler {s!r}")
         if self.pilot_epochs < 1 or self.horizon < 1 or self.batch_traj < 1:
             raise HarnessConfigError("pilot settings must be >= 1")
+        for name in ("lambda_cov", "c_win"):
+            weight = getattr(self, name)
+            if not (np.isfinite(weight) and weight >= 0.0):
+                raise HarnessConfigError(f"{name} must be finite and non-negative, got {weight}")
 
 
 @dataclass(eq=False)

@@ -8,6 +8,10 @@ with s_k >= 0 pointwise scores and the two facility-location coverage terms
 from :mod:`gits.temporal_coverage`. The score term is modular and the
 coverage terms are monotone submodular, so greedy selection with exact
 incremental marginal gains carries the usual (1 - 1/e) guarantee.
+:func:`greedy_select` is a lazy greedy that evaluates each gain only over
+the stretch of the time axis the candidate can still cover, and returns
+bit for bit what recomputing every gain from the dense kernel matrices
+would.
 
 Every sampler is one row of :data:`SAMPLER_TABLE`: what it needs from the
 pilot, and which selection algorithm runs on it. :func:`run_sampler` is
@@ -22,6 +26,8 @@ better) and per-step residual reductions in ``gains``.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import json
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -34,10 +40,11 @@ from .temporal_coverage import (
     build_windows,
     coverage_values,
     empty_state,
-    kernel_matrix_global,
-    kernel_matrix_window,
+    kernel_global,
     state_update,
 )
+
+_BLOCK = 64  # gains evaluated together: at most 64 x |C| kernel values at a time
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,8 @@ class ObjectiveConfig:
     normalize_scores: bool = False  # optional rescale of s_k by max_k s_k; off by default
 
     def __post_init__(self):
+        if not (np.isfinite(self.lambda_cov) and np.isfinite(self.c_win)):
+            raise ValueError("coverage weights must be finite")
         if self.lambda_cov < 0.0 or self.c_win < 0.0:
             raise ValueError("coverage weights must be non-negative")
 
@@ -100,7 +109,8 @@ def greedy_select(
 ) -> SelectionResult:
     """Greedy maximization of the joint objective under |S| = budget.
 
-    ``scores`` may be a CandidateScores, a raw vector, or None (zero scores).
+    ``scores`` may be a CandidateScores, a raw vector, or None (zero scores);
+    a score that is not finite raises ValueError naming its position.
     Each step picks argmax of the incremental marginal gain
 
         gain(k | S) = s_k + lambda_cov * sum_i (max(m_i, S_ik) - m_i)
@@ -109,37 +119,98 @@ def greedy_select(
     over unselected k, breaking ties toward the lowest candidate index.
     The running maxima (m, u) are a :class:`CoverageState`, folded one pick
     at a time by :func:`state_update`.
+
+    The search is lazy (Minoux's accelerated greedy). Both kernels fall
+    with distance on a line, so a candidate between its selected neighbours
+    L and R can raise m_i only for L < i < R, and u_m only for windows with
+    a_m > C[L] and b_m < C[R]. An evaluation sums exactly those terms: every
+    term left out is exactly 0.0 and the kept ones are added in index
+    order, as a column sum of the full kernel matrices adds them. The picks
+    cut the axis into stretches of candidates that share their neighbours.
+    A heap holds one entry per stretch, keyed on its largest gain or upper
+    bound. A gain stays exact until a pick splits its stretch and bounds
+    the current gain from above after that. A stretch whose largest entry
+    is a bound has its largest bounds evaluated, at most _BLOCK at a time,
+    and goes back into the heap. Picks, gains and objective are bit for bit
+    those of recomputing every gain at every step.
     """
     _check_budget(budget, candidates.size)
     s = _score_vector(scores, candidates)
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        pos = int(bad[0])
+        raise ValueError(
+            f"score at candidate position {pos} (start index "
+            f"{int(candidates.indices[pos])}) is not finite: {s[pos]}"
+        )
     if obj.normalize_scores and s.max() > 0.0:
         s = s / s.max()
 
     windows = build_windows(candidates, obj.coverage)
     use_cov = obj.lambda_cov > 0.0
     use_win = obj.c_win > 0.0
-    s_mat = kernel_matrix_global(candidates, obj.coverage.tau) if use_cov else None
-    r_mat = kernel_matrix_window(candidates, windows, obj.coverage.tau_w) if use_win else None
-
+    idx = candidates.indices
+    n = candidates.size
+    # Both kernels at integer distance d = 0, 1, ..., max(C) - min(C); bit-equal
+    # to kernel_global and kernel_window, which compute exp(-d / tau) too.
+    dist = np.arange(int(idx[-1] - idx[0]) + 1)
+    g_table = kernel_global(dist, 0, obj.coverage.tau)
+    w_table = kernel_global(dist, 0, obj.coverage.tau_w)
+    lo_w, hi_w = np.array(windows.intervals).T
+    lo_list, hi_list = lo_w.tolist(), hi_w.tolist()
     state = empty_state(candidates, windows)
-    available = np.ones(candidates.size, dtype=bool)
+
+    def gains_at(lo: int, hi: int, ks: np.ndarray) -> np.ndarray:
+        """gain(k | S) for positions ks, all between the picks around lo..hi-1.
+
+        Sums over positions lo..hi-1 and over the windows strictly between
+        those picks, one row per k; cumsum adds in index order, as the dense
+        column sum does.
+        """
+        first = bisect.bisect_right(lo_list, idx[lo - 1]) if lo else 0
+        stop = bisect.bisect_left(hi_list, idx[hi]) if hi < n else len(hi_list)
+        cols = idx[ks, None]
+        gain = s[ks]
+        if use_cov:
+            t = np.maximum(g_table[np.abs(cols - idx[lo:hi])] - state.m[lo:hi], 0.0)
+            gain = gain + obj.lambda_cov * np.cumsum(t, axis=1)[:, -1]
+        if use_win:
+            d = np.maximum(lo_w[first:stop] - cols, 0) + np.maximum(cols - hi_w[first:stop], 0)
+            t = np.maximum(w_table[d] - state.u[first:stop], 0.0)
+            gain = gain + obj.c_win * (np.cumsum(t, axis=1)[:, -1] if t.size else 0.0)
+        return gain
+
+    # One entry per stretch lo..hi-1 between two picks:
+    # (-key, position, lo, hi, bound, exact). bound holds each candidate's
+    # gain where exact is set, and an upper bound elsewhere: its gain before
+    # the pick that split the stretch off. key is the largest bound and
+    # position the lowest one holding it.
+    heap = [(-np.inf, 0, 0, n, np.full(n, np.inf), np.zeros(n, dtype=bool))]
     picks: list[int] = []
     gains: list[float] = []
-
     for _ in range(budget):
-        gain = s.copy()
-        if use_cov:
-            gain += obj.lambda_cov * np.maximum(s_mat - state.m[:, None], 0.0).sum(axis=0)
-        if use_win:
-            gain += obj.c_win * np.maximum(r_mat - state.u[:, None], 0.0).sum(axis=0)
-        gain[~available] = -np.inf
-        pos = int(np.argmax(gain))  # first occurrence = lowest candidate index
+        while True:
+            _, pos, lo, hi, bound, exact = heap[0]
+            if exact[pos - lo]:
+                break
+            stale = np.flatnonzero(~exact)
+            if stale.size > _BLOCK:  # evaluate the _BLOCK largest bounds
+                stale = stale[np.argpartition(-bound[stale], _BLOCK)[:_BLOCK]]
+            bound[stale] = gains_at(lo, hi, lo + stale)
+            exact[stale] = True
+            j = int(np.argmax(bound))  # first occurrence = lowest candidate index
+            heapq.heapreplace(heap, (-float(bound[j]), lo + j, lo, hi, bound, exact))
+        neg_key, pos, lo, hi, bound, _ = heapq.heappop(heap)
         picks.append(pos)
-        gains.append(float(gain[pos]))
-        available[pos] = False
-        state = state_update(state, candidates.indices[pos], candidates, windows, obj.coverage)
+        gains.append(-neg_key)
+        state = state_update(state, idx[pos], candidates, windows, obj.coverage)
+        for a, b in ((lo, pos), (pos + 1, hi)):
+            if a < b:
+                part = bound[a - lo:b - lo]
+                j = int(np.argmax(part))
+                heapq.heappush(heap, (-float(part[j]), a + j, a, b, part, np.zeros(b - a, dtype=bool)))
 
-    selected = [int(candidates.indices[p]) for p in picks]
+    selected = [int(idx[p]) for p in picks]
     f_cov, f_win = coverage_values(selected, candidates, windows, obj.coverage)
     objective = float(s[picks].sum() + obj.lambda_cov * f_cov + obj.c_win * f_win)
     return SelectionResult(

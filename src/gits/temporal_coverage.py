@@ -12,7 +12,11 @@ budget-implied target spacing: tau = floor(T/K), W = 2*floor(T/K),
 S_w = floor(W/2), tau_w = floor(W/4), each lifted to at least 1.
 
 Greedy selection maintains the per-index and per-window running maxima
-(m_i, u_m), so a marginal coverage gain costs one pass over the state.
+(m_i, u_m). Both kernels fall with distance on the line, so a candidate
+can raise m_i only between its two nearest selected indices, and u_m only
+for windows strictly between them: a marginal coverage gain is a sum over
+that stretch of the state (see :func:`gits.selector.greedy_select`). The
+dense kernel matrices below serve the oracles and the self-test.
 """
 
 from __future__ import annotations

@@ -178,6 +178,23 @@ def test_failed_pilot_is_attempted_once_per_seed(monkeypatch, tmp_path):
     assert json.loads(json_path.read_text())["pilot"] == {}
 
 
+def test_non_finite_pilot_score_fails_the_gits_cell_only(monkeypatch):
+    original = pilot_scoring.pilot_input
+
+    def poisoned(*args, **kwargs):
+        result = original(*args, **kwargs)
+        result.scores[3] = np.nan  # past CandidateScores' own check
+        return result
+
+    monkeypatch.setattr(pilot_scoring, "pilot_input", poisoned)
+    result = run_experiment(small_experiment(samplers=("gits", "uniform")))
+    cells = {c.sampler: c for c in result.cells}
+    assert cells["gits"].error.splitlines()[0] == (
+        "ValueError: score at candidate position 3 (start index 6) is not finite: nan"
+    )
+    assert cells["uniform"].ok and result.failed == 1
+
+
 def test_budget_rule_per_row():
     cfg = small_experiment(ratios=(0.05, 0.3), samplers=("uniform",), seeds=(0, 1))
     result = run_experiment(cfg)
@@ -245,6 +262,10 @@ def test_config_validation():
                           ("seeds", (0, 0))):
         with pytest.raises(HarnessConfigError, match=f"{field} has duplicate"):
             small_experiment(**{field: values})
+    for field, value in (("lambda_cov", float("nan")), ("c_win", float("inf")),
+                         ("lambda_cov", -1.0), ("c_win", -0.5)):
+        with pytest.raises(HarnessConfigError, match=f"{field} must be finite and non-negative"):
+            small_experiment(**{field: value})
 
 
 def test_default_protocol_settings():
@@ -361,6 +382,12 @@ def test_cli_config_error_exit_code(tmp_path):
     for line in ("samplers = ", "ratios = 0.1, 0.10", "seeds = 1,1"):
         path.write_text(f"[experiment]\n{line}\n")
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG, line
+    for line in ("lambda_cov = nan", "c_win = inf", "lambda_cov = -1", "c_win = -0.5"):
+        path.write_text(f"[objective]\n{line}\n")
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG, line
+        select = ["select", "--config", str(path), "--output", str(tmp_path / "sel.json")]
+        assert cli.main(select) == cli.EXIT_CONFIG, line
+        assert not (tmp_path / "sel.json").exists()
     assert cli.main(["run", "--config", str(tmp_path / "missing.ini")]) == cli.EXIT_CONFIG
 
 

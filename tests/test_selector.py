@@ -374,6 +374,28 @@ def test_selection_json_export(tmp_path):
     assert payload["wall_time"] == 0.25
 
 
+def test_non_finite_scores_rejected_with_their_position():
+    raw = np.ones(CANDS.size)
+    raw[30] = np.nan
+    raw[40] = np.inf
+    with pytest.raises(ValueError, match=r"position 30 \(start index 34\) is not finite: nan"):
+        greedy_select(raw, CANDS, default_obj(), 5)
+    scores = make_scores(np.ones(CANDS.size))
+    scores.scores[7] = -np.inf  # past the constructor's check
+    with pytest.raises(ValueError, match=r"position 7 \(start index 11\) is not finite: -inf"):
+        run_sampler("gits", CANDS, default_obj(), 5, scores)
+
+
+def test_objective_weights_must_be_finite_and_non_negative():
+    cov = derive_coverage_config(CANDS.t_count, 10)
+    for lambda_cov, c_win in ((np.nan, 0.5), (1.0, np.inf), (-np.inf, 0.5)):
+        with pytest.raises(ValueError, match="coverage weights must be finite"):
+            ObjectiveConfig(coverage=cov, lambda_cov=lambda_cov, c_win=c_win)
+    for lambda_cov, c_win in ((-1.0, 0.5), (1.0, -1e-12)):
+        with pytest.raises(ValueError, match="coverage weights must be non-negative"):
+            ObjectiveConfig(coverage=cov, lambda_cov=lambda_cov, c_win=c_win)
+
+
 def test_misaligned_scores_rejected():
     other = build_candidates(50, 4)
     scores = make_scores(np.ones(other.size), indices=other.indices)
