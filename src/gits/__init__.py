@@ -12,8 +12,6 @@ from .pilot_scoring import (
     CandidateScores,
     CandidateSet,
     build_candidates,
-    score_grad_norm,
-    score_rollout_loss,
     train_pilot,
 )
 from .selector import (

@@ -95,12 +95,9 @@ def load_config(path: str | None) -> harness.ExperimentConfig:
     """Build an ExperimentConfig from an INI file; missing keys keep defaults."""
     parser = configparser.ConfigParser()
     parser.read_string(default_config_text())
-    if path is not None:
-        read = parser.read(path)
-        if not read:
-            raise harness.HarnessConfigError(f"config file {path!r} not found")
-
     try:
+        if path is not None and not parser.read(path):
+            raise harness.HarnessConfigError(f"config file {path!r} not found")
         d = parser["dataset"]
         solver = pde_data.SolverConfig(
             family=d.get("family"),
@@ -195,15 +192,20 @@ def _cmd_generate(args) -> int:
 
 
 def _prepare_cell(cfg, sampler, ratio, seed):
+    """Select one cell's starts; the selection time includes the seed's pilot, if any."""
     ds = harness.load_or_generate_dataset(cfg)
     candidates = build_candidates(ds.t_count, cfg.history_len)
-    selection, sel_time = harness.select_starts(cfg, ds, candidates, sampler, ratio, seed)
-    return ds, candidates, selection, sel_time
+    pilot = None
+    if selector.SAMPLER_TABLE[sampler].needs is not None:
+        pilot = harness.pilot_gradients(cfg, ds, candidates, seed)
+    selection, sel_time = harness.select_starts(cfg, ds, candidates, sampler, ratio, seed,
+                                                pilot=pilot)
+    return ds, selection, sel_time
 
 
 def _cmd_select(args) -> int:
     cfg = load_config(args.config)
-    _, _, selection, sel_time = _prepare_cell(cfg, args.sampler, args.ratio, args.seed)
+    _, selection, sel_time = _prepare_cell(cfg, args.sampler, args.ratio, args.seed)
     selector.write_selection_json(
         selection, args.output, sel_time,
         config={"sampler": args.sampler, "ratio": args.ratio, "seed": args.seed},
@@ -215,7 +217,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
-    ds, _, selection, _ = _prepare_cell(cfg, args.sampler, args.ratio, args.seed)
+    ds, selection, _ = _prepare_cell(cfg, args.sampler, args.ratio, args.seed)
     params, history = harness.train_downstream(cfg, ds, selection.selected, args.seed)
     surrogate.save_params(params, args.output, seed=harness.stage_seed(args.seed, "train"),
                           epoch=history[-1].epoch if history else 0)

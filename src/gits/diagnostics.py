@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pde_data import TrajectoryDataset
-from .pilot_scoring import CandidateScores, CandidateSet, candidate_gradients
+from .pilot_scoring import CandidateScores, CandidateSet
 from .surrogate import SurrogateParams, rollout_batch
 
 #: CSV schema used by the experiment harness for per-cell metric rows.
@@ -129,14 +129,7 @@ def nrmse_from_rollouts(preds: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(np.sqrt(num / den)))
 
 
-def rollout_nrmse(
-    params: SurrogateParams,
-    ds: TrajectoryDataset,
-    history_len: int | None = None,
-    split: str = "test",
-) -> float:
-    if history_len is not None and history_len != params.arch.history_len:
-        raise ValueError("history_len disagrees with the model architecture")
+def rollout_nrmse(params: SurrogateParams, ds: TrajectoryDataset, split: str = "test") -> float:
     preds, truth = rollout_predictions(params, ds, split=split)
     return nrmse_from_rollouts(preds, truth)
 
@@ -293,15 +286,15 @@ def spearman(x, y) -> float:
 def score_utility_alignment(
     pilot: SurrogateParams,
     scores: CandidateScores,
+    grads: np.ndarray,
     candidates: CandidateSet,
     ds: TrajectoryDataset,
     probe_lr: float = 1e-3,
-    horizon: int = 10,
-    batch_traj: int = 32,
-    seed: int = 0,
 ) -> float:
     """Spearman correlation between candidate scores and probe-update utility.
 
+    ``grads`` holds each candidate's loss gradient at the pilot parameters,
+    one row per candidate, as the harness's ``PilotGradients.grads``.
     Utility of candidate k is the validation rollout-error improvement from
     one normalized-gradient step: val(pilot) - val(pilot - probe_lr * g_k/||g_k||).
     Candidates with an exactly zero gradient get utility 0 (no update).
@@ -310,7 +303,11 @@ def score_utility_alignment(
         raise ValueError("need at least 3 candidates for a rank correlation")
     if not np.array_equal(scores.indices, candidates.indices):
         raise ValueError("scores are not aligned to the candidate set")
-    _, grads = candidate_gradients(pilot, candidates, ds, horizon, batch_traj, seed)
+    if np.shape(grads) != (candidates.size, pilot.param_count):
+        raise ValueError(
+            f"grads has shape {np.shape(grads)}, "
+            f"expected {(candidates.size, pilot.param_count)}"
+        )
     base = rollout_nrmse(pilot, ds, split="val")
     utilities = np.zeros(candidates.size)
     for i in range(candidates.size):

@@ -37,7 +37,7 @@ import numpy as np
 from . import diagnostics, pde_data, pilot_scoring, selector, surrogate, temporal_coverage
 from .diagnostics import RESULT_COLUMNS, RolloutReport
 from .pde_data import SolverConfig, TrajectoryDataset
-from .pilot_scoring import CandidateSet, PilotMeta
+from .pilot_scoring import CandidateSet
 from .selector import SAMPLERS, ObjectiveConfig, SelectionResult
 from .surrogate import EpochStats, SurrogateArch, SurrogateParams, TrainConfig
 
@@ -99,6 +99,11 @@ class ExperimentConfig:
             weight = getattr(self, name)
             if not (np.isfinite(weight) and weight >= 0.0):
                 raise HarnessConfigError(f"{name} must be finite and non-negative, got {weight}")
+        try:
+            SurrogateArch(history_len=self.history_len, hidden=self.hidden,
+                          kernel_radius=self.kernel_radius, clamp=self.clamp)
+        except ValueError as exc:
+            raise HarnessConfigError(f"model: {exc}") from exc
 
 
 @dataclass(eq=False)
@@ -182,15 +187,15 @@ def select_starts(
     ratio: float,
     seed: int,
     *,
-    pilot: PilotGradients | None = None,
+    pilot: PilotGradients | None,
 ) -> tuple[SelectionResult, float]:
-    """Run one sampler end to end; returns (selection, selection_time_s).
+    """Run one sampler on one cell; returns (selection, selection_time_s).
 
-    A sampler that needs the pilot reads ``pilot``, the seed's
-    :func:`pilot_gradients`, and computes it here when none is given.
-    Selection time is the cost of producing this selection: the pilot and
-    scoring seconds plus the sampler's own step, whether the pilot was
-    computed here or earlier for the whole seed.
+    ``ratio`` sets the budget. ``pilot`` is the seed's
+    :func:`pilot_gradients`, or None for a sampler that needs no pilot;
+    ``seed`` names the cell and is not otherwise read. Selection time is the
+    cost of producing this selection: the seed's pilot and scoring seconds
+    plus the sampler's own step.
     """
     budget = selector.budget_from_ratio(ratio, candidates.size)
     obj = _objective(cfg, ds.t_count, budget)
@@ -198,13 +203,8 @@ def select_starts(
     if needs is None:
         pilot_s, pilot_input = 0.0, None
     else:
-        if pilot is None:
-            pilot = pilot_gradients(cfg, ds, candidates, seed)
         pilot_s = pilot.pilot_s + pilot.scoring_s
-        pilot_input = pilot_scoring.pilot_input(
-            needs, pilot.losses, pilot.grads, candidates,
-            PilotMeta(cfg.pilot_epochs, cfg.horizon, stage_seed(seed, "scoring")),
-        )
+        pilot_input = pilot_scoring.pilot_input(needs, pilot.losses, pilot.grads, candidates)
     t0 = time.perf_counter()
     result = selector.run_sampler(sampler, candidates, obj, budget, pilot_input)
     return result, pilot_s + (time.perf_counter() - t0)

@@ -11,7 +11,6 @@ chosen once from the scoring seed and shared by all candidates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,8 +27,6 @@ from .surrogate import (
 
 SCORE_KINDS = ("grad_norm", "rollout_loss")
 GRADIENTS = "gradients"  # the raw (|C|, param_count) gradient matrix, as a sampler's need
-DEFAULT_HORIZON = 10
-DEFAULT_BATCH_TRAJ = 32
 
 
 class EmptyCandidateError(ValueError):
@@ -65,21 +62,11 @@ def build_candidates(t_count: int, history_len: int) -> CandidateSet:
     return CandidateSet(indices=indices, t_count=t_count, history_len=history_len)
 
 
-@dataclass(frozen=True)
-class PilotMeta:
-    """Provenance of a score vector: pilot budget, scoring horizon, seed."""
-
-    epochs: int | None
-    horizon: int
-    seed: int
-
-
 @dataclass(frozen=True, eq=False)
 class CandidateScores:
     indices: np.ndarray
     scores: np.ndarray
     kind: str
-    pilot_meta: PilotMeta
 
     def __post_init__(self):
         if self.kind not in SCORE_KINDS:
@@ -110,13 +97,11 @@ def train_pilot(
     ds: TrajectoryDataset,
     candidates: CandidateSet,
     cfg: TrainConfig,
-    arch: SurrogateArch | None = None,
+    arch: SurrogateArch,
 ) -> SurrogateParams:
     """Train the pilot on the full candidate pool for exactly cfg.epochs_max epochs."""
     if cfg.epochs_max < 1:
         raise ValueError("pilot training needs epochs_max >= 1")
-    if arch is None:
-        arch = default_arch(ds, history_len=candidates.history_len)
     if arch.history_len != candidates.history_len:
         raise ValueError("architecture history length disagrees with the candidate set")
     if cfg.early_stop:
@@ -141,9 +126,9 @@ def candidate_gradients(
     pilot: SurrogateParams,
     candidates: CandidateSet,
     ds: TrajectoryDataset,
-    horizon: int = DEFAULT_HORIZON,
-    batch_traj: int = DEFAULT_BATCH_TRAJ,
-    seed: int = 0,
+    horizon: int,
+    batch_traj: int,
+    seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-candidate short-rollout losses and gradient vectors.
 
@@ -158,7 +143,7 @@ def candidate_gradients(
     return losses, grads
 
 
-def pilot_input(need: str, losses, grads, candidates: CandidateSet, meta: PilotMeta):
+def pilot_input(need: str, losses, grads, candidates: CandidateSet):
     """What a sampler needs, made from :func:`candidate_gradients`' output.
 
     ``need`` is :data:`GRADIENTS` (the matrix itself) or a score kind:
@@ -170,45 +155,5 @@ def pilot_input(need: str, losses, grads, candidates: CandidateSet, meta: PilotM
         indices=candidates.indices.copy(),
         scores=np.linalg.norm(grads, axis=1) if need == "grad_norm" else losses,
         kind=need,
-        pilot_meta=meta,
     )
 
-
-def score_grad_norm(
-    pilot: SurrogateParams,
-    candidates: CandidateSet,
-    ds: TrajectoryDataset,
-    horizon: int = DEFAULT_HORIZON,
-    batch_traj: int = DEFAULT_BATCH_TRAJ,
-    seed: int = 0,
-    pilot_epochs: int | None = None,
-) -> CandidateScores:
-    """Gradient-norm informativeness score ||grad loss_k||_2 per candidate."""
-    losses, grads = candidate_gradients(pilot, candidates, ds, horizon, batch_traj, seed)
-    return pilot_input("grad_norm", losses, grads, candidates,
-                       PilotMeta(pilot_epochs, horizon, seed))
-
-
-def score_rollout_loss(
-    pilot: SurrogateParams,
-    candidates: CandidateSet,
-    ds: TrajectoryDataset,
-    horizon: int = DEFAULT_HORIZON,
-    batch_traj: int = DEFAULT_BATCH_TRAJ,
-    seed: int = 0,
-    pilot_epochs: int | None = None,
-) -> CandidateScores:
-    """Short-rollout loss per candidate under the pilot parameters."""
-    losses, grads = candidate_gradients(pilot, candidates, ds, horizon, batch_traj, seed)
-    return pilot_input("rollout_loss", losses, grads, candidates,
-                       PilotMeta(pilot_epochs, horizon, seed))
-
-
-def write_scores_csv(scores: CandidateScores, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "score", "kind", "H", "E_p", "seed"])
-        meta = scores.pilot_meta
-        for k, s in zip(scores.indices, scores.scores):
-            writer.writerow([int(k), repr(float(s)), scores.kind,
-                             meta.horizon, meta.epochs, meta.seed])

@@ -61,8 +61,8 @@ class SurrogateArch:
             raise ValueError("channels must be >= 1")
         if self.padding not in PADDINGS:
             raise ValueError(f"unknown padding {self.padding!r}")
-        if self.clamp <= 0.0:
-            raise ValueError("clamp must be positive")
+        if not (np.isfinite(self.clamp) and self.clamp > 0.0):
+            raise ValueError(f"clamp must be finite and positive, got {self.clamp}")
 
     @property
     def kernel_size(self) -> int:
@@ -410,16 +410,16 @@ class TrainConfig:
     early_stop: bool = True
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.epochs_max < 0 or self.min_epochs < 0:
             raise ValueError("epoch counts must be non-negative")
-        if self.grad_clip <= 0.0:
-            raise ValueError("grad_clip must be positive")
+        if not (np.isfinite(self.grad_clip) and self.grad_clip > 0.0):
+            raise ValueError(f"grad_clip must be finite and positive, got {self.grad_clip}")
 
 
 class EpochStats(NamedTuple):

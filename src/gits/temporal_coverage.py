@@ -171,14 +171,6 @@ def coverage_values(
     return f_cov, f_win
 
 
-def write_windows_csv(windows: WindowList, path) -> None:
-    """Window intervals as CSV (m, a, b) for offline inspection."""
-    with open(path, "w") as fh:
-        fh.write("m,a,b\n")
-        for m, (a, b) in enumerate(windows.intervals):
-            fh.write(f"{m},{a},{b}\n")
-
-
 def state_update(
     state: CoverageState,
     new_index: int,

@@ -13,7 +13,7 @@ import pytest
 from gits.diagnostics import nrmse_from_rollouts, spearman
 from gits.harness import ExperimentConfig, compare_report, run_experiment
 from gits.pde_data import SolverConfig, generate_dataset
-from gits.pilot_scoring import CandidateScores, PilotMeta, build_candidates
+from gits.pilot_scoring import CandidateScores, build_candidates
 from gits.selector import (
     ObjectiveConfig,
     greedy_select,
@@ -218,8 +218,7 @@ def test_degenerate_sampler_equivalences():
     cands = build_candidates(101, 4)
     rng = np.random.default_rng(9)
     values = rng.uniform(0.0, 1.0, cands.size)
-    scores = CandidateScores(indices=cands.indices, scores=values, kind="grad_norm",
-                             pilot_meta=PilotMeta(None, 10, 0))
+    scores = CandidateScores(indices=cands.indices, scores=values, kind="grad_norm")
     cov = derive_coverage_config(101, 10)
 
     flat = ObjectiveConfig(coverage=cov, lambda_cov=0.0, c_win=0.0)

@@ -282,19 +282,6 @@ def test_coverage_bounds():
         assert 0.0 <= f_win <= wins.count
 
 
-def test_windows_csv_export(tmp_path):
-    from gits.temporal_coverage import write_windows_csv
-
-    cfg = derive_coverage_config(101, 10)
-    wins = build_windows(CANDS, cfg)
-    path = tmp_path / "windows.csv"
-    write_windows_csv(wins, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "m,a,b"
-    assert len(lines) == wins.count + 1
-    assert lines[1] == "0,4,23"
-
-
 def test_config_invariants_enforced():
     with pytest.raises(ValueError):
         CoverageConfig(tau=0.5, window_size=4, window_stride=2, tau_w=1.0)

@@ -15,7 +15,7 @@ from gits.diagnostics import (
     subset_geometry,
 )
 from gits.pde_data import SolverConfig, generate_dataset
-from gits.pilot_scoring import build_candidates, score_grad_norm, train_pilot
+from gits.pilot_scoring import build_candidates, candidate_gradients, pilot_input, train_pilot
 from gits.surrogate import SurrogateArch, SurrogateParams, TrainConfig, init_params
 
 ARCH = SurrogateArch(history_len=3, hidden=3, kernel_radius=1)
@@ -84,12 +84,6 @@ def test_rollout_predictions_shapes_and_horizon(tiny_ds):
     report = rollout_report(params, tiny_ds)
     assert report.horizon == t_r and report.n_test == n_test
     assert rollout_nrmse(params, tiny_ds) == report.nrmse
-
-
-def test_rollout_nrmse_checks_history_len(tiny_ds):
-    params = init_params(ARCH, 0)
-    with pytest.raises(ValueError):
-        rollout_nrmse(params, tiny_ds, history_len=5)
 
 
 # ----------------------------------------------------------------------
@@ -266,10 +260,12 @@ def test_alignment_runs_end_to_end_and_zero_gradients_ok(tiny_ds):
     cands = build_candidates(tiny_ds.t_count, 3)
     cfg = TrainConfig(epochs_max=1, batch_size=16, seed=0, early_stop=False)
     pilot = train_pilot(tiny_ds, cands, cfg, arch=ARCH)
-    scores = score_grad_norm(pilot, cands, tiny_ds, horizon=2, batch_traj=4, seed=0)
-    rho = score_utility_alignment(pilot, scores, cands, tiny_ds, probe_lr=1e-3,
-                                  horizon=2, batch_traj=4, seed=0)
+    losses, grads = candidate_gradients(pilot, cands, tiny_ds, 2, 4, 0)
+    scores = pilot_input("grad_norm", losses, grads, cands)
+    rho = score_utility_alignment(pilot, scores, grads, cands, tiny_ds, probe_lr=1e-3)
     assert -1.0 <= rho <= 1.0
+    with pytest.raises(ValueError, match="grads has shape"):
+        score_utility_alignment(pilot, scores, grads[:-1], cands, tiny_ds)
 
     # zero parameters on zero-dynamics data: all gradients vanish, all
     # utilities are 0 (no update), correlation is the NaN degenerate case
@@ -277,7 +273,7 @@ def test_alignment_runs_end_to_end_and_zero_gradients_ok(tiny_ds):
                         t_count=12, seed=4)
     ds0 = generate_dataset(cfg0, 10)
     zero = SurrogateParams(theta=np.zeros(ARCH.param_count()), arch=ARCH)
-    zscores = score_grad_norm(zero, cands, ds0, horizon=2, batch_traj=4, seed=0)
-    rho0 = score_utility_alignment(zero, zscores, cands, ds0, horizon=2,
-                                   batch_traj=4, seed=0)
+    zlosses, zgrads = candidate_gradients(zero, cands, ds0, 2, 4, 0)
+    zscores = pilot_input("grad_norm", zlosses, zgrads, cands)
+    rho0 = score_utility_alignment(zero, zscores, zgrads, cands, ds0)
     assert np.isnan(rho0)

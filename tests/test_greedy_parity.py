@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gits.pilot_scoring import CandidateScores, CandidateSet, PilotMeta, build_candidates
+from gits.pilot_scoring import CandidateScores, CandidateSet, build_candidates
 from gits.selector import (
     ObjectiveConfig,
     SelectionResult,
@@ -159,7 +159,7 @@ def test_parity_on_random_instances_up_to_1000_candidates():
     cands = build_candidates(405, 4)
     subset = CandidateSet(indices=cands.indices[::3].copy(), t_count=405, history_len=4)
     scores = CandidateScores(subset.indices, rng.integers(0, 3, subset.size).astype(float),
-                             "grad_norm", PilotMeta(None, 10, 0))
+                             "grad_norm")
     obj = ObjectiveConfig(coverage=derive_coverage_config(405, 20))
     assert_same_as_dense(scores, subset, obj, 20)
 

@@ -138,8 +138,9 @@ def test_pilot_is_shared_per_seed_and_matches_the_single_cell_path(monkeypatch):
     ds = harness.load_or_generate_dataset(cfg)
     candidates = pilot_scoring.build_candidates(ds.t_count, cfg.history_len)
     for cell in result.cells:
+        pilot = harness.pilot_gradients(cfg, ds, candidates, cell.seed)
         selection, _ = harness.select_starts(cfg, ds, candidates, cell.sampler,
-                                             cell.ratio, cell.seed)
+                                             cell.ratio, cell.seed, pilot=pilot)
         params, _ = harness.train_downstream(cfg, ds, selection.selected, cell.seed)
         report = rollout_report(params, ds, split="test")
         assert cell.selected == selection.selected, (cell.sampler, cell.ratio, cell.seed)
@@ -266,6 +267,13 @@ def test_config_validation():
                          ("lambda_cov", -1.0), ("c_win", -0.5)):
         with pytest.raises(HarnessConfigError, match=f"{field} must be finite and non-negative"):
             small_experiment(**{field: value})
+    for field, value, message in (("hidden", 0, "invalid architecture sizes"),
+                                  ("history_len", 0, "invalid architecture sizes"),
+                                  ("clamp", float("nan"), "clamp must be finite and positive"),
+                                  ("clamp", float("inf"), "clamp must be finite and positive"),
+                                  ("clamp", -1.0, "clamp must be finite and positive")):
+        with pytest.raises(HarnessConfigError, match=message):
+            small_experiment(**{field: value})
 
 
 def test_default_protocol_settings():
@@ -274,6 +282,7 @@ def test_default_protocol_settings():
     assert cfg.seeds == (0, 1, 2)
     assert cfg.pilot_epochs == 5
     assert cfg.horizon == 10
+    assert cfg.batch_traj == 32
     assert (cfg.lambda_cov, cfg.c_win) == (1.0, 0.5)
     assert cfg.history_len == 4
     assert cfg.n_traj == 60 and cfg.solver.t_count == 101
@@ -375,7 +384,7 @@ def test_cli_family_solver_defaults_apply(tmp_path):
     assert (cfg.solver.dt, cfg.solver.snapshot_stride) == (0.0005, 3)
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[experiment]\nratios = 2.0\n")
     assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
@@ -389,6 +398,15 @@ def test_cli_config_error_exit_code(tmp_path):
         assert cli.main(select) == cli.EXIT_CONFIG, line
         assert not (tmp_path / "sel.json").exists()
     assert cli.main(["run", "--config", str(tmp_path / "missing.ini")]) == cli.EXIT_CONFIG
+    pilots = _count_calls(monkeypatch, pilot_scoring, "train_pilot")
+    capsys.readouterr()
+    for text in ("[model]\nhidden = 3\n[model]\nhidden = 4\n",
+                 "[train]\nlr = nan\n", "[train]\ngrad_clip = nan\n",
+                 "[model]\nhidden = 0\n", "[model]\nclamp = nan\n"):
+        path.write_text(text)
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG, text
+        assert capsys.readouterr().err.startswith("config error: "), text
+    assert pilots == []
 
 
 def _write_small_config(tmp_path, samplers="uniform,gits"):
@@ -465,6 +483,18 @@ def test_cli_select_wall_time_includes_the_pilot(tmp_path, monkeypatch, capsys):
     wall_time = json.loads(out.read_text())["wall_time"]
     assert wall_time >= 0.05
     assert f"(selection {wall_time:.2f}s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["select", "train"])
+@pytest.mark.parametrize("sampler, runs", [("gits", 1), ("uniform", 0), ("coverage_only", 0)])
+def test_cli_cell_runs_the_pilot_once_when_its_sampler_needs_it(tmp_path, monkeypatch,
+                                                                command, sampler, runs):
+    pilots = _count_calls(monkeypatch, pilot_scoring, "train_pilot")
+    scorings = _count_calls(monkeypatch, pilot_scoring, "candidate_gradients")
+    assert cli.main([command, "--config", str(_write_small_config(tmp_path)),
+                     "--sampler", sampler, "--ratio", "0.3", "--seed", "0",
+                     "--output", str(tmp_path / "out")]) == 0
+    assert (len(pilots), len(scorings)) == (runs, runs)
 
 
 def test_cli_selftest_subcommand(capsys):

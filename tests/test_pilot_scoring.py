@@ -5,14 +5,12 @@ from gits.pde_data import SolverConfig, generate_dataset
 from gits.pilot_scoring import (
     CandidateScores,
     EmptyCandidateError,
-    PilotMeta,
     build_candidates,
+    candidate_gradients,
     default_arch,
-    score_grad_norm,
-    score_rollout_loss,
+    pilot_input,
     scoring_trajectories,
     train_pilot,
-    write_scores_csv,
 )
 from gits.surrogate import SurrogateArch, TrainConfig, init_params, rollout_loss_grad
 
@@ -36,6 +34,12 @@ def zero_dyn_ds():
 def pilot(tiny_ds):
     cfg = TrainConfig(epochs_max=2, batch_size=16, seed=0, early_stop=False)
     return train_pilot(tiny_ds, build_candidates(tiny_ds.t_count, 3), cfg, arch=ARCH)
+
+
+def scored(kind, pilot, cands, ds, horizon, batch_traj, seed=0):
+    """One score kind through the pipeline's path: candidate gradients, then pilot_input."""
+    losses, grads = candidate_gradients(pilot, cands, ds, horizon, batch_traj, seed)
+    return pilot_input(kind, losses, grads, cands)
 
 
 # ----------------------------------------------------------------------
@@ -115,18 +119,11 @@ def test_default_arch_follows_dataset_boundary(tiny_ds):
 
 def test_scores_aligned_finite_nonnegative(pilot, tiny_ds):
     cands = build_candidates(tiny_ds.t_count, 3)
-    for fn, kind in ((score_grad_norm, "grad_norm"), (score_rollout_loss, "rollout_loss")):
-        scores = fn(pilot, cands, tiny_ds, horizon=3, batch_traj=4, seed=0)
+    for kind in ("grad_norm", "rollout_loss"):
+        scores = scored(kind, pilot, cands, tiny_ds, horizon=3, batch_traj=4, seed=0)
         assert scores.kind == kind
         assert np.array_equal(scores.indices, cands.indices)
         assert np.all(np.isfinite(scores.scores)) and np.all(scores.scores >= 0.0)
-
-
-def test_scoring_defaults(pilot, tiny_ds):
-    import inspect
-
-    assert inspect.signature(score_grad_norm).parameters["horizon"].default == 10
-    assert inspect.signature(score_rollout_loss).parameters["horizon"].default == 10
 
 
 def test_converged_pilot_scores_near_zero(zero_dyn_ds):
@@ -140,8 +137,8 @@ def test_converged_pilot_scores_near_zero(zero_dyn_ds):
     for lr, epochs in schedule:
         cfg = TrainConfig(epochs_max=epochs, batch_size=8, seed=0, early_stop=False, lr=lr)
         params, _ = train(params, list(cands.indices), zero_dyn_ds, cfg)
-    gs = score_grad_norm(params, cands, zero_dyn_ds, horizon=3, batch_traj=8)
-    ls = score_rollout_loss(params, cands, zero_dyn_ds, horizon=3, batch_traj=8)
+    gs = scored("grad_norm", params, cands, zero_dyn_ds, horizon=3, batch_traj=8)
+    ls = scored("rollout_loss", params, cands, zero_dyn_ds, horizon=3, batch_traj=8)
     assert np.all(gs.scores < 1e-6)
     assert np.all(ls.scores < 1e-9)
 
@@ -152,15 +149,15 @@ def test_exact_minimum_pilot_scores_are_zero(zero_dyn_ds):
 
     cands = build_candidates(zero_dyn_ds.t_count, 3)
     pilot = SurrogateParams(theta=np.zeros(ARCH.param_count()), arch=ARCH)
-    gs = score_grad_norm(pilot, cands, zero_dyn_ds, horizon=3, batch_traj=8)
-    ls = score_rollout_loss(pilot, cands, zero_dyn_ds, horizon=3, batch_traj=8)
+    gs = scored("grad_norm", pilot, cands, zero_dyn_ds, horizon=3, batch_traj=8)
+    ls = scored("rollout_loss", pilot, cands, zero_dyn_ds, horizon=3, batch_traj=8)
     assert np.all(gs.scores == 0.0)
     assert np.all(ls.scores == 0.0)
 
 
 def test_loss_scores_equal_gradient_routine_losses(pilot, tiny_ds):
     cands = build_candidates(tiny_ds.t_count, 3)
-    scores = score_rollout_loss(pilot, cands, tiny_ds, horizon=3, batch_traj=4, seed=1)
+    scores = scored("rollout_loss", pilot, cands, tiny_ds, horizon=3, batch_traj=4, seed=1)
     traj = scoring_trajectories(tiny_ds, 4, 1)
     for i, k in enumerate(cands.indices):
         loss, _ = rollout_loss_grad(pilot, [(int(n), int(k)) for n in traj], 3, tiny_ds)
@@ -170,7 +167,8 @@ def test_loss_scores_equal_gradient_routine_losses(pilot, tiny_ds):
 def test_truncated_horizon_scores_match_explicit_truncation(pilot, tiny_ds):
     cands = build_candidates(tiny_ds.t_count, 3)
     horizon = 10
-    scores = score_rollout_loss(pilot, cands, tiny_ds, horizon=horizon, batch_traj=4, seed=0)
+    scores = scored("rollout_loss", pilot, cands, tiny_ds, horizon=horizon, batch_traj=4,
+                    seed=0)
     traj = scoring_trajectories(tiny_ds, 4, 0)
     k = int(cands.indices[-1])  # t_count - 2 => effective horizon 1
     h_eff = min(horizon, tiny_ds.t_count - 1 - k)
@@ -181,8 +179,8 @@ def test_truncated_horizon_scores_match_explicit_truncation(pilot, tiny_ds):
 
 def test_scoring_deterministic_and_subsample_fixed(pilot, tiny_ds):
     cands = build_candidates(tiny_ds.t_count, 3)
-    a = score_grad_norm(pilot, cands, tiny_ds, horizon=2, batch_traj=4, seed=7)
-    b = score_grad_norm(pilot, cands, tiny_ds, horizon=2, batch_traj=4, seed=7)
+    a = scored("grad_norm", pilot, cands, tiny_ds, horizon=2, batch_traj=4, seed=7)
+    b = scored("grad_norm", pilot, cands, tiny_ds, horizon=2, batch_traj=4, seed=7)
     assert np.array_equal(a.scores, b.scores)
     t1 = scoring_trajectories(tiny_ds, 4, 7)
     t2 = scoring_trajectories(tiny_ds, 4, 7)
@@ -196,38 +194,21 @@ def test_score_order_independent_of_candidate_evaluation(pilot, tiny_ds):
     from gits.pilot_scoring import CandidateSet
 
     cands = build_candidates(tiny_ds.t_count, 3)
-    full = score_grad_norm(pilot, cands, tiny_ds, horizon=2, batch_traj=4, seed=0)
+    full = scored("grad_norm", pilot, cands, tiny_ds, horizon=2, batch_traj=4, seed=0)
     keep = [cands.size - 1, cands.size // 2, 0]  # reversed evaluation order
     subset = CandidateSet(
         indices=cands.indices[sorted(keep)], t_count=cands.t_count,
         history_len=cands.history_len,
     )
-    part = score_grad_norm(pilot, subset, tiny_ds, horizon=2, batch_traj=4, seed=0)
+    part = scored("grad_norm", pilot, subset, tiny_ds, horizon=2, batch_traj=4, seed=0)
     for out_pos, full_pos in enumerate(sorted(keep)):
         assert part.scores[out_pos] == full.scores[full_pos]
 
 
-def test_scores_csv_export(pilot, tiny_ds, tmp_path):
-    cands = build_candidates(tiny_ds.t_count, 3)
-    scores = score_grad_norm(pilot, cands, tiny_ds, horizon=2, batch_traj=4, seed=0,
-                             pilot_epochs=2)
-    path = tmp_path / "scores.csv"
-    write_scores_csv(scores, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,score,kind,H,E_p,seed"
-    assert len(lines) == cands.size + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == int(cands.indices[0])
-    assert float(first[1]) == scores.scores[0]
-
-
 def test_candidate_scores_validation():
     with pytest.raises(ValueError):
-        CandidateScores(indices=np.arange(3), scores=np.array([1.0, -0.5, 0.2]),
-                        kind="grad_norm", pilot_meta=PilotMeta(None, 1, 0))
+        CandidateScores(indices=np.arange(3), scores=np.array([1.0, -0.5, 0.2]), kind="grad_norm")
     with pytest.raises(ValueError):
-        CandidateScores(indices=np.arange(3), scores=np.ones(2),
-                        kind="grad_norm", pilot_meta=PilotMeta(None, 1, 0))
+        CandidateScores(indices=np.arange(3), scores=np.ones(2), kind="grad_norm")
     with pytest.raises(ValueError):
-        CandidateScores(indices=np.arange(3), scores=np.ones(3),
-                        kind="bogus", pilot_meta=PilotMeta(None, 1, 0))
+        CandidateScores(indices=np.arange(3), scores=np.ones(3), kind="bogus")

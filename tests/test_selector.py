@@ -7,7 +7,6 @@ import pytest
 from gits.pde_data import SolverConfig, generate_dataset
 from gits.pilot_scoring import (
     CandidateScores,
-    PilotMeta,
     build_candidates,
     candidate_gradients,
     train_pilot,
@@ -42,7 +41,6 @@ def make_scores(values, kind="grad_norm", indices=None):
         indices=indices,
         scores=np.asarray(values, dtype=np.float64),
         kind=kind,
-        pilot_meta=PilotMeta(None, 10, 0),
     )
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -288,3 +290,14 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(back.theta, params.theta)
     assert back.arch == params.arch
     assert header["seed"] == 17 and header["epoch"] == 3
+
+
+def test_checkpoint_with_non_finite_clamp_rejected(tmp_path):
+    save_params(init_params(TINY_ARCH, 17), tmp_path / "ckpt")
+    header_path = tmp_path / "ckpt.json"
+    for clamp in (float("nan"), float("inf")):
+        header = json.loads(header_path.read_text())
+        header["arch"]["clamp"] = clamp
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="clamp must be finite and positive"):
+            load_params(tmp_path / "ckpt")
