@@ -26,6 +26,7 @@ from pathlib import Path
 
 from . import diagnostics, harness, pde_data, selector, surrogate
 from .pilot_scoring import build_candidates
+from .temporal_coverage import CoverageConfig
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -65,7 +66,7 @@ def default_config_text() -> str:
         "lambda_cov": repr(cfg.lambda_cov),
         "c_win": repr(cfg.c_win),
         "normalize_scores": str(cfg.normalize_scores).lower(),
-        # optional explicit kernel overrides: tau, window_size, window_stride, tau_w
+        # optional kernel overrides, all four or none: tau, window_size, window_stride, tau_w
     }
     parser["model"] = {
         "history_len": str(cfg.history_len),
@@ -113,10 +114,12 @@ def load_config(path: str | None) -> harness.ExperimentConfig:
         )
         e = parser["experiment"]
         o = parser["objective"]
+        keys = ("tau", "window_size", "window_stride", "tau_w")
+        given = [key for key in keys if o.get(key, fallback="")]
+        if 0 < len(given) < len(keys):
+            raise harness.HarnessConfigError(f"[objective] needs all of {', '.join(keys)} or none")
         coverage_override = None
-        if o.get("tau", fallback=""):
-            from .temporal_coverage import CoverageConfig
-
+        if given:
             coverage_override = CoverageConfig(
                 tau=o.getfloat("tau"),
                 window_size=o.getint("window_size"),
@@ -165,8 +168,10 @@ def _apply_overrides(cfg: harness.ExperimentConfig, args) -> harness.ExperimentC
         updates["seeds"] = (args.seed,)
     if getattr(args, "sampler", None):
         updates["samplers"] = (args.sampler,)
-    if getattr(args, "output", None):
-        updates["output_dir"] = args.output
+    if getattr(args, "ratio", None) is not None:
+        updates["ratios"] = (args.ratio,)
+    if getattr(args, "output_dir", None):
+        updates["output_dir"] = args.output_dir
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
@@ -204,7 +209,7 @@ def _prepare_cell(cfg, sampler, ratio, seed):
 
 
 def _cmd_select(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _apply_overrides(load_config(args.config), args)
     _, selection, sel_time = _prepare_cell(cfg, args.sampler, args.ratio, args.seed)
     selector.write_selection_json(
         selection, args.output, sel_time,
@@ -216,7 +221,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _apply_overrides(load_config(args.config), args)
     ds, selection, _ = _prepare_cell(cfg, args.sampler, args.ratio, args.seed)
     params, history = harness.train_downstream(cfg, ds, selection.selected, args.seed)
     surrogate.save_params(params, args.output, seed=harness.stage_seed(args.seed, "train"),
@@ -299,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the full experiment grid")
     p.add_argument("--config", default=None)
-    p.add_argument("--output", default=None, help="output directory override")
+    p.add_argument("--output", dest="output_dir", default=None, help="output directory override")
     p.add_argument("--seed", type=int, default=None, help="restrict to one seed")
     p.add_argument("--sampler", default=None, choices=selector.SAMPLERS,
                    help="restrict to one sampler")

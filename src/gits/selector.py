@@ -18,7 +18,7 @@ pilot, and which selection algorithm runs on it. :func:`run_sampler` is
 the one dispatch point. All samplers are deterministic; ties always break
 toward the lowest candidate index. Every sampler returns a
 :class:`SelectionResult`. For the greedy family, ``gains`` are the
-per-step marginal gains and ``objective`` is F(S) recomputed from scratch.
+per-step marginal gains and ``objective`` is F(S) of the final selection.
 ``uniform`` has no objective (stored as 0.0, empty gains); ``grad_match``
 stores the final gradient-matching residual in ``objective`` (lower is
 better) and per-step residual reductions in ``gains``.
@@ -26,7 +26,6 @@ better) and per-step residual reductions in ``gains``.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import json
 from dataclasses import dataclass
@@ -38,10 +37,10 @@ from .pilot_scoring import GRADIENTS, SCORE_KINDS, CandidateScores, CandidateSet
 from .temporal_coverage import (
     CoverageConfig,
     build_windows,
-    coverage_values,
     empty_state,
     kernel_global,
     state_update,
+    window_distance,
 )
 
 _BLOCK = 64  # gains evaluated together: at most 64 x |C| kernel values at a time
@@ -152,12 +151,10 @@ def greedy_select(
     idx = candidates.indices
     n = candidates.size
     # Both kernels at integer distance d = 0, 1, ..., max(C) - min(C); bit-equal
-    # to kernel_global and kernel_window, which compute exp(-d / tau) too.
+    # to kernel_global and kernel_window, which is kernel_global(d, 0, tau_w).
     dist = np.arange(int(idx[-1] - idx[0]) + 1)
     g_table = kernel_global(dist, 0, obj.coverage.tau)
     w_table = kernel_global(dist, 0, obj.coverage.tau_w)
-    lo_w, hi_w = np.array(windows.intervals).T
-    lo_list, hi_list = lo_w.tolist(), hi_w.tolist()
     state = empty_state(candidates, windows)
 
     def gains_at(lo: int, hi: int, ks: np.ndarray) -> np.ndarray:
@@ -167,15 +164,15 @@ def greedy_select(
         those picks, one row per k; cumsum adds in index order, as the dense
         column sum does.
         """
-        first = bisect.bisect_right(lo_list, idx[lo - 1]) if lo else 0
-        stop = bisect.bisect_left(hi_list, idx[hi]) if hi < n else len(hi_list)
+        first = np.searchsorted(windows.lo, idx[lo - 1], side="right") if lo else 0
+        stop = np.searchsorted(windows.hi, idx[hi], side="left") if hi < n else windows.count
         cols = idx[ks, None]
         gain = s[ks]
         if use_cov:
             t = np.maximum(g_table[np.abs(cols - idx[lo:hi])] - state.m[lo:hi], 0.0)
             gain = gain + obj.lambda_cov * np.cumsum(t, axis=1)[:, -1]
         if use_win:
-            d = np.maximum(lo_w[first:stop] - cols, 0) + np.maximum(cols - hi_w[first:stop], 0)
+            d = window_distance((windows.lo[first:stop], windows.hi[first:stop]), cols)
             t = np.maximum(w_table[d] - state.u[first:stop], 0.0)
             gain = gain + obj.c_win * (np.cumsum(t, axis=1)[:, -1] if t.size else 0.0)
         return gain
@@ -211,7 +208,10 @@ def greedy_select(
                 heapq.heappush(heap, (-float(part[j]), a + j, a, b, part, np.zeros(b - a, dtype=bool)))
 
     selected = [int(idx[p]) for p in picks]
-    f_cov, f_win = coverage_values(selected, candidates, windows, obj.coverage)
+    # The maxima are exact, so these are the sums coverage_values computes
+    # from scratch: F_cov pairwise as np.sum adds, F_win window by window.
+    f_cov = np.sum(state.m)
+    f_win = np.cumsum(state.u)[-1]
     objective = float(s[picks].sum() + obj.lambda_cov * f_cov + obj.c_win * f_win)
     return SelectionResult(
         selected=selected,

@@ -15,8 +15,9 @@ Greedy selection maintains the per-index and per-window running maxima
 (m_i, u_m). Both kernels fall with distance on the line, so a candidate
 can raise m_i only between its two nearest selected indices, and u_m only
 for windows strictly between them: a marginal coverage gain is a sum over
-that stretch of the state (see :func:`gits.selector.greedy_select`). The
-dense kernel matrices below serve the oracles and the self-test.
+that stretch of the state (see :func:`gits.selector.greedy_select`), and
+F_cov and F_win are sums of the final state. :func:`coverage_values` and
+the dense kernel matrices below serve the oracles and the self-test.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ class CoverageConfig:
     window_size: int
     window_stride: int
     tau_w: float
-    derived_from: tuple[int, int] | None = None  # (t_count, budget) when auto-derived
 
     def __post_init__(self):
+        if not (np.isfinite(self.tau) and np.isfinite(self.tau_w)):
+            raise ValueError("decay scales must be finite")
         if self.tau < 1 or self.tau_w < 1:
             raise ValueError("decay scales must be >= 1")
         if self.window_size < 1:
@@ -59,7 +61,6 @@ def derive_coverage_config(t_count: int, budget: int) -> CoverageConfig:
         window_size=window,
         window_stride=stride,
         tau_w=float(tau_w),
-        derived_from=(t_count, budget),
     )
 
 
@@ -70,13 +71,16 @@ def kernel_global(i, j, tau):
     return np.exp(-np.abs(np.asarray(i, dtype=np.float64) - np.asarray(j, dtype=np.float64)) / tau)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowList:
-    intervals: tuple[tuple[int, int], ...]
+    """Window bounds as int arrays: window m is [lo[m], hi[m]], both ascending."""
+
+    lo: np.ndarray
+    hi: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.intervals)
+        return len(self.lo)
 
 
 def build_windows(candidates: CandidateSet, cfg: CoverageConfig) -> WindowList:
@@ -89,31 +93,24 @@ def build_windows(candidates: CandidateSet, cfg: CoverageConfig) -> WindowList:
     lo = int(candidates.indices[0])
     hi = int(candidates.indices[-1])
     w = cfg.window_size
-    intervals: list[tuple[int, int]] = []
-    a = lo
-    while a + w - 1 <= hi:
-        intervals.append((a, a + w - 1))
-        a += cfg.window_stride
-    if not intervals or intervals[-1][1] < hi:
-        intervals.append((max(lo, hi - w + 1), hi))
-    return WindowList(intervals=tuple(intervals))
+    starts = np.arange(lo, hi - w + 2, cfg.window_stride)
+    if not starts.size or starts[-1] + w - 1 < hi:
+        starts = np.append(starts, max(lo, hi - w + 1))
+    return WindowList(lo=starts, hi=np.minimum(starts + w - 1, hi))
 
 
-def window_distance(interval: tuple[int, int], j) -> np.ndarray:
+def window_distance(interval, j):
     """Distance from index j to [a, b]: 0 inside, a - j below, j - b above.
 
-    ``a`` and ``b`` may be arrays of bounds, one distance per window.
+    ``a``, ``b`` and ``j`` may be scalars or arrays; ints give int distances.
     """
     a, b = interval
-    j = np.asarray(j, dtype=np.float64)
-    return np.where(j < a, a - j, np.where(j > b, j - b, 0.0))
+    return np.maximum(a - j, 0) + np.maximum(j - b, 0)
 
 
-def kernel_window(interval: tuple[int, int], j, tau_w):
+def kernel_window(interval, j, tau_w):
     """exp(-d(interval, j) / tau_w)."""
-    if tau_w <= 0:
-        raise ValueError("tau_w must be positive")
-    return np.exp(-window_distance(interval, j) / tau_w)
+    return kernel_global(window_distance(interval, j), 0, tau_w)
 
 
 def kernel_matrix_global(candidates: CandidateSet, tau: float) -> np.ndarray:
@@ -126,8 +123,8 @@ def kernel_matrix_window(
     candidates: CandidateSet, windows: WindowList, tau_w: float
 ) -> np.ndarray:
     """R[m, j] = kernel_window(window m, C[j], tau_w), shape (M, |C|)."""
-    lo, hi = np.array(windows.intervals, dtype=np.float64).T
-    return kernel_window((lo[:, None], hi[:, None]), candidates.indices[None, :], tau_w)
+    bounds = (windows.lo[:, None], windows.hi[:, None])
+    return kernel_window(bounds, candidates.indices[None, :], tau_w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,10 +134,6 @@ class CoverageState:
     m: np.ndarray
     u: np.ndarray
     selected: frozenset
-
-    @property
-    def selected_count(self) -> int:
-        return len(self.selected)
 
 
 def empty_state(candidates: CandidateSet, windows: WindowList) -> CoverageState:
@@ -160,15 +153,12 @@ def coverage_values(
         candidates.position(k)  # raises ValueError for a non-candidate
     if not sel:
         return 0.0, 0.0
-    sel_arr = np.array(sel, dtype=np.float64)
+    sel_arr = np.array(sel)
     idx = candidates.indices
-    f_cov = float(
-        np.sum(np.max(kernel_global(idx[:, None], sel_arr[None, :], cfg.tau), axis=1))
-    )
-    f_win = 0.0
-    for interval in windows.intervals:
-        f_win += float(np.max(kernel_window(interval, sel_arr, cfg.tau_w)))
-    return f_cov, f_win
+    f_cov = np.sum(np.max(kernel_global(idx[:, None], sel_arr[None, :], cfg.tau), axis=1))
+    bounds = (windows.lo[:, None], windows.hi[:, None])
+    u = np.max(kernel_window(bounds, sel_arr[None, :], cfg.tau_w), axis=1)
+    return float(f_cov), float(np.cumsum(u)[-1])  # windows summed in order
 
 
 def state_update(
@@ -184,8 +174,7 @@ def state_update(
     if new_index in state.selected:
         raise ValueError(f"index {new_index} already folded into the state")
     s_col = kernel_global(candidates.indices, new_index, cfg.tau)
-    lo, hi = np.array(windows.intervals, dtype=np.float64).T
-    r_col = kernel_window((lo, hi), new_index, cfg.tau_w)
+    r_col = kernel_window((windows.lo, windows.hi), new_index, cfg.tau_w)
     return CoverageState(
         m=np.maximum(state.m, s_col),
         u=np.maximum(state.u, r_col),

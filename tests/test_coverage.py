@@ -19,6 +19,11 @@ from gits.temporal_coverage import (
 CANDS = build_candidates(101, 4)
 
 
+def intervals(windows):
+    """The windows as (a, b) pairs."""
+    return list(zip(windows.lo.tolist(), windows.hi.tolist()))
+
+
 def naive_coverage(selection, candidates, windows, cfg):
     """Double-loop oracle for both coverage sums."""
     sel = list(selection)
@@ -26,7 +31,7 @@ def naive_coverage(selection, candidates, windows, cfg):
     for i in candidates.indices:
         f_cov += max(np.exp(-abs(int(i) - int(j)) / cfg.tau) for j in sel)
     f_win = 0.0
-    for a, b in windows.intervals:
+    for a, b in intervals(windows):
         best = 0.0
         for j in sel:
             d = 0 if a <= j <= b else (a - j if j < a else j - b)
@@ -42,7 +47,7 @@ def naive_coverage(selection, candidates, windows, cfg):
 def test_derived_rules_reference_point():
     cfg = derive_coverage_config(101, 10)
     assert (cfg.tau, cfg.window_size, cfg.window_stride, cfg.tau_w) == (10.0, 20, 10, 5.0)
-    assert cfg.derived_from == (101, 10)
+    assert cfg == CoverageConfig(tau=10.0, window_size=20, window_stride=10, tau_w=5.0)
 
 
 def test_derived_rules_floor_lift_at_large_budget():
@@ -56,7 +61,7 @@ def test_derived_rules_small_axis():
     # oversized window handled by build_windows clipping
     cands = build_candidates(8, 4)
     wins = build_windows(cands, cfg)
-    assert wins.intervals == ((4, 6),)
+    assert intervals(wins) == [(4, 6)]
 
 
 def test_derived_rules_reject_zero_budget():
@@ -90,6 +95,19 @@ def test_window_distance_matches_brute_force_min():
         j = int(rng.integers(-20, 90))
         brute = min(abs(j - p) for p in range(a, b + 1))
         assert window_distance((a, b), j) == brute
+        jf = j + 0.5  # a float index: distance to the nearest point of [a, b]
+        assert window_distance((a, b), jf) == abs(jf - min(max(jf, a), b))
+    # the shapes greedy passes: bound arrays against a column of int starts
+    lo = np.sort(rng.integers(0, 60, size=12))
+    hi = lo + rng.integers(0, 15, size=12)
+    starts = rng.integers(-10, 90, size=20)
+    got = window_distance((lo, hi), starts[:, None])
+    assert got.shape == (20, 12) and got.dtype.kind == "i"
+    for r, j in enumerate(starts):
+        for m, (a, b) in enumerate(zip(lo, hi)):
+            assert got[r, m] == min(abs(int(j) - p) for p in range(a, b + 1))
+    jf = starts[:, None] + 0.25
+    assert np.array_equal(window_distance((lo, hi), jf), np.abs(jf - np.clip(jf, lo, hi)))
 
 
 # ----------------------------------------------------------------------
@@ -99,17 +117,17 @@ def test_window_distance_matches_brute_force_min():
 def test_build_windows_reference_layout():
     cfg = derive_coverage_config(101, 10)
     wins = build_windows(CANDS, cfg)
-    assert wins.intervals[0] == (4, 23)
-    assert wins.intervals[1] == (14, 33)
-    assert wins.intervals[-1][1] == 99
+    assert intervals(wins)[0] == (4, 23)
+    assert intervals(wins)[1] == (14, 33)
+    assert intervals(wins)[-1][1] == 99
 
 
 def test_single_window_when_width_covers_all_candidates():
     cfg = CoverageConfig(tau=5.0, window_size=96, window_stride=48, tau_w=3.0)
     wins = build_windows(CANDS, cfg)
-    assert wins.intervals == ((4, 99),)
+    assert intervals(wins) == [(4, 99)]
     cfg = CoverageConfig(tau=5.0, window_size=200, window_stride=100, tau_w=3.0)
-    assert build_windows(CANDS, cfg).intervals == ((4, 99),)
+    assert intervals(build_windows(CANDS, cfg)) == [(4, 99)]
 
 
 def test_windows_union_covers_candidates_random_sweep():
@@ -120,9 +138,10 @@ def test_windows_union_covers_candidates_random_sweep():
         cfg = CoverageConfig(tau=3.0, window_size=w, window_stride=s, tau_w=2.0)
         wins = build_windows(CANDS, cfg)
         covered = np.zeros(101, dtype=bool)
-        starts = [a for a, _ in wins.intervals]
+        starts = [a for a, _ in intervals(wins)]
         assert starts == sorted(starts)
-        for a, b in wins.intervals:
+        assert wins.hi.tolist() == sorted(wins.hi.tolist())
+        for a, b in intervals(wins):
             assert a <= b
             assert a >= 4 and b <= 99
             covered[a : b + 1] = True
@@ -176,7 +195,7 @@ def test_state_update_incremental_equals_batch():
         f_cov, f_win = coverage_values(sel, CANDS, wins, cfg)
         assert state.m.sum() == pytest.approx(f_cov, abs=1e-12)
         assert state.u.sum() == pytest.approx(f_win, abs=1e-12)
-        assert state.selected_count == size
+        assert len(state.selected) == size
 
 
 @pytest.mark.parametrize("t_count", [30, 101, 1501])
@@ -201,7 +220,7 @@ def test_window_kernel_matrix_equals_the_per_window_rows(t_count):
     cands = build_candidates(t_count, 4)
     cfg = derive_coverage_config(t_count, 10)
     windows = build_windows(cands, cfg)
-    rows = [kernel_window(interval, cands.indices, cfg.tau_w) for interval in windows.intervals]
+    rows = [kernel_window(interval, cands.indices, cfg.tau_w) for interval in intervals(windows)]
     r_mat = kernel_matrix_window(cands, windows, cfg.tau_w)
     assert r_mat.shape == (windows.count, cands.size)
     assert np.array_equal(r_mat, np.stack(rows, axis=0))
@@ -289,3 +308,8 @@ def test_config_invariants_enforced():
         CoverageConfig(tau=2.0, window_size=4, window_stride=5, tau_w=1.0)
     with pytest.raises(ValueError):
         CoverageConfig(tau=2.0, window_size=0, window_stride=1, tau_w=1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CoverageConfig(tau=bad, window_size=4, window_stride=2, tau_w=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            CoverageConfig(tau=2.0, window_size=4, window_stride=2, tau_w=bad)

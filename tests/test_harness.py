@@ -397,6 +397,15 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
         select = ["select", "--config", str(path), "--output", str(tmp_path / "sel.json")]
         assert cli.main(select) == cli.EXIT_CONFIG, line
         assert not (tmp_path / "sel.json").exists()
+    windows = "window_size = 4\nwindow_stride = 2\n"
+    for text in ("tau = 5\n", "window_size = 7\n", f"tau = nan\n{windows}tau_w = nan\n",
+                 f"tau = inf\n{windows}tau_w = 2\n"):
+        path.write_text(f"[objective]\n{text}")
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG, text
+        select = ["select", "--config", str(path), "--sampler", "coverage_only",
+                  "--output", str(tmp_path / "sel.json")]
+        assert cli.main(select) == cli.EXIT_CONFIG, text
+        assert not (tmp_path / "sel.json").exists()
     assert cli.main(["run", "--config", str(tmp_path / "missing.ini")]) == cli.EXIT_CONFIG
     pilots = _count_calls(monkeypatch, pilot_scoring, "train_pilot")
     capsys.readouterr()
@@ -406,6 +415,13 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
         path.write_text(text)
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG, text
         assert capsys.readouterr().err.startswith("config error: "), text
+    for command in ("select", "train"):
+        for ratio in ("0", "1.5", "nan"):
+            out = tmp_path / f"{command}_{ratio}"
+            argv = [command, "--sampler", "uniform", "--ratio", ratio, "--output", str(out)]
+            assert cli.main(argv) == cli.EXIT_CONFIG, (command, ratio)
+            assert capsys.readouterr().err.startswith("config error: "), (command, ratio)
+            assert not list(tmp_path.glob(f"{command}_*")), (command, ratio)
     assert pilots == []
 
 
