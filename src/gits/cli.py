@@ -11,7 +11,8 @@ its own:
   run              full (ratio, sampler, seed) grid -> results.csv + summary.json
   selftest         small-scale oracle suites (greedy, coverage, gradients)
 
-Exit codes: 0 success, 1 cell/suite failures present, 2 configuration error.
+Exit codes: 0 success, 1 cell/suite failures present, 2 configuration error,
+3 malformed dataset or checkpoint file.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .temporal_coverage import CoverageConfig
 EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_CONFIG = 2
+EXIT_FORMAT = 3
 
 
 def default_config_text() -> str:
@@ -330,6 +332,9 @@ def main(argv=None) -> int:
     except pde_data.ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (pde_data.DatasetFormatError, surrogate.CheckpointFormatError) as exc:
+        print(f"format error: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
 
 
 if __name__ == "__main__":

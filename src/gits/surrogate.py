@@ -22,11 +22,13 @@ H = min(horizon, t_count - 1 - k) truncated at the end of the time axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
+import functools
 import json
+
 import numpy as np
 
 from .pde_data import TrajectoryDataset
@@ -37,10 +39,15 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 PADDINGS = ("periodic", "reflect")
+CHECKPOINT_FORMAT_VERSION = 1
 
 
 class TrainingDivergedError(RuntimeError):
     """Raised when the training loss becomes non-finite."""
+
+
+class CheckpointFormatError(ValueError):
+    """Malformed or inconsistent checkpoint pair (``<stem>.json`` + ``<stem>.f64``)."""
 
 
 @dataclass(frozen=True)
@@ -105,21 +112,22 @@ class SurrogateParams:
 
 
 class _Views(NamedTuple):
-    w1: np.ndarray  # (hidden, in_channels, k)
+    w1: np.ndarray  # (hidden, in_channels * k), columns ordered (in_channel, tap)
     b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (channels, hidden, k)
+    w2: np.ndarray  # (channels, hidden * k)
     b2: np.ndarray  # (channels,)
 
 
 def _unpack(theta: np.ndarray, arch: SurrogateArch) -> _Views:
+    """Views into ``theta``; writing through them writes into ``theta``."""
     k = arch.kernel_size
     n1 = arch.hidden * arch.in_channels * k
     n2 = n1 + arch.hidden
     n3 = n2 + arch.channels * arch.hidden * k
     return _Views(
-        w1=theta[:n1].reshape(arch.hidden, arch.in_channels, k),
+        w1=theta[:n1].reshape(arch.hidden, arch.in_channels * k),
         b1=theta[n1:n2],
-        w2=theta[n2:n3].reshape(arch.channels, arch.hidden, k),
+        w2=theta[n2:n3].reshape(arch.channels, arch.hidden * k),
         b2=theta[n3:],
     )
 
@@ -140,93 +148,121 @@ def init_params(arch: SurrogateArch, seed: int) -> SurrogateParams:
 
 
 # ----------------------------------------------------------------------
-# convolution with hand-written backward pass
+# one step in the channel-major layout, with its exact backward pass
 # ----------------------------------------------------------------------
+#
+# A rollout of B trajectories lives in one frame buffer shaped
+# (L + H, C, X, B): frames 0..L-1 hold the history and step t writes its
+# prediction into frame L + t in place. Frames t..t+L-1 of the buffer are
+# the step's (L*C, X*B) input without a copy. Each convolution gathers its
+# (Cin*K, X*B) window matrix with one flat index and is one GEMM,
+# W @ windows. Its backward pass is two more GEMMs, g_out @ windows.T for
+# the weights and W.T @ g_out for the windows, and an overlap-add of the
+# window gradient back onto the input rows. The batch is the fastest axis,
+# so each tap of the overlap-add is one contiguous block of X*B values.
 
-_PAD_INDEX_CACHE: dict[tuple[int, int, str], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _pad_index(x_len: int, r: int, padding: str) -> np.ndarray:
-    key = (x_len, r, padding)
-    idx = _PAD_INDEX_CACHE.get(key)
-    if idx is None:
-        if padding == "periodic":
-            idx = np.arange(-r, x_len + r) % x_len
-        else:
-            idx = np.pad(np.arange(x_len), r, mode="reflect")
-        _PAD_INDEX_CACHE[key] = idx
+    """Source cell of each of the X + 2r positions of a padded row."""
+    if padding == "periodic":
+        idx = np.arange(-r, x_len + r) % x_len
+    else:
+        idx = np.pad(np.arange(x_len), r, mode="reflect")
+    idx.flags.writeable = False
     return idx
 
 
-def _conv_forward(z, w, b, idx, r):
-    """z: (B, Cin, X); w: (Cout, Cin, K). Returns (out, windows)."""
-    x_len = z.shape[2]
+@functools.lru_cache(maxsize=16)
+def _window_index(x_len: int, r: int, padding: str, b_sz: int) -> np.ndarray:
+    """Flat (K, X*B) gather index: entry (j, x*B + b) is pad[x + j]*B + b."""
     k = 2 * r + 1
-    zp = z[:, :, idx]
-    win = np.stack([zp[:, :, j : j + x_len] for j in range(k)], axis=2)
-    win2 = win.reshape(z.shape[0], -1, x_len)  # (B, Cin*K, X)
-    out = np.matmul(w.reshape(w.shape[0], -1), win2) + b[None, :, None]
-    return out, win2
+    taps = _pad_index(x_len, r, padding)[np.arange(k)[:, None] + np.arange(x_len)]
+    idx = (taps[:, :, None] * b_sz + np.arange(b_sz)).reshape(k, x_len * b_sz)
+    idx.flags.writeable = False
+    return idx
 
 
-def _conv_backward(g_out, win2, w, idx, r, x_len, c_in):
-    """Backward of _conv_forward. Returns (g_w, g_b, g_z)."""
-    b_sz = g_out.shape[0]
+def _windows(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(Cin, X*B) rows -> (Cin*K, X*B) window matrix, rows ordered (channel, tap)."""
+    return z.take(idx, axis=1).reshape(-1, idx.shape[1])
+
+
+def _matmul_t(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``w.T @ g``; with one row in ``w`` the product is an outer product, which
+    a broadcast multiply computes to the same bits several times faster."""
+    return w.T * g if w.shape[0] == 1 else w.T @ g
+
+
+def _windows_adjoint(g_win: np.ndarray, pad: np.ndarray, x_len: int) -> np.ndarray:
+    """Adjoint of :func:`_windows`: (Cin*K, X*B) -> (Cin, X*B), a view.
+
+    The K taps are overlap-added into a padded row; then each of the 2r
+    padded edge columns is added onto the cell it was read from.
+    """
+    r = (pad.size - x_len) // 2
     k = 2 * r + 1
-    w2d = w.reshape(w.shape[0], -1)
-    g_w = np.einsum("box,bcx->oc", g_out, win2).reshape(w.shape)
-    g_b = g_out.sum(axis=(0, 2))
-    g_win2 = np.matmul(w2d.T, g_out)  # (B, Cin*K, X)
-    g_win = g_win2.reshape(b_sz, c_in, k, x_len)
-    g_zp = np.zeros((b_sz, c_in, x_len + 2 * r))
+    g_win = g_win.reshape(g_win.shape[0] // k, k, x_len, -1)
+    b_sz = g_win.shape[3]
+    g_zp = np.zeros((g_win.shape[0], pad.size, b_sz))
     for j in range(k):
-        g_zp[:, :, j : j + x_len] += g_win[:, :, j, :]
-    # fold padded-position gradients back onto source cells
-    g_zt = np.zeros((x_len, b_sz, c_in))
-    np.add.at(g_zt, idx, g_zp.transpose(2, 0, 1))
-    return g_w, g_b, g_zt.transpose(1, 2, 0)
+        g_zp[:, j : j + x_len] += g_win[:, j]
+    for p in (*range(r), *range(x_len + r, x_len + 2 * r)):
+        g_zp[:, r + pad[p]] += g_zp[:, p]
+    return g_zp.reshape(g_zp.shape[0], -1)[:, r * b_sz : (r + x_len) * b_sz]
 
 
-# ----------------------------------------------------------------------
-# single-step and rollout forward/backward (internal layout: (B, C, X))
-# ----------------------------------------------------------------------
+def _step(views: _Views, arch: SurrogateArch, buf: np.ndarray, t: int, idx, tapes=None):
+    """Write step t's prediction into frame L + t of ``buf`` (L + H, C, X, B).
 
-class _StepTape(NamedTuple):
-    win1: np.ndarray
-    h: np.ndarray
-    win2: np.ndarray
-    mask: np.ndarray
-
-
-def _step_forward(views: _Views, arch: SurrogateArch, window):
-    """window: (B, L, C, X) -> prediction (B, C, X) plus tape."""
-    b_sz, _, _, x_len = window.shape
-    idx = _pad_index(x_len, arch.kernel_radius, arch.padding)
-    z = window.reshape(b_sz, arch.in_channels, x_len)
-    a1, win1 = _conv_forward(z, views.w1, views.b1, idx, arch.kernel_radius)
-    h = np.tanh(a1)
-    delta, win2 = _conv_forward(h, views.w2, views.b2, idx, arch.kernel_radius)
-    raw = window[:, -1] + delta
-    pred = np.clip(raw, -arch.clamp, arch.clamp)
-    mask = np.abs(raw) < arch.clamp
-    return pred, _StepTape(win1, h, win2, mask)
+    The step's saved activations are appended to ``tapes`` when a list is given.
+    """
+    length = arch.history_len
+    cols = idx.shape[1]
+    win1 = _windows(buf[t : t + length].reshape(arch.in_channels, cols), idx)
+    h = views.w1 @ win1
+    h += views.b1[:, None]
+    np.tanh(h, out=h)
+    win2 = _windows(h, idx)
+    raw = views.w2 @ win2
+    raw += views.b2[:, None]
+    raw += buf[t + length - 1].reshape(arch.channels, cols)
+    np.clip(raw, -arch.clamp, arch.clamp, out=buf[t + length].reshape(arch.channels, cols))
+    if tapes is not None:
+        tapes.append((win1, h, win2, np.abs(raw) < arch.clamp))
 
 
-def _step_backward(g_pred, tape: _StepTape, views: _Views, arch: SurrogateArch, x_len):
-    """Returns (g_w1, g_b1, g_w2, g_b2, g_window) for one step."""
-    idx = _pad_index(x_len, arch.kernel_radius, arch.padding)
-    g_raw = g_pred * tape.mask
-    g_w2, g_b2, g_h = _conv_backward(
-        g_raw, tape.win2, views.w2, idx, arch.kernel_radius, x_len, arch.hidden
-    )
-    g_a1 = g_h * (1.0 - tape.h**2)
-    g_w1, g_b1, g_z = _conv_backward(
-        g_a1, tape.win1, views.w1, idx, arch.kernel_radius, x_len, arch.in_channels
-    )
-    g_window = g_z.reshape(g_z.shape[0], arch.history_len, arch.channels, x_len)
-    g_window = g_window.copy()
-    g_window[:, -1] += g_raw
-    return g_w1, g_b1, g_w2, g_b2, g_window
+def _step_backward(g_pred, tape, views: _Views, arch: SurrogateArch, pad, grads: _Views,
+                   input_grad: bool):
+    """Backward of one :func:`_step` for the prediction gradient ``g_pred`` (C, X, B).
+
+    Adds the parameter gradient into ``grads``. With ``input_grad``, returns
+    the gradient w.r.t. the step's L input frames, shaped (L, C, X, B).
+    """
+    win1, h, win2, mask = tape
+    g_w1, g_b1, g_w2, g_b2 = grads
+    x_len = g_pred.shape[1]
+    g_raw = g_pred.reshape(mask.shape) * mask
+    g_w2 += g_raw @ win2.T
+    g_b2 += g_raw.sum(axis=1)
+    g_h = _windows_adjoint(_matmul_t(views.w2, g_raw), pad, x_len)
+    g_a1 = h * h
+    np.subtract(1.0, g_a1, out=g_a1)
+    g_a1 *= g_h
+    g_w1 += g_a1 @ win1.T
+    g_b1 += g_a1.sum(axis=1)
+    if not input_grad:
+        return None
+    g_z = _windows_adjoint(_matmul_t(views.w1, g_a1), pad, x_len)
+    g_z[-arch.channels :] += g_raw  # residual path: the last frame's rows
+    return g_z.reshape(arch.history_len, arch.channels, x_len, -1)
+
+
+def _advance(views: _Views, arch: SurrogateArch, buf: np.ndarray, tapes=None):
+    """Fill frames L.. of ``buf`` (L + H, C, X, B) by autoregressive steps."""
+    _, _, x_len, b_sz = buf.shape
+    idx = _window_index(x_len, arch.kernel_radius, arch.padding, b_sz)
+    for t in range(buf.shape[0] - arch.history_len):
+        _step(views, arch, buf, t, idx, tapes)
 
 
 def _check_history(arch: SurrogateArch, history: np.ndarray) -> np.ndarray:
@@ -250,10 +286,7 @@ def forward(params: SurrogateParams, history: np.ndarray) -> np.ndarray:
     history: (L, cells, channels) -> returns (cells, channels).
     """
     history = _check_history(params.arch, history)
-    window = history.transpose(0, 2, 1)[None]  # (1, L, C, X)
-    views = _unpack(params.theta, params.arch)
-    pred, _ = _step_forward(views, params.arch, window)
-    return pred[0].transpose(1, 0)
+    return rollout_batch(params, history[None], 1)[0, 0]
 
 
 def rollout(params: SurrogateParams, history: np.ndarray, steps: int) -> np.ndarray:
@@ -266,52 +299,54 @@ def rollout(params: SurrogateParams, history: np.ndarray, steps: int) -> np.ndar
 
 
 def rollout_batch(params: SurrogateParams, histories: np.ndarray, steps: int) -> np.ndarray:
-    """Vectorized rollout over a batch of histories (B, L, cells, channels)."""
+    """Vectorized rollout over a batch of histories (B, L, cells, channels).
+
+    Returns (B, steps, cells, channels).
+    """
     histories = np.asarray(histories, dtype=np.float64)
     arch = params.arch
     if histories.ndim != 4 or histories.shape[1] != arch.history_len:
         raise ValueError("histories must have shape (B, L, cells, channels)")
     if histories.shape[3] != arch.channels:
         raise ValueError("channel count mismatch")
-    views = _unpack(params.theta, arch)
-    frames = [histories[:, i].transpose(0, 2, 1) for i in range(arch.history_len)]
-    _advance(views, arch, frames, steps)
-    return np.stack(frames[arch.history_len :], axis=1).transpose(0, 1, 3, 2)
-
-
-def _advance(views: _Views, arch: SurrogateArch, frames: list, steps: int, tapes=None):
-    """Append ``steps`` autoregressive predictions to ``frames`` (each (B, C, X)).
-
-    Each step's tape is appended to ``tapes`` when a list is given.
-    """
-    for _ in range(steps):
-        window = np.stack(frames[-arch.history_len :], axis=1)
-        pred, tape = _step_forward(views, arch, window)
-        frames.append(pred)
-        if tapes is not None:
-            tapes.append(tape)
+    b_sz, length, x_len, _ = histories.shape
+    buf = np.empty((length + steps, arch.channels, x_len, b_sz))
+    buf[:length] = histories.transpose(1, 3, 2, 0)
+    _advance(_unpack(params.theta, arch), arch, buf)
+    return buf[length:].transpose(3, 0, 2, 1)
 
 
 # ----------------------------------------------------------------------
 # short-rollout loss and its exact gradient
 # ----------------------------------------------------------------------
 
-def effective_horizon(horizon: int, t_count: int, start: int) -> int:
-    """Rollout length available from ``start``: min(horizon, t_count - 1 - start)."""
-    return min(horizon, t_count - 1 - start)
+def effective_horizon(horizon: int, t_count: int, start):
+    """Rollout length available from ``start``: min(horizon, t_count - 1 - start).
+
+    ``start`` may be an int array; the result then has its shape.
+    """
+    return np.minimum(horizon, t_count - 1 - start)
 
 
-def _validate_pairs(batch, ds: TrajectoryDataset, history_len: int):
-    pairs = list(batch)
-    if not pairs:
+def _validate_pairs(batch, ds: TrajectoryDataset, history_len: int) -> np.ndarray:
+    """The (trajectory, start) pairs of ``batch`` as a range-checked (N, 2) int array."""
+    pairs = np.asarray(batch)
+    if pairs.size == 0:
         raise ValueError("empty batch")
-    for n, k in pairs:
-        if not 0 <= n < ds.n_traj:
-            raise ValueError(f"trajectory index {n} out of range")
-        if not history_len <= k <= ds.t_count - 2:
-            raise ValueError(
-                f"start index {k} outside [{history_len}, {ds.t_count - 2}]"
-            )
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise ValueError(
+            f"batch must be (trajectory, start) integer pairs, got a {pairs.shape} "
+            f"array of {pairs.dtype}"
+        )
+    ns, ks = pairs.T
+    bad = (ns < 0) | (ns >= ds.n_traj)
+    if bad.any():
+        raise ValueError(f"trajectory index {ns[bad][0]} out of range")
+    bad = (ks < history_len) | (ks > ds.t_count - 2)
+    if bad.any():
+        raise ValueError(
+            f"start index {ks[bad][0]} outside [{history_len}, {ds.t_count - 2}]"
+        )
     return pairs
 
 
@@ -323,8 +358,9 @@ def rollout_loss_grad(
 ) -> tuple[float, np.ndarray]:
     """Short-rollout loss over (trajectory, start) pairs and its exact gradient.
 
-    Pairs may mix start indices; each pair is weighted equally and uses its
-    own truncated horizon. Returns (loss, flat gradient over params.theta).
+    ``batch`` is a sequence of (n, k) pairs or an (N, 2) int array. Pairs
+    may mix start indices; each pair is weighted equally and uses its own
+    truncated horizon. Returns (loss, flat gradient over params.theta).
     """
     arch = params.arch
     if horizon < 1:
@@ -332,64 +368,46 @@ def rollout_loss_grad(
     pairs = _validate_pairs(batch, ds, arch.history_len)
 
     views = _unpack(params.theta, arch)
-    data = ds.data  # float32; gathered slices are upcast below
+    data = ds.data  # float32; gathered frames are upcast when written to float64
     n_total = len(pairs)
-    x_len = ds.spatial_size
     length = arch.history_len
-
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for n, k in pairs:
-        groups.setdefault(effective_horizon(horizon, ds.t_count, k), []).append((n, k))
+    pad = _pad_index(ds.spatial_size, arch.kernel_radius, arch.padding)
 
     loss = 0.0
-    g_w1 = np.zeros_like(views.w1)
-    g_b1 = np.zeros_like(views.b1)
-    g_w2 = np.zeros_like(views.w2)
-    g_b2 = np.zeros_like(views.b2)
+    grad = np.zeros(arch.param_count())
+    grads = _unpack(grad, arch)
 
-    for h_eff, members in groups.items():
-        ns, ks = np.array(members).T
+    # one group per truncated horizon, in order of first appearance
+    h_pair = effective_horizon(horizon, ds.t_count, pairs[:, 1])
+    _, first = np.unique(h_pair, return_index=True)
+    for h_eff in h_pair[np.sort(first)].tolist():
+        ns, ks = pairs[h_pair == h_eff].T
         hist = data[ns[:, None], ks[:, None] + np.arange(1 - length, 1)]  # (B, L, X, C)
-        targets = data[ns[:, None], ks[:, None] + np.arange(1, h_eff + 1)]  # (B, H, X, C)
-        hist = hist.transpose(0, 1, 3, 2).astype(np.float64, order="C")  # (B, L, C, X)
-        targets = targets.transpose(1, 0, 3, 2).astype(np.float64, order="C")  # (H, B, C, X)
-
-        frames = [hist[:, i] for i in range(length)]
+        future = data[ns[:, None], ks[:, None] + np.arange(1, h_eff + 1)]  # (B, H, X, C)
+        buf = np.empty((length + h_eff, arch.channels, ds.spatial_size, ns.size))
+        buf[:length] = hist.transpose(1, 3, 2, 0)
+        targets = np.ascontiguousarray(future.transpose(1, 3, 2, 0), dtype=np.float64)
         tapes = []
-        _advance(views, arch, frames, h_eff, tapes)
+        _advance(views, arch, buf, tapes)
 
         # per-frame NRMSE^2, each pair weighted 1 / (n_total * h_eff)
-        denom = (np.sqrt(np.sum(targets**2, axis=(2, 3))) + NRMSE_EPS) ** 2  # (H, B)
-        seeds = []
-        for h in range(h_eff):
-            diff = frames[length + h] - targets[h]
-            sq = np.sum(diff**2, axis=(1, 2))
-            loss += float(np.sum(sq / denom[h])) / (n_total * h_eff)
-            seeds.append(2.0 * diff / denom[h][:, None, None] / (n_total * h_eff))
+        weight = n_total * h_eff
+        denom = (np.sqrt(np.sum(targets**2, axis=(1, 2))) + NRMSE_EPS) ** 2  # (H, B)
+        diff = buf[length:] - targets
+        loss += float(np.sum(np.sum(diff**2, axis=(1, 2)) / denom)) / weight
+        seeds = 2.0 * diff / denom[:, None, None, :] / weight
 
-        # reverse pass: fold loss seeds and downstream chain contributions
-        g_frames: list[np.ndarray | None] = [None] * (length + h_eff)
-        for h in range(h_eff, 0, -1):
-            g_pred = seeds[h - 1]
-            carried = g_frames[length + h - 1]
-            if carried is not None:
-                g_pred = g_pred + carried
-            d_w1, d_b1, d_w2, d_b2, g_window = _step_backward(
-                g_pred, tapes[h - 1], views, arch, x_len
-            )
-            g_w1 += d_w1
-            g_b1 += d_b1
-            g_w2 += d_w2
-            g_b2 += d_b2
-            for j in range(length):
-                src = h - 1 + j
-                if src >= length:  # gradients w.r.t. ground-truth history are dropped
-                    if g_frames[src] is None:
-                        g_frames[src] = g_window[:, j].copy()
-                    else:
-                        g_frames[src] += g_window[:, j]
+        # reverse pass over the predicted frames; gradients w.r.t. the
+        # ground-truth history frames are dropped
+        g_frames = np.zeros_like(seeds)
+        for t in range(h_eff - 1, -1, -1):
+            g_in = _step_backward(seeds[t] + g_frames[t], tapes[t], views, arch, pad, grads,
+                                  input_grad=t > 0)
+            if t > 0:
+                lo = max(length - t, 0)  # first input frame that is a prediction
+                g_frames[t + lo - length : t] += g_in[lo:]
 
-    return loss, _pack(g_w1, g_b1, g_w2, g_b2)
+    return loss, grad
 
 
 # ----------------------------------------------------------------------
@@ -453,7 +471,9 @@ def train(
             raise ValueError(f"start index {k} outside the candidate range")
 
     train_idx = ds.split_indices("train")
-    pairs = [(int(n), k) for n in train_idx for k in start_list]
+    # (n, k) for every training trajectory n and start k, n outermost
+    pairs = np.column_stack([np.repeat(train_idx, len(start_list)),
+                             np.tile(start_list, len(train_idx))])
     history: list[EpochStats] = []
     if cfg.epochs_max == 0:
         return params_init, history
@@ -472,7 +492,7 @@ def train(
         order = rng.permutation(len(pairs))
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
-            chunk = [pairs[i] for i in order[lo : lo + cfg.batch_size]]
+            chunk = pairs[order[lo : lo + cfg.batch_size]]
             cur = SurrogateParams(theta=theta, arch=arch)
             loss, grad = rollout_loss_grad(cur, chunk, 1, ds)
             if not np.isfinite(loss):
@@ -515,7 +535,7 @@ def save_params(params: SurrogateParams, path, seed: int | None = None, epoch: i
     if stem.suffix in (".json", ".f64"):
         stem = stem.with_suffix("")
     header = {
-        "format_version": 1,
+        "format_version": CHECKPOINT_FORMAT_VERSION,
         "arch": {
             "history_len": params.arch.history_len,
             "hidden": params.arch.hidden,
@@ -535,13 +555,52 @@ def save_params(params: SurrogateParams, path, seed: int | None = None, epoch: i
 
 
 def load_params(path) -> tuple[SurrogateParams, dict]:
+    """Read a checkpoint pair written by :func:`save_params`.
+
+    Any malformed or inconsistent pair raises :class:`CheckpointFormatError`.
+    """
     stem = Path(path)
     if stem.suffix in (".json", ".f64"):
         stem = stem.with_suffix("")
-    header = json.loads(stem.with_suffix(".json").read_text())
-    arch = SurrogateArch(**header["arch"])
-    theta = np.frombuffer(stem.with_suffix(".f64").read_bytes(), dtype="<f8")
-    if theta.size != arch.param_count():
-        raise ValueError("checkpoint payload length does not match its header")
-    return SurrogateParams(theta=theta.copy(), arch=arch), header
+    try:
+        header = json.loads(stem.with_suffix(".json").read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CheckpointFormatError(f"malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointFormatError("malformed header: not a JSON object")
+    if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        raise CheckpointFormatError(
+            f"unsupported format version {header.get('format_version')!r}"
+        )
+    arch = _arch_from_header(header.get("arch"))
+    blob = stem.with_suffix(".f64").read_bytes()
+    if len(blob) != 8 * arch.param_count():
+        raise CheckpointFormatError(
+            f"payload length mismatch: got {len(blob)} bytes, "
+            f"header implies {8 * arch.param_count()}"
+        )
+    try:
+        params = SurrogateParams(theta=np.frombuffer(blob, dtype="<f8").copy(), arch=arch)
+    except ValueError as exc:
+        raise CheckpointFormatError(f"bad parameters: {exc}") from exc
+    return params, header
 
+
+def _arch_from_header(spec) -> SurrogateArch:
+    """The header's ``arch`` object: exactly the SurrogateArch fields, typed."""
+    names = [f.name for f in fields(SurrogateArch)]
+    if not isinstance(spec, dict) or sorted(spec) != sorted(names):
+        raise CheckpointFormatError(f"header 'arch' must be an object with keys {names}")
+    for name, value in spec.items():
+        if name == "padding":
+            ok = isinstance(value, str)
+        elif name == "clamp":
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        else:
+            ok = type(value) is int
+        if not ok:
+            raise CheckpointFormatError(f"arch.{name} has the wrong type: {value!r}")
+    try:
+        return SurrogateArch(**{**spec, "clamp": float(spec["clamp"])})
+    except (ValueError, OverflowError) as exc:
+        raise CheckpointFormatError(f"bad arch: {exc}") from exc

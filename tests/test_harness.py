@@ -484,6 +484,38 @@ def test_cli_run_generate_select_evaluate(tmp_path, capsys):
     assert set(report) >= {"nrmse", "crmse", "brmse", "horizon", "n_test"}
 
 
+def _truncate(path, n_bytes):
+    path.write_bytes(path.read_bytes()[:-n_bytes])
+
+
+def test_cli_run_on_truncated_dataset_exits_with_format_error(tmp_path, capsys):
+    cfg_path = _write_small_config(tmp_path)
+    assert cli.main(["generate", "--config", str(cfg_path), "--output", str(tmp_path / "ds")]) == 0
+    _truncate(tmp_path / "ds.f32", 3)
+    text = cfg_path.read_text().replace("[dataset]\n", f"[dataset]\npath = {tmp_path / 'ds'}\n")
+    cfg_path.write_text(text)
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith("format error: payload length mismatch")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_evaluate_on_truncated_checkpoint_exits_with_format_error(tmp_path, capsys):
+    cfg_path = _write_small_config(tmp_path)
+    assert cli.main(["train", "--config", str(cfg_path), "--sampler", "uniform",
+                     "--ratio", "0.3", "--seed", "0", "--output", str(tmp_path / "ckpt")]) == 0
+    _truncate(tmp_path / "ckpt.f64", 3)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(cfg_path), "--params", str(tmp_path / "ckpt"),
+                     "--output", str(tmp_path / "report.json")]) == cli.EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith("format error: payload length mismatch")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_cli_select_wall_time_includes_the_pilot(tmp_path, monkeypatch, capsys):
     train_pilot = pilot_scoring.train_pilot
 

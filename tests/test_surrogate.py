@@ -1,11 +1,16 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gits import surrogate
 from gits.pde_data import SolverConfig, generate_dataset
 from gits.surrogate import (
+    CheckpointFormatError,
     SurrogateArch,
     SurrogateParams,
     TrainConfig,
@@ -301,3 +306,108 @@ def test_checkpoint_with_non_finite_clamp_rejected(tmp_path):
         header_path.write_text(json.dumps(header))
         with pytest.raises(ValueError, match="clamp must be finite and positive"):
             load_params(tmp_path / "ckpt")
+
+
+def _corrupt_header(stem, edit):
+    header = json.loads(stem.with_suffix(".json").read_text())
+    edit(header)
+    stem.with_suffix(".json").write_text(json.dumps(header))
+
+
+@pytest.mark.parametrize("corruption", [
+    "malformed_json", "non_object", "missing_arch", "extra_arch_key", "string_hidden",
+    "truncated_payload",
+])
+def test_bad_checkpoint_raises_checkpoint_format_error(tmp_path, corruption):
+    stem = tmp_path / "ckpt"
+    save_params(init_params(TINY_ARCH, 17), stem)
+    if corruption == "malformed_json":
+        stem.with_suffix(".json").write_text('{"arch": ')
+    elif corruption == "non_object":
+        stem.with_suffix(".json").write_text("[1, 2]")
+    elif corruption == "missing_arch":
+        _corrupt_header(stem, lambda h: h.pop("arch"))
+    elif corruption == "extra_arch_key":
+        _corrupt_header(stem, lambda h: h["arch"].update(width=3))
+    elif corruption == "string_hidden":
+        _corrupt_header(stem, lambda h: h["arch"].update(hidden="8"))
+    else:
+        stem.with_suffix(".f64").write_bytes(stem.with_suffix(".f64").read_bytes()[:-3])
+    with pytest.raises(CheckpointFormatError):
+        load_params(stem)
+
+
+# ----------------------------------------------------------------------
+# checkpoint fuzz: every corrupt pair loads or raises CheckpointFormatError
+# ----------------------------------------------------------------------
+
+_FUZZ_PARAMS = init_params(TINY_ARCH, 23)
+_PAYLOAD_BYTES = 8 * TINY_ARCH.param_count()
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+_arch_keys = st.sampled_from(
+    ["history_len", "hidden", "kernel_radius", "channels", "padding", "clamp", "width"]
+)
+_mutations = st.one_of(
+    st.tuples(st.just("truncate_payload"), st.integers(0, _PAYLOAD_BYTES - 1)),
+    st.tuples(st.just("extend_payload"), st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("flip_payload"), st.tuples(st.integers(0, _PAYLOAD_BYTES - 1),
+                                                  st.integers(1, 255))),
+    st.tuples(st.just("truncate_header"), st.integers(0, 200)),
+    st.tuples(st.just("arch_field"), st.tuples(
+        _arch_keys, st.integers(-2, 6) | st.sampled_from(["periodic", "reflect"]) | _json_values
+    )),
+    st.tuples(st.just("delete_arch_field"), _arch_keys),
+    st.tuples(st.just("arch"), _json_values),
+    st.tuples(st.just("format_version"), st.integers(0, 2) | _json_values),
+    st.tuples(st.just("delete"), st.sampled_from(["format_version", "arch", "seed", "epoch"])),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(mutations=st.lists(_mutations, min_size=1, max_size=3))
+def test_checkpoint_fuzz_raises_only_checkpoint_format_error(mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        stem = Path(tmp) / "ckpt"
+        save_params(_FUZZ_PARAMS, stem)
+        header_text = stem.with_suffix(".json").read_text()
+        header = json.loads(header_text)
+        payload = bytearray(stem.with_suffix(".f64").read_bytes())
+        for op, arg in mutations:
+            if op == "truncate_payload":
+                payload = payload[:arg]
+            elif op == "extend_payload":
+                payload += arg
+            elif op == "flip_payload":
+                if arg[0] < len(payload):
+                    payload[arg[0]] ^= arg[1]
+            elif op == "truncate_header":
+                header = None
+                header_text = header_text[:arg]
+            elif header is None:
+                continue
+            elif op == "arch_field" and isinstance(header.get("arch"), dict):
+                header["arch"][arg[0]] = arg[1]
+            elif op == "delete_arch_field" and isinstance(header.get("arch"), dict):
+                header["arch"].pop(arg, None)
+            elif op == "delete":
+                header.pop(arg, None)
+            elif op in ("arch", "format_version"):
+                header[op] = arg
+        if header is not None:
+            header_text = json.dumps(header)
+        stem.with_suffix(".json").write_text(header_text)
+        stem.with_suffix(".f64").write_bytes(bytes(payload))
+        try:
+            params, _ = load_params(stem)
+        except CheckpointFormatError:
+            return
+        # whatever loads is usable: finite parameters that match the header
+        assert params.theta.size == params.arch.param_count()
+        assert np.all(np.isfinite(params.theta))
+        assert np.isfinite(params.arch.clamp) and params.arch.clamp > 0.0
