@@ -12,7 +12,8 @@ its own:
   selftest         small-scale oracle suites (greedy, coverage, gradients)
 
 Exit codes: 0 success, 1 cell/suite failures present, 2 configuration error,
-3 malformed dataset or checkpoint file.
+3 missing or malformed input file (a dataset or checkpoint pair that is not
+there, or that its reader rejects).
 """
 
 from __future__ import annotations
@@ -180,6 +181,7 @@ def _apply_overrides(cfg: harness.ExperimentConfig, args) -> harness.ExperimentC
 def _cmd_print_defaults(args) -> int:
     text = default_config_text()
     if args.output:
+        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
         Path(args.output).write_text(text)
     else:
         print(text, end="")
@@ -240,6 +242,7 @@ def _cmd_evaluate(args) -> int:
     report = diagnostics.rollout_report(params, ds, split="test")
     payload = dataclasses.asdict(report)
     if args.output:
+        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
         Path(args.output).write_text(json.dumps(payload, indent=1, sort_keys=True))
     print(json.dumps(payload, indent=1, sort_keys=True))
     return EXIT_OK
@@ -334,6 +337,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (pde_data.DatasetFormatError, surrogate.CheckpointFormatError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
+    except FileNotFoundError as exc:  # writers create their directories: this is an input
+        print(f"file error: {exc.filename}: not found", file=sys.stderr)
         return EXIT_FORMAT
 
 

@@ -6,10 +6,13 @@ round(ratio * |C|)) starts, train the downstream surrogate on the selected
 starts, and evaluate the full rollout report on the test split. The pilot
 and its candidate gradients depend only on the seed, so a grid computes
 them once per seed, before its first cell, and every pilot-based cell of
-that seed reads them. All timing happens here: each seed's pilot and
-scoring, each cell's selection step, and each cell's downstream training.
-Cell failures, a failed pilot included, are recorded and the sweep
-continues; the exit status reports them.
+that seed reads them. Likewise each distinct (seed, set of starts) is
+trained and evaluated once, and the cells that selected it share the
+result. Candidate scoring and downstream training run on
+:mod:`gits.parallel`'s fork workers. All timing happens here: each seed's
+pilot and scoring, each cell's selection step, and each distinct
+selection's downstream training. Cell failures, a failed pilot included,
+are recorded and the sweep continues; the exit status reports them.
 
 Outputs: ``results.csv`` (one row per successful cell, schema from
 :data:`gits.diagnostics.RESULT_COLUMNS`) and ``summary.json`` with the
@@ -34,7 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import diagnostics, pde_data, pilot_scoring, selector, surrogate, temporal_coverage
+from . import (diagnostics, parallel, pde_data, pilot_scoring, selector, surrogate,
+               temporal_coverage)
 from .diagnostics import RESULT_COLUMNS, RolloutReport
 from .pde_data import SolverConfig, TrajectoryDataset
 from .pilot_scoring import CandidateSet
@@ -116,7 +120,7 @@ class CellResult:
     selected: list[int] | None = None
     report: RolloutReport | None = None
     selection_time_s: float = 0.0  # the seed's pilot + scoring, plus this cell's selection step
-    train_time_s: float = 0.0
+    train_time_s: float = 0.0  # shared by every cell with the same seed and starts
     error: str | None = None
 
     @property
@@ -226,7 +230,7 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}\n" + traceback.format_exc(limit=3)
 
 
-def _run_cell(
+def _select_cell(
     cfg: ExperimentConfig,
     ds: TrajectoryDataset,
     candidates: CandidateSet,
@@ -235,7 +239,8 @@ def _run_cell(
     seed: int,
     pilot: PilotGradients | str | None,
 ) -> CellResult:
-    """One cell; ``pilot`` is its seed's pilot, the seed's pilot error text, or None."""
+    """One cell up to its selection; ``pilot`` is its seed's pilot, the seed's
+    pilot error text, or None."""
     budget = selector.budget_from_ratio(ratio, candidates.size)
     cell = CellResult(
         dataset=ds.meta.get("family", "dataset"),
@@ -252,15 +257,30 @@ def _run_cell(
             cfg, ds, candidates, sampler, ratio, seed, pilot=pilot
         )
         cell.selected = selection.selected
-
-        t0 = time.perf_counter()
-        params, _ = train_downstream(cfg, ds, selection.selected, seed)
-        cell.train_time_s = time.perf_counter() - t0
-
-        cell.report = diagnostics.rollout_report(params, ds, split="test")
     except Exception as exc:  # per-cell failure policy: record and continue
         cell.error = _error_text(exc)
     return cell
+
+
+def _train_and_evaluate(shared, key) -> tuple[RolloutReport, float] | str:
+    """Train on one distinct selection and evaluate it on the test split.
+
+    ``key`` is ``(seed, sorted starts)``. Returns the report and the
+    training seconds, or the error text of the exception that stopped it.
+    """
+    cfg, ds = shared
+    seed, starts = key
+    try:
+        t0 = time.perf_counter()
+        params, _ = train_downstream(cfg, ds, list(starts), seed)
+        train_s = time.perf_counter() - t0
+        return diagnostics.rollout_report(params, ds, split="test"), train_s
+    except Exception as exc:  # per-cell failure policy: record and continue
+        return _error_text(exc)
+
+
+def _training_key(cell: CellResult) -> tuple[int, tuple[int, ...]]:
+    return cell.seed, tuple(sorted(cell.selected))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -270,6 +290,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     gradients are computed once, before the first cell, and shared by every
     cell of that seed whose sampler needs them. A pilot that raises is not
     retried: its error text is recorded in each of those cells.
+
+    Every cell is selected first. Downstream training depends only on the
+    config, the seed and the set of selected starts, so each distinct
+    ``(seed, sorted starts)`` is trained and evaluated once, on
+    :func:`gits.parallel.fork_map`'s workers, and every cell with that
+    selection reads the same report, training time or error text.
     """
     ds = load_or_generate_dataset(cfg)
     candidates = pilot_scoring.build_candidates(ds.t_count, cfg.history_len)
@@ -280,12 +306,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 pilots[seed] = pilot_gradients(cfg, ds, candidates, seed)
             except Exception as exc:  # recorded in every pilot-based cell of the seed
                 pilots[seed] = _error_text(exc)
-    cells = []
-    for ratio in cfg.ratios:
-        for sampler in cfg.samplers:
-            for seed in cfg.seeds:
-                cells.append(_run_cell(cfg, ds, candidates, sampler, ratio, seed,
-                                       pilots.get(seed)))
+    cells = [
+        _select_cell(cfg, ds, candidates, sampler, ratio, seed, pilots.get(seed))
+        for ratio in cfg.ratios
+        for sampler in cfg.samplers
+        for seed in cfg.seeds
+    ]
+    keys = list(dict.fromkeys(_training_key(c) for c in cells if c.ok))
+    trained = dict(zip(keys, parallel.fork_map(_train_and_evaluate, (cfg, ds), keys)))
+    for cell in cells:
+        if cell.ok:
+            outcome = trained[_training_key(cell)]
+            if isinstance(outcome, str):
+                cell.error = outcome
+            else:
+                cell.report, cell.train_time_s = outcome
     pilot_times = {
         seed: {"pilot_s": entry.pilot_s, "scoring_s": entry.scoring_s}
         for seed, entry in pilots.items()

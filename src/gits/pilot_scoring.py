@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import parallel
 from .pde_data import TrajectoryDataset
 from .surrogate import (
     SurrogateArch,
@@ -133,14 +134,26 @@ def candidate_gradients(
     """Per-candidate short-rollout losses and gradient vectors.
 
     Returns (losses, grads) with grads of shape (n_candidates, param_count).
+    The candidates are split into one contiguous chunk per worker of
+    :func:`gits.parallel.fork_map`, and each worker writes its rows into
+    arrays shared with this process; no candidate's arithmetic depends on
+    the split.
     """
     traj = scoring_trajectories(ds, batch_traj, seed)
-    losses = np.empty(candidates.size)
-    grads = np.empty((candidates.size, pilot.param_count))
-    for i, k in enumerate(candidates.indices):
-        pairs = [(int(n), int(k)) for n in traj]
-        losses[i], grads[i] = rollout_loss_grad(pilot, pairs, horizon, ds)
+    losses = parallel.shared_zeros((candidates.size,))
+    grads = parallel.shared_zeros((candidates.size, pilot.param_count))
+    chunks = np.array_split(np.arange(candidates.size), parallel.worker_count(candidates.size))
+    parallel.fork_map(_chunk_gradients,
+                      (pilot, ds, traj, horizon, candidates.indices, losses, grads), chunks)
     return losses, grads
+
+
+def _chunk_gradients(shared, positions) -> None:
+    """Write the losses and gradients of the candidates at ``positions``."""
+    pilot, ds, traj, horizon, indices, losses, grads = shared
+    for i in positions:
+        pairs = [(int(n), int(indices[i])) for n in traj]
+        losses[i], grads[i] = rollout_loss_grad(pilot, pairs, horizon, ds)
 
 
 def pilot_input(need: str, losses, grads, candidates: CandidateSet):

@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -353,5 +354,6 @@ def write_selection_json(
         "config": config or {},
         "wall_time": wall_time,
     }
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gits
-from gits import cli, harness, pilot_scoring
+from gits import cli, harness, parallel, pilot_scoring
 from gits.diagnostics import RESULT_COLUMNS, RolloutReport, rollout_report
 from gits.harness import (
     CellResult,
@@ -145,6 +145,55 @@ def test_pilot_is_shared_per_seed_and_matches_the_single_cell_path(monkeypatch):
         report = rollout_report(params, ds, split="test")
         assert cell.selected == selection.selected, (cell.sampler, cell.ratio, cell.seed)
         assert cell.report.nrmse == report.nrmse, (cell.sampler, cell.ratio, cell.seed)
+
+
+def _use_workers(monkeypatch, n):
+    monkeypatch.setattr(parallel, "cpu_count", lambda: n)
+
+
+def test_one_and_two_workers_write_identical_results(monkeypatch, tmp_path):
+    cfg = small_experiment(samplers=SAMPLERS, ratios=(0.1, 0.3), seeds=(0, 1))
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        result = run_experiment(cfg)
+        assert result.failed == 0 and len(result.cells) == len(SAMPLERS) * 2 * 2
+        write_results(result, tmp_path / f"w{workers}")
+    assert _strip_timing(tmp_path / "w1/results.csv") == _strip_timing(tmp_path / "w2/results.csv")
+    assert _strip_json(tmp_path / "w1/summary.json") == _strip_json(tmp_path / "w2/summary.json")
+
+
+def test_each_distinct_selection_is_trained_once(monkeypatch):
+    _use_workers(monkeypatch, 1)
+    trainings = _count_calls(monkeypatch, harness, "train_downstream")
+    cfg = small_experiment(samplers=("grad_only", "loss_only", "uniform"), ratios=(0.1, 0.3),
+                           seeds=(0, 1))
+    result = run_experiment(cfg)
+    assert result.failed == 0
+    cells = {(c.sampler, c.ratio, c.seed): c for c in result.cells}
+    distinct = {(c.seed, tuple(sorted(c.selected))) for c in result.cells}
+    assert len(trainings) == len(distinct) < len(result.cells)
+    for ratio in cfg.ratios:
+        for seed in cfg.seeds:  # the two pointwise samplers coincide here
+            grad_cell, loss_cell = (cells[s, ratio, seed] for s in ("grad_only", "loss_only"))
+            assert grad_cell.selected == loss_cell.selected
+            assert grad_cell.report == loss_cell.report
+            assert grad_cell.train_time_s == loss_cell.train_time_s
+
+
+def test_cell_failing_in_a_worker_records_the_same_error(monkeypatch):
+    cfg = small_experiment(samplers=("uniform", "coverage_only", "gits"), seeds=(0, 1),
+                           train=TrainConfig(epochs_max=2, batch_size=16, min_epochs=1,
+                                             early_stop=False, lr=1e308, grad_clip=1e308))
+    errors = {}
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_experiment(cfg)
+        assert result.failed == len(result.cells) == 6
+        errors[workers] = [c.error for c in result.cells]
+    assert errors[1] == errors[2]
+    trained = [e for e, c in zip(errors[2], result.cells) if c.sampler != "gits"]
+    assert all(e.startswith("TrainingDivergedError: ") for e in trained)
 
 
 def test_grid_without_pilot_based_samplers_trains_no_pilot(monkeypatch):
@@ -514,6 +563,44 @@ def test_cli_evaluate_on_truncated_checkpoint_exits_with_format_error(tmp_path, 
     assert err.startswith("format error: payload length mismatch")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_evaluate_on_missing_checkpoint_exits_with_file_error(tmp_path, capsys):
+    cfg_path = _write_small_config(tmp_path)
+    missing = tmp_path / "no_such_ckpt"
+    assert cli.main(["evaluate", "--config", str(cfg_path), "--params", str(missing),
+                     "--output", str(tmp_path / "report.json")]) == cli.EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err == f"file error: {missing}.json: not found\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "select", "train"])
+def test_cli_on_missing_dataset_exits_with_file_error(tmp_path, capsys, command):
+    cfg_path = _write_small_config(tmp_path)
+    missing = tmp_path / "no_such_ds"
+    cfg_path.write_text(cfg_path.read_text().replace("[dataset]\n",
+                                                     f"[dataset]\npath = {missing}\n"))
+    argv = [command, "--config", str(cfg_path)]
+    if command != "run":
+        argv += ["--sampler", "uniform", "--output", str(tmp_path / "out" / "cell")]
+    assert cli.main(argv) == cli.EXIT_FORMAT
+    assert capsys.readouterr().err == f"file error: {missing}.json: not found\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_outputs_create_their_directories(tmp_path, capsys):
+    cfg_path = _write_small_config(tmp_path)
+    new = tmp_path / "new"
+    assert cli.main(["print-defaults", "--output", str(new / "a" / "defaults.ini")]) == 0
+    assert cli.main(["select", "--config", str(cfg_path), "--sampler", "uniform",
+                     "--output", str(new / "b" / "sel.json")]) == 0
+    assert cli.main(["train", "--config", str(cfg_path), "--sampler", "uniform",
+                     "--output", str(new / "c" / "ckpt")]) == 0
+    assert cli.main(["evaluate", "--config", str(cfg_path), "--params", str(new / "c" / "ckpt"),
+                     "--output", str(new / "d" / "report.json")]) == 0
+    for path in ("a/defaults.ini", "b/sel.json", "c/ckpt.json", "d/report.json"):
+        assert (new / path).is_file(), path
 
 
 def test_cli_select_wall_time_includes_the_pilot(tmp_path, monkeypatch, capsys):

@@ -1,0 +1,94 @@
+import os
+
+import numpy as np
+import pytest
+
+from gits import parallel
+from gits.pde_data import SolverConfig, generate_dataset
+from gits.pilot_scoring import build_candidates, candidate_gradients, default_arch
+from gits.surrogate import init_params
+
+
+def use_workers(monkeypatch, n):
+    monkeypatch.setattr(parallel, "cpu_count", lambda: n)
+
+
+@pytest.mark.parametrize("cpus, tasks, workers", [(1, 5, 1), (2, 5, 2), (4, 3, 3), (2, 1, 1),
+                                                  (2, 0, 1)])
+def test_worker_count_follows_cpus_capped_at_tasks(monkeypatch, cpus, tasks, workers):
+    use_workers(monkeypatch, cpus)
+    assert parallel.worker_count(tasks) == workers
+
+
+def test_cpu_count_is_the_affinity_set():
+    assert parallel.cpu_count() == len(os.sched_getaffinity(0)) >= 1
+
+
+def _tag(shared, item):
+    return shared, item * item, os.getpid()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fork_map_keeps_order_and_forks_only_with_several_workers(monkeypatch, cpus):
+    use_workers(monkeypatch, cpus)
+    out = parallel.fork_map(_tag, "shared", range(7))
+    assert [(s, v) for s, v, _ in out] == [("shared", i * i) for i in range(7)]
+    pids = {pid for _, _, pid in out}
+    if cpus == 1:
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids and len(pids) <= cpus
+    assert parallel.fork_map(_tag, None, []) == []
+
+
+def _fail_on_three(shared, item):
+    if item == 3:
+        raise ArithmeticError(f"task {item}")
+    return item
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_fork_map_raises_a_task_exception_here(monkeypatch, cpus):
+    use_workers(monkeypatch, cpus)
+    with pytest.raises(ArithmeticError, match="task 3"):
+        parallel.fork_map(_fail_on_three, None, range(5))
+
+
+def _fill(out, rows):
+    for i in rows:
+        out[i] = i + 0.5
+
+
+def test_shared_zeros_carry_every_worker_write_back(monkeypatch):
+    workers = parallel.cpu_count() + 2  # more workers than cores
+    use_workers(monkeypatch, workers)
+    out = parallel.shared_zeros((4000, 3))
+    assert out.shape == (4000, 3) and out.dtype == np.float64 and not out.any()
+    parallel.fork_map(_fill, out, np.array_split(np.arange(4000), 4 * workers))
+    assert np.array_equal(out, np.repeat(np.arange(4000)[:, None] + 0.5, 3, axis=1))
+
+
+@pytest.mark.parametrize("solver, history_len, horizon", [
+    # a long time axis: 296 candidates
+    (SolverConfig(family="diffusion1d", spatial_size=32, t_count=301, snapshot_stride=2,
+                  seed=5), 4, 4),
+    # Neumann boundaries: the surrogate pads by reflection
+    (SolverConfig(family="advection_diffusion1d", boundary="neumann", spatial_size=32,
+                  t_count=41, seed=6), 4, 10),
+])
+def test_chunked_candidate_gradients_equal_one_chunk(monkeypatch, solver, history_len, horizon):
+    ds = generate_dataset(solver, 10)
+    arch = default_arch(ds, history_len=history_len)
+    assert arch.padding == ("reflect" if solver.boundary == "neumann" else "periodic")
+    pilot = init_params(arch, 7)
+    candidates = build_candidates(ds.t_count, history_len)
+    runs = {}
+    for cpus in (1, 2, 3):
+        use_workers(monkeypatch, cpus)
+        runs[cpus] = candidate_gradients(pilot, candidates, ds, horizon, 8, 11)
+    losses, grads = runs[1]
+    assert grads.shape == (candidates.size, pilot.param_count)
+    assert np.all(np.isfinite(grads)) and np.any(grads != 0.0)
+    for cpus in (2, 3):
+        assert np.array_equal(runs[cpus][0], losses), cpus
+        assert np.array_equal(runs[cpus][1], grads), cpus
