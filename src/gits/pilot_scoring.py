@@ -21,6 +21,7 @@ from .surrogate import (
     SurrogateArch,
     SurrogateParams,
     TrainConfig,
+    _step_workspace,
     init_params,
     rollout_loss_grad,
     train,
@@ -148,8 +149,12 @@ def candidate_gradients(
     return losses, grads
 
 
+@_step_workspace()
 def _chunk_gradients(shared, positions) -> None:
-    """Write the losses and gradients of the candidates at ``positions``."""
+    """Write the losses and gradients of the candidates at ``positions``.
+
+    Every candidate's call reuses one workspace, released on return.
+    """
     pilot, ds, traj, horizon, indices, losses, grads = shared
     for i in positions:
         pairs = [(int(n), int(indices[i])) for n in traj]

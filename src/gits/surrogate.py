@@ -26,8 +26,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
+import contextlib
+import contextvars
 import functools
 import json
+import math
 
 import numpy as np
 
@@ -160,6 +163,59 @@ def init_params(arch: SurrogateArch, seed: int) -> SurrogateParams:
 # the weights and W.T @ g_out for the windows, and an overlap-add of the
 # window gradient back onto the input rows. The batch is the fastest axis,
 # so each tap of the overlap-add is one contiguous block of X*B values.
+#
+# The window matrices, activations and gradient buffers of a rollout's
+# steps are written in place into buffers of a _Workspace, sized once per
+# rollout. Inside _step_workspace() one workspace serves every call, so a
+# loop of calls writes into the same pages again instead of having fresh
+# ones mapped and faulted in on every call.
+
+class _Workspace:
+    """Named flat buffers; ``get`` hands out a view of the first elements of one.
+
+    A buffer is reallocated only when a larger view is asked for, so a loop
+    of calls with the same shapes writes into the same memory every time.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+_active_workspace = contextvars.ContextVar("surrogate_workspace", default=None)
+
+
+@contextlib.contextmanager
+def _step_workspace():
+    """Scope in which every surrogate call reuses one workspace.
+
+    :func:`train` and a scoring chunk (``pilot_scoring._chunk_gradients``)
+    each run their loop inside one; its buffers are dropped when the scope
+    exits. A scope opened inside another uses the outer one's workspace.
+    Outside any scope each call uses a workspace of its own.
+    """
+    if _active_workspace.get() is not None:
+        yield
+        return
+    ws = _Workspace()
+    token = _active_workspace.set(ws)
+    try:
+        yield
+    finally:
+        _active_workspace.reset(token)
+        ws.buffers.clear()
+
+
+def _workspace() -> _Workspace:
+    ws = _active_workspace.get()
+    return _Workspace() if ws is None else ws
+
 
 @functools.lru_cache(maxsize=8)
 def _pad_index(x_len: int, r: int, padding: str) -> np.ndarray:
@@ -182,87 +238,161 @@ def _window_index(x_len: int, r: int, padding: str, b_sz: int) -> np.ndarray:
     return idx
 
 
-def _windows(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """(Cin, X*B) rows -> (Cin*K, X*B) window matrix, rows ordered (channel, tap)."""
-    return z.take(idx, axis=1).reshape(-1, idx.shape[1])
+def _windows(z: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+    """(Cin, X*B) rows -> (Cin*K, X*B) window matrix in ``out``, rows ordered (channel, tap).
 
-
-def _matmul_t(w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``w.T @ g``; with one row in ``w`` the product is an outer product, which
-    a broadcast multiply computes to the same bits several times faster."""
-    return w.T * g if w.shape[0] == 1 else w.T @ g
-
-
-def _windows_adjoint(g_win: np.ndarray, pad: np.ndarray, x_len: int) -> np.ndarray:
-    """Adjoint of :func:`_windows`: (Cin*K, X*B) -> (Cin, X*B), a view.
-
-    The K taps are overlap-added into a padded row; then each of the 2r
-    padded edge columns is added onto the cell it was read from.
+    Every index is in range, so ``mode="wrap"`` never wraps; unlike the
+    default mode it lets ``take`` write into ``out`` without a bounce buffer.
     """
+    z.take(idx, axis=1, out=out.reshape(z.shape[0], *idx.shape), mode="wrap")
+
+
+def _adjoint_buffers(ws: _Workspace, name: str, w: np.ndarray, k: int, x_len: int,
+                     b_sz: int) -> tuple[np.ndarray, np.ndarray]:
+    """The padded rows and the scratch of :func:`_windows_adjoint` for ``w`` (Cout, Cin*K)."""
+    c_in = w.shape[1] // k
+    scratch = (c_in, x_len, b_sz) if w.shape[0] == 1 else (c_in * k, x_len * b_sz)
+    return (ws.get(f"{name}.g_pad", (c_in, x_len + k - 1, b_sz)),
+            ws.get(f"{name}.scratch", scratch))
+
+
+def _windows_adjoint(w: np.ndarray, g: np.ndarray, pad: np.ndarray, g_pad: np.ndarray,
+                     scratch: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`_windows` applied to ``w.T @ g``: (Cin, X*B), a view into ``g_pad``.
+
+    The K taps of the window gradient are overlap-added into the padded
+    rows ``g_pad`` (Cin, X + 2r, B); then each of the 2r padded edge columns
+    is added onto the cell it was read from. With one row in ``w`` the
+    product is an outer product: tap j adds the broadcast products
+    ``w[0, (c, j)] * g``, formed in ``scratch`` (Cin, X, B), and the
+    (Cin*K, X*B) product is never written. Otherwise ``scratch`` receives
+    that product. Both paths add the same products in the same order.
+    """
+    c_in, _, b_sz = g_pad.shape
+    x_len = g.shape[1] // b_sz
     r = (pad.size - x_len) // 2
     k = 2 * r + 1
-    g_win = g_win.reshape(g_win.shape[0] // k, k, x_len, -1)
-    b_sz = g_win.shape[3]
-    g_zp = np.zeros((g_win.shape[0], pad.size, b_sz))
-    for j in range(k):
-        g_zp[:, j : j + x_len] += g_win[:, j]
+    g_pad.fill(0.0)
+    if w.shape[0] == 1:
+        w_taps = w.reshape(c_in, k, 1, 1)
+        g_cells = g.reshape(x_len, b_sz)
+        for j in range(k):
+            g_pad[:, j : j + x_len] += np.multiply(w_taps[:, j], g_cells, out=scratch)
+    else:
+        g_win = np.matmul(w.T, g, out=scratch).reshape(c_in, k, x_len, b_sz)
+        for j in range(k):
+            g_pad[:, j : j + x_len] += g_win[:, j]
     for p in (*range(r), *range(x_len + r, x_len + 2 * r)):
-        g_zp[:, r + pad[p]] += g_zp[:, p]
-    return g_zp.reshape(g_zp.shape[0], -1)[:, r * b_sz : (r + x_len) * b_sz]
+        g_pad[:, r + pad[p]] += g_pad[:, p]
+    return g_pad.reshape(c_in, -1)[:, r * b_sz : (r + x_len) * b_sz]
 
 
-def _step(views: _Views, arch: SurrogateArch, buf: np.ndarray, t: int, idx, tapes=None):
+class _Tape(NamedTuple):
+    """Saved activations of a rollout's steps; slot t holds step t."""
+
+    win1: np.ndarray  # (slots, L*C*K, X*B)
+    h: np.ndarray  # (slots, hidden, X*B)
+    win2: np.ndarray  # (slots, hidden*K, X*B)
+    mask: np.ndarray  # (slots, C, X*B) bool: the output is inside the clamp
+
+
+class _Backward(NamedTuple):
+    """Buffers of the backward pass of one rollout's steps."""
+
+    g_raw: np.ndarray  # (C, X*B)
+    g_a1: np.ndarray  # (hidden, X*B)
+    adj2: tuple  # output layer: (g_pad, scratch) of _windows_adjoint
+    adj1: tuple  # first layer
+
+
+def _step(views: _Views, arch: SurrogateArch, buf: np.ndarray, t: int, idx,
+          win1, h, win2, raw, mask=None):
     """Write step t's prediction into frame L + t of ``buf`` (L + H, C, X, B).
 
-    The step's saved activations are appended to ``tapes`` when a list is given.
+    ``win1``, ``h``, ``win2`` and ``raw`` receive the step's window matrices,
+    hidden activations and unclamped output; ``mask``, when given, receives
+    where the output is inside the clamp.
     """
     length = arch.history_len
     cols = idx.shape[1]
-    win1 = _windows(buf[t : t + length].reshape(arch.in_channels, cols), idx)
-    h = views.w1 @ win1
+    _windows(buf[t : t + length].reshape(arch.in_channels, cols), idx, win1)
+    np.matmul(views.w1, win1, out=h)
     h += views.b1[:, None]
     np.tanh(h, out=h)
-    win2 = _windows(h, idx)
-    raw = views.w2 @ win2
+    _windows(h, idx, win2)
+    np.matmul(views.w2, win2, out=raw)
     raw += views.b2[:, None]
     raw += buf[t + length - 1].reshape(arch.channels, cols)
     np.clip(raw, -arch.clamp, arch.clamp, out=buf[t + length].reshape(arch.channels, cols))
-    if tapes is not None:
-        tapes.append((win1, h, win2, np.abs(raw) < arch.clamp))
+    if mask is not None:
+        np.less(np.abs(raw, out=raw), arch.clamp, out=mask)
 
 
-def _step_backward(g_pred, tape, views: _Views, arch: SurrogateArch, pad, grads: _Views,
-                   input_grad: bool):
-    """Backward of one :func:`_step` for the prediction gradient ``g_pred`` (C, X, B).
+def _step_backward(g_pred, tape: _Tape, t: int, views: _Views, arch: SurrogateArch, pad,
+                   grads: _Views, bufs: _Backward, input_grad: bool):
+    """Backward of step t of ``tape`` for the prediction gradient ``g_pred`` (C, X, B).
 
     Adds the parameter gradient into ``grads``. With ``input_grad``, returns
-    the gradient w.r.t. the step's L input frames, shaped (L, C, X, B).
+    the gradient w.r.t. the step's L input frames, shaped (L, C, X, B), a
+    view into ``bufs`` that the next call overwrites.
     """
-    win1, h, win2, mask = tape
+    win1, h, win2, mask = tape.win1[t], tape.h[t], tape.win2[t], tape.mask[t]
     g_w1, g_b1, g_w2, g_b2 = grads
     x_len = g_pred.shape[1]
-    g_raw = g_pred.reshape(mask.shape) * mask
+    g_raw = np.multiply(g_pred.reshape(mask.shape), mask, out=bufs.g_raw)
     g_w2 += g_raw @ win2.T
     g_b2 += g_raw.sum(axis=1)
-    g_h = _windows_adjoint(_matmul_t(views.w2, g_raw), pad, x_len)
-    g_a1 = h * h
+    g_h = _windows_adjoint(views.w2, g_raw, pad, *bufs.adj2)
+    g_a1 = np.multiply(h, h, out=bufs.g_a1)
     np.subtract(1.0, g_a1, out=g_a1)
     g_a1 *= g_h
     g_w1 += g_a1 @ win1.T
     g_b1 += g_a1.sum(axis=1)
     if not input_grad:
         return None
-    g_z = _windows_adjoint(_matmul_t(views.w1, g_a1), pad, x_len)
+    g_z = _windows_adjoint(views.w1, g_a1, pad, *bufs.adj1)
     g_z[-arch.channels :] += g_raw  # residual path: the last frame's rows
     return g_z.reshape(arch.history_len, arch.channels, x_len, -1)
 
 
-def _advance(views: _Views, arch: SurrogateArch, buf: np.ndarray, tapes=None):
-    """Fill frames L.. of ``buf`` (L + H, C, X, B) by autoregressive steps."""
-    _, _, x_len, b_sz = buf.shape
+def _advance(views: _Views, arch: SurrogateArch, buf: np.ndarray, ws: _Workspace,
+             taped: bool = False) -> _Tape | None:
+    """Fill frames L.. of ``buf`` (L + H, C, X, B) by autoregressive steps.
+
+    With ``taped``, each step keeps its activations in its own slot and the
+    tape is returned for the backward pass; otherwise all steps share one.
+    """
+    _, channels, x_len, b_sz = buf.shape
+    steps = buf.shape[0] - arch.history_len
+    k = arch.kernel_size
+    cols = x_len * b_sz
     idx = _window_index(x_len, arch.kernel_radius, arch.padding, b_sz)
-    for t in range(buf.shape[0] - arch.history_len):
-        _step(views, arch, buf, t, idx, tapes)
+    slots = steps if taped else 1
+    win1 = ws.get("win1", (slots, arch.in_channels * k, cols))
+    h = ws.get("h", (slots, arch.hidden, cols))
+    win2 = ws.get("win2", (slots, arch.hidden * k, cols))
+    raw = ws.get("raw", (channels, cols))
+    if not taped:
+        win1, h, win2 = win1[0], h[0], win2[0]
+        for t in range(steps):
+            _step(views, arch, buf, t, idx, win1, h, win2, raw)
+        return None
+    mask = ws.get("mask", (slots, channels, cols), bool)
+    for t in range(steps):
+        _step(views, arch, buf, t, idx, win1[t], h[t], win2[t], raw, mask[t])
+    return _Tape(win1, h, win2, mask)
+
+
+def _backward_buffers(ws: _Workspace, views: _Views, arch: SurrogateArch, x_len: int,
+                      b_sz: int) -> _Backward:
+    """The :class:`_Backward` buffers of a rollout of ``b_sz`` trajectories."""
+    k = arch.kernel_size
+    return _Backward(
+        g_raw=ws.get("g_raw", (arch.channels, x_len * b_sz)),
+        g_a1=ws.get("g_a1", (arch.hidden, x_len * b_sz)),
+        adj2=_adjoint_buffers(ws, "adj2", views.w2, k, x_len, b_sz),
+        adj1=_adjoint_buffers(ws, "adj1", views.w1, k, x_len, b_sz),
+    )
 
 
 def _check_history(arch: SurrogateArch, history: np.ndarray) -> np.ndarray:
@@ -292,16 +422,13 @@ def forward(params: SurrogateParams, history: np.ndarray) -> np.ndarray:
 def rollout(params: SurrogateParams, history: np.ndarray, steps: int) -> np.ndarray:
     """Recursive multi-step prediction; returns (steps, cells, channels)."""
     history = _check_history(params.arch, history)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    out = rollout_batch(params, history[None], steps)
-    return out[0]
+    return rollout_batch(params, history[None], steps)[0]
 
 
 def rollout_batch(params: SurrogateParams, histories: np.ndarray, steps: int) -> np.ndarray:
     """Vectorized rollout over a batch of histories (B, L, cells, channels).
 
-    Returns (B, steps, cells, channels).
+    Returns (B, steps, cells, channels), in memory no other call writes to.
     """
     histories = np.asarray(histories, dtype=np.float64)
     arch = params.arch
@@ -309,10 +436,14 @@ def rollout_batch(params: SurrogateParams, histories: np.ndarray, steps: int) ->
         raise ValueError("histories must have shape (B, L, cells, channels)")
     if histories.shape[3] != arch.channels:
         raise ValueError("channel count mismatch")
+    if histories.shape[0] == 0:
+        raise ValueError("histories is an empty batch")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     b_sz, length, x_len, _ = histories.shape
     buf = np.empty((length + steps, arch.channels, x_len, b_sz))
     buf[:length] = histories.transpose(1, 3, 2, 0)
-    _advance(_unpack(params.theta, arch), arch, buf)
+    _advance(_unpack(params.theta, arch), arch, buf, _workspace())
     return buf[length:].transpose(3, 0, 2, 1)
 
 
@@ -372,6 +503,7 @@ def rollout_loss_grad(
     n_total = len(pairs)
     length = arch.history_len
     pad = _pad_index(ds.spatial_size, arch.kernel_radius, arch.padding)
+    ws = _workspace()
 
     loss = 0.0
     grad = np.zeros(arch.param_count())
@@ -384,11 +516,11 @@ def rollout_loss_grad(
         ns, ks = pairs[h_pair == h_eff].T
         hist = data[ns[:, None], ks[:, None] + np.arange(1 - length, 1)]  # (B, L, X, C)
         future = data[ns[:, None], ks[:, None] + np.arange(1, h_eff + 1)]  # (B, H, X, C)
-        buf = np.empty((length + h_eff, arch.channels, ds.spatial_size, ns.size))
+        buf = ws.get("frames", (length + h_eff, arch.channels, ds.spatial_size, ns.size))
         buf[:length] = hist.transpose(1, 3, 2, 0)
         targets = np.ascontiguousarray(future.transpose(1, 3, 2, 0), dtype=np.float64)
-        tapes = []
-        _advance(views, arch, buf, tapes)
+        tape = _advance(views, arch, buf, ws, taped=True)
+        bufs = _backward_buffers(ws, views, arch, ds.spatial_size, ns.size)
 
         # per-frame NRMSE^2, each pair weighted 1 / (n_total * h_eff)
         weight = n_total * h_eff
@@ -401,8 +533,8 @@ def rollout_loss_grad(
         # ground-truth history frames are dropped
         g_frames = np.zeros_like(seeds)
         for t in range(h_eff - 1, -1, -1):
-            g_in = _step_backward(seeds[t] + g_frames[t], tapes[t], views, arch, pad, grads,
-                                  input_grad=t > 0)
+            g_in = _step_backward(seeds[t] + g_frames[t], tape, t, views, arch, pad, grads,
+                                  bufs, input_grad=t > 0)
             if t > 0:
                 lo = max(length - t, 0)  # first input frame that is a prediction
                 g_frames[t + lo - length : t] += g_in[lo:]
@@ -446,6 +578,7 @@ class EpochStats(NamedTuple):
     val_nrmse: float | None
 
 
+@_step_workspace()
 def train(
     params_init: SurrogateParams,
     starts,
@@ -458,7 +591,8 @@ def train(
     validation rollout error (full post-history horizon) is evaluated after
     every epoch >= min_epochs and the best-validation parameters are
     returned; with it disabled, the final-epoch parameters are returned.
-    Deterministic under cfg.seed.
+    Deterministic under cfg.seed. Every minibatch and validation rollout
+    reuses one workspace, released on return.
     """
     from .diagnostics import rollout_nrmse  # local import: diagnostics uses rollout()
 

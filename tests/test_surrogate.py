@@ -1,4 +1,5 @@
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from gits import surrogate
 from gits.pde_data import SolverConfig, generate_dataset
+from gits.pilot_scoring import default_arch
 from gits.surrogate import (
     CheckpointFormatError,
     SurrogateArch,
@@ -20,6 +22,7 @@ from gits.surrogate import (
     init_params,
     load_params,
     rollout,
+    rollout_batch,
     rollout_loss_grad,
     save_params,
     train,
@@ -39,6 +42,14 @@ def zero_dyn_ds():
     cfg = SolverConfig(family="diffusion1d", diffusivity=(0.0, 0.0), spatial_size=16,
                        t_count=12, seed=4)
     return generate_dataset(cfg, 10)
+
+
+@pytest.fixture(scope="module", params=["periodic", "neumann"])
+def grid_ds(request):
+    """The default grid's cell count and time axis, with either boundary."""
+    cfg = SolverConfig(family="diffusion1d", boundary=request.param, spatial_size=64,
+                       t_count=101, seed=5)
+    return generate_dataset(cfg, 12)
 
 
 def zero_params(arch=TINY_ARCH):
@@ -114,6 +125,19 @@ def test_rollout_matches_chained_forward(tiny_ds):
     for _ in range(3):
         frames.append(forward(params, np.stack(frames[-3:])))
     assert np.array_equal(out, np.stack(frames[3:]))
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_rollout_batch_rejects_non_positive_steps(tiny_ds, steps):
+    histories = tiny_ds.data[:2, :3].astype(np.float64)
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        rollout_batch(init_params(TINY_ARCH, 0), histories, steps)
+
+
+def test_rollout_batch_rejects_an_empty_batch(tiny_ds):
+    histories = tiny_ds.data[:0, :3].astype(np.float64)
+    with pytest.raises(ValueError, match="empty batch"):
+        rollout_batch(init_params(TINY_ARCH, 0), histories, 2)
 
 
 # ----------------------------------------------------------------------
@@ -265,6 +289,102 @@ def test_train_divergence_is_reported(tiny_ds):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError, match="epoch"):
             train(p0, [4, 5, 6], tiny_ds, cfg)
+
+
+# ----------------------------------------------------------------------
+# the step workspace
+# ----------------------------------------------------------------------
+
+def training_pairs(ds, count, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.integers(0, ds.n_traj, count),
+                            rng.integers(4, ds.t_count - 1, count)])
+
+
+def test_workspace_calls_equal_calls_without_one(grid_ds):
+    # the shapes of a training run and of a scoring chunk, interleaved so
+    # that every buffer is reused at a smaller and then a larger size
+    ds = grid_ds
+    params = init_params(default_arch(ds), 3)
+    pairs = training_pairs(ds, 84)
+    last = ds.t_count - 2
+    scoring = [(n, k) for n, k in enumerate((last, last - 3, 40, last - 6, last, 4, last - 3, 60))]
+    assert len({int(effective_horizon(10, ds.t_count, k)) for _, k in scoring}) == 4
+    val = ds.data[ds.split_indices("val"), :4]
+    calls = [
+        lambda: rollout_loss_grad(params, pairs[:64], 1, ds),
+        lambda: rollout_loss_grad(params, pairs[64:], 1, ds),  # the short last minibatch
+        lambda: rollout_loss_grad(params, scoring, 10, ds),
+        lambda: rollout_batch(params, val, ds.t_count - 4),
+        lambda: rollout_loss_grad(params, pairs[:64], 1, ds),
+    ]
+    expected = [call() for call in calls]
+    with surrogate._step_workspace():
+        got = [call() for call in calls]
+    for (loss, grad), (ref_loss, ref_grad) in zip(got[:3] + got[4:], expected[:3] + expected[4:]):
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+    assert np.array_equal(got[3], expected[3])
+
+
+def test_workspace_results_survive_later_calls(grid_ds):
+    ds = grid_ds
+    params = init_params(default_arch(ds), 4)
+    other = init_params(default_arch(ds), 5)
+    pairs = training_pairs(ds, 64)
+    scoring = [(n, 30) for n in range(8)]
+
+    def later_calls():
+        rollout_batch(other, ds.data[3:6, :4], 20)
+        rollout_loss_grad(other, pairs[::-1], 1, ds)
+        rollout_loss_grad(other, scoring, 10, ds)
+
+    with surrogate._step_workspace():
+        later_calls()  # every buffer is at its largest size from here on
+        preds = rollout_batch(params, ds.data[:3, :4], 20)
+        _, grad = rollout_loss_grad(params, pairs, 1, ds)
+        kept_preds, kept_grad = preds.copy(), grad.copy()
+        later_calls()
+        assert np.array_equal(preds, kept_preds)
+        assert np.array_equal(grad, kept_grad)
+
+
+def test_train_uses_one_workspace_and_releases_it(tiny_ds, monkeypatch):
+    handed_out = []
+    workspace = surrogate._workspace
+
+    def spy():
+        ws = workspace()
+        handed_out.append((ws, len(ws.buffers)))
+        return ws
+
+    monkeypatch.setattr(surrogate, "_workspace", spy)
+    cfg = TrainConfig(epochs_max=4, min_epochs=1, batch_size=16, seed=1)
+    train(init_params(TINY_ARCH, 2), [4, 6, 8], tiny_ds, cfg)
+    # minibatches and validation rollouts all ran in one workspace, which
+    # held buffers from the second call on and holds none after the return
+    assert len({id(ws) for ws, _ in handed_out}) == 1
+    assert all(held > 0 for _, held in handed_out[1:])
+    assert handed_out[0][0].buffers == {}
+    assert surrogate._active_workspace.get() is None
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults with getrusage, as Linux reports them")
+def test_training_shape_calls_fault_in_no_pages_in_a_workspace(grid_ds):
+    import resource
+
+    params = init_params(default_arch(grid_ds), 6)
+    pairs = training_pairs(grid_ds, 64)
+    calls = 50
+    with surrogate._step_workspace():
+        for _ in range(3):
+            rollout_loss_grad(params, pairs, 1, grid_ds)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(calls):
+            rollout_loss_grad(params, pairs, 1, grid_ds)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / calls < 20
 
 
 # ----------------------------------------------------------------------
