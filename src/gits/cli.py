@@ -11,9 +11,11 @@ its own:
   run              full (ratio, sampler, seed) grid -> results.csv + summary.json
   selftest         small-scale oracle suites (greedy, coverage, gradients)
 
-Exit codes: 0 success, 1 cell/suite failures present, 2 configuration error,
-3 missing or malformed input file (a dataset or checkpoint pair that is not
-there, or that its reader rejects).
+Exit codes: 0 success, 1 cell/suite failures present, 2 configuration error
+(an INI section or key that CONFIG_KEYS does not declare, a value its field
+rejects, or a time axis too short for any candidate start), 3 missing or
+malformed input file (a dataset or checkpoint pair that is not there, or
+that its reader rejects).
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ import sys
 from pathlib import Path
 
 from . import diagnostics, harness, pde_data, selector, surrogate
-from .pilot_scoring import build_candidates
+from .harness import ExperimentConfig, HarnessConfigError
+from .pde_data import SolverConfig
+from .pilot_scoring import EmptyCandidateError, build_candidates
+from .surrogate import TrainConfig
 from .temporal_coverage import CoverageConfig
 
 EXIT_OK = 0
@@ -36,58 +41,9 @@ EXIT_CONFIG = 2
 EXIT_FORMAT = 3
 
 
-def default_config_text() -> str:
-    cfg = harness.ExperimentConfig()
-    parser = configparser.ConfigParser()
-    parser["dataset"] = {
-        "family": cfg.solver.family,
-        "spatial_size": str(cfg.solver.spatial_size),
-        "t_count": str(cfg.solver.t_count),
-        # blank: the family's own solver defaults apply
-        "dt": "",
-        "snapshot_stride": "",
-        "boundary": cfg.solver.boundary,
-        "seed": str(cfg.solver.seed),
-        "n_traj": str(cfg.n_traj),
-        "diffusivity": f"{cfg.solver.diffusivity[0]},{cfg.solver.diffusivity[1]}",
-        "viscosity": f"{cfg.solver.viscosity[0]},{cfg.solver.viscosity[1]}",
-        "speed": f"{cfg.solver.speed[0]},{cfg.solver.speed[1]}",
-        "path": "",
-    }
-    parser["experiment"] = {
-        "ratios": ",".join(repr(r) for r in cfg.ratios),
-        "samplers": ",".join(cfg.samplers),
-        "seeds": ",".join(str(s) for s in cfg.seeds),
-        "output_dir": cfg.output_dir,
-    }
-    parser["pilot"] = {
-        "epochs": str(cfg.pilot_epochs),
-        "horizon": str(cfg.horizon),
-        "batch_traj": str(cfg.batch_traj),
-    }
-    parser["objective"] = {
-        "lambda_cov": repr(cfg.lambda_cov),
-        "c_win": repr(cfg.c_win),
-        "normalize_scores": str(cfg.normalize_scores).lower(),
-        # optional kernel overrides, all four or none: tau, window_size, window_stride, tau_w
-    }
-    parser["model"] = {
-        "history_len": str(cfg.history_len),
-        "hidden": str(cfg.hidden),
-        "kernel_radius": str(cfg.kernel_radius),
-        "clamp": repr(cfg.clamp),
-    }
-    parser["train"] = {
-        "lr": repr(cfg.train.lr),
-        "epochs_max": str(cfg.train.epochs_max),
-        "batch_size": str(cfg.train.batch_size),
-        "grad_clip": repr(cfg.train.grad_clip),
-        "min_epochs": str(cfg.train.min_epochs),
-        "patience": str(cfg.train.patience),
-    }
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
+def _optional(parse):
+    """``parse``, with a blank value meaning the field's default of None."""
+    return lambda text: parse(text) if text else None
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -95,77 +51,132 @@ def _pair(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def load_config(path: str | None) -> harness.ExperimentConfig:
-    """Build an ExperimentConfig from an INI file; missing keys keep defaults."""
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _bool(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"Not a boolean: {text}")
+    return states[text.lower()]
+
+
+# Every INI key, in print-defaults order: (section, key, owner, field, parse).
+# ExperimentConfig holds the other owners as its solver, train and
+# coverage_override fields. CoverageConfig's fields have no default, so
+# print-defaults leaves out its four keys, which override the derived
+# kernel parameters all together or not at all.
+CONFIG_KEYS = (
+    ("dataset", "family", SolverConfig, "family", str),
+    ("dataset", "spatial_size", SolverConfig, "spatial_size", int),
+    ("dataset", "t_count", SolverConfig, "t_count", int),
+    ("dataset", "dt", SolverConfig, "dt", _optional(float)),
+    ("dataset", "snapshot_stride", SolverConfig, "snapshot_stride", _optional(int)),
+    ("dataset", "boundary", SolverConfig, "boundary", str),
+    ("dataset", "seed", SolverConfig, "seed", int),
+    ("dataset", "n_traj", ExperimentConfig, "n_traj", int),
+    ("dataset", "diffusivity", SolverConfig, "diffusivity", _pair),
+    ("dataset", "viscosity", SolverConfig, "viscosity", _pair),
+    ("dataset", "speed", SolverConfig, "speed", _pair),
+    ("dataset", "path", ExperimentConfig, "dataset_path", _optional(str)),
+    ("experiment", "ratios", ExperimentConfig, "ratios", _floats),
+    ("experiment", "samplers", ExperimentConfig, "samplers", _names),
+    ("experiment", "seeds", ExperimentConfig, "seeds", _ints),
+    ("experiment", "output_dir", ExperimentConfig, "output_dir", str),
+    ("pilot", "epochs", ExperimentConfig, "pilot_epochs", int),
+    ("pilot", "horizon", ExperimentConfig, "horizon", int),
+    ("pilot", "batch_traj", ExperimentConfig, "batch_traj", int),
+    ("objective", "lambda_cov", ExperimentConfig, "lambda_cov", float),
+    ("objective", "c_win", ExperimentConfig, "c_win", float),
+    ("objective", "normalize_scores", ExperimentConfig, "normalize_scores", _bool),
+    ("objective", "tau", CoverageConfig, "tau", _optional(float)),
+    ("objective", "window_size", CoverageConfig, "window_size", _optional(int)),
+    ("objective", "window_stride", CoverageConfig, "window_stride", _optional(int)),
+    ("objective", "tau_w", CoverageConfig, "tau_w", _optional(float)),
+    ("model", "history_len", ExperimentConfig, "history_len", int),
+    ("model", "hidden", ExperimentConfig, "hidden", int),
+    ("model", "kernel_radius", ExperimentConfig, "kernel_radius", int),
+    ("model", "clamp", ExperimentConfig, "clamp", float),
+    ("train", "lr", TrainConfig, "lr", float),
+    ("train", "epochs_max", TrainConfig, "epochs_max", int),
+    ("train", "batch_size", TrainConfig, "batch_size", int),
+    ("train", "grad_clip", TrainConfig, "grad_clip", float),
+    ("train", "min_epochs", TrainConfig, "min_epochs", int),
+    ("train", "patience", TrainConfig, "patience", int),
+)
+
+
+def _format(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def default_config_text() -> str:
+    sections: dict[str, dict[str, str]] = {}
+    for section, key, owner, name, _ in CONFIG_KEYS:
+        default = next(f.default for f in dataclasses.fields(owner) if f.name == name)
+        if default is not dataclasses.MISSING:
+            sections.setdefault(section, {})[key] = _format(default)
     parser = configparser.ConfigParser()
-    parser.read_string(default_config_text())
+    parser.read_dict(sections)
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+def load_config(path: str | None) -> ExperimentConfig:
+    """Build an ExperimentConfig from an INI file; missing keys keep defaults.
+
+    A section or key that :data:`CONFIG_KEYS` does not declare is an error.
+    """
+    parser = configparser.ConfigParser()
+    keys = {(section, key): entry for section, key, *entry in CONFIG_KEYS}
+    given = {SolverConfig: {}, CoverageConfig: {}, TrainConfig: {}, ExperimentConfig: {}}
     try:
         if path is not None and not parser.read(path):
-            raise harness.HarnessConfigError(f"config file {path!r} not found")
-        d = parser["dataset"]
-        solver = pde_data.SolverConfig(
-            family=d.get("family"),
-            spatial_size=d.getint("spatial_size"),
-            t_count=d.getint("t_count"),
-            dt=d.getfloat("dt") if d.get("dt") else None,
-            snapshot_stride=d.getint("snapshot_stride") if d.get("snapshot_stride") else None,
-            boundary=d.get("boundary"),
-            seed=d.getint("seed"),
-            diffusivity=_pair(d.get("diffusivity")),
-            viscosity=_pair(d.get("viscosity")),
-            speed=_pair(d.get("speed")),
-        )
-        e = parser["experiment"]
-        o = parser["objective"]
-        keys = ("tau", "window_size", "window_stride", "tau_w")
-        given = [key for key in keys if o.get(key, fallback="")]
-        if 0 < len(given) < len(keys):
-            raise harness.HarnessConfigError(f"[objective] needs all of {', '.join(keys)} or none")
-        coverage_override = None
-        if given:
-            coverage_override = CoverageConfig(
-                tau=o.getfloat("tau"),
-                window_size=o.getint("window_size"),
-                window_stride=o.getint("window_stride"),
-                tau_w=o.getfloat("tau_w"),
-            )
-        m = parser["model"]
-        t = parser["train"]
-        train_cfg = surrogate.TrainConfig(
-            lr=t.getfloat("lr"),
-            epochs_max=t.getint("epochs_max"),
-            batch_size=t.getint("batch_size"),
-            grad_clip=t.getfloat("grad_clip"),
-            min_epochs=t.getint("min_epochs"),
-            patience=t.getint("patience"),
-        )
-        p = parser["pilot"]
-        return harness.ExperimentConfig(
+            raise HarnessConfigError(f"config file {path!r} not found")
+        if parser.defaults():
+            raise HarnessConfigError(f"unknown section [{parser.default_section}]")
+        for section in parser.sections():
+            if section not in {s for s, _ in keys}:
+                raise HarnessConfigError(f"unknown section [{section}]")
+            for key, text in parser.items(section):
+                if (section, key) not in keys:
+                    raise HarnessConfigError(f"unknown key {key!r} in [{section}]")
+                owner, name, parse = keys[section, key]
+                value = parse(text)
+                if value is not None:
+                    given[owner][name] = value
+        solver = SolverConfig(**given[SolverConfig])
+        coverage = given[CoverageConfig]
+        names = [f.name for f in dataclasses.fields(CoverageConfig)]
+        if 0 < len(coverage) < len(names):
+            raise HarnessConfigError(f"[objective] needs all of {', '.join(names)} or none")
+        return ExperimentConfig(
             solver=solver,
-            n_traj=d.getint("n_traj"),
-            dataset_path=d.get("path") or None,
-            ratios=tuple(float(r) for r in e.get("ratios").split(",")),
-            samplers=tuple(s.strip() for s in e.get("samplers").split(",") if s.strip()),
-            seeds=tuple(int(s) for s in e.get("seeds").split(",")),
-            pilot_epochs=p.getint("epochs"),
-            horizon=p.getint("horizon"),
-            batch_traj=p.getint("batch_traj"),
-            lambda_cov=o.getfloat("lambda_cov"),
-            c_win=o.getfloat("c_win"),
-            normalize_scores=o.getboolean("normalize_scores"),
-            coverage_override=coverage_override,
-            history_len=m.getint("history_len"),
-            hidden=m.getint("hidden"),
-            kernel_radius=m.getint("kernel_radius"),
-            clamp=m.getfloat("clamp"),
-            train=train_cfg,
-            output_dir=e.get("output_dir"),
+            coverage_override=CoverageConfig(**coverage) if coverage else None,
+            train=TrainConfig(**given[TrainConfig]),
+            **given[ExperimentConfig],
         )
     except (ValueError, KeyError, configparser.Error) as exc:
-        raise harness.HarnessConfigError(f"bad config: {exc}") from exc
+        raise HarnessConfigError(f"bad config: {exc}") from exc
 
 
-def _apply_overrides(cfg: harness.ExperimentConfig, args) -> harness.ExperimentConfig:
+def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["seeds"] = (args.seed,)
@@ -191,10 +202,7 @@ def _cmd_print_defaults(args) -> int:
 def _cmd_generate(args) -> int:
     cfg = load_config(args.config)
     ds = pde_data.generate_dataset(cfg.solver, cfg.n_traj)
-    pde_data.write_dataset(ds, args.output)
-    stem = Path(args.output)
-    if stem.suffix in (".json", ".f32"):
-        stem = stem.with_suffix("")
+    stem = pde_data.write_dataset(ds, args.output)
     print(f"wrote {stem}.json/.f32 "
           f"({ds.n_traj} trajectories x {ds.t_count} steps x {ds.spatial_size} cells)")
     return EXIT_OK
@@ -228,10 +236,10 @@ def _cmd_train(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     ds, selection, _ = _prepare_cell(cfg, args.sampler, args.ratio, args.seed)
     params, history = harness.train_downstream(cfg, ds, selection.selected, args.seed)
-    surrogate.save_params(params, args.output, seed=harness.stage_seed(args.seed, "train"),
-                          epoch=history[-1].epoch if history else 0)
-    print(f"trained on K={selection.budget} starts, {len(history)} epochs "
-          f"-> {args.output}.json/.f64")
+    stem = surrogate.save_params(params, args.output,
+                                 seed=harness.stage_seed(args.seed, "train"),
+                                 epoch=history[-1].epoch if history else 0)
+    print(f"trained on K={selection.budget} starts, {len(history)} epochs -> {stem}.json/.f64")
     return EXIT_OK
 
 
@@ -329,10 +337,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except harness.HarnessConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except pde_data.ConfigurationError as exc:
+    except (HarnessConfigError, pde_data.ConfigurationError, EmptyCandidateError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (pde_data.DatasetFormatError, surrogate.CheckpointFormatError) as exc:

@@ -50,18 +50,16 @@ RESULT_COLUMNS = (
 
 DEFAULT_BINS = 10
 
+#: Inclusive one-sided DFT mode ranges of the fRMSE bands; ``None`` = up to Nyquist.
+BAND_LOW = (0, 4)
+BAND_MID = (5, 12)
+BAND_HIGH = (13, None)
+#: The cells bRMSE reads: the first and the last.
+BOUNDARY_CELLS = (0, -1)
+
 
 class MetricError(ValueError):
     """Metric undefined for the given inputs (e.g. all-zero ground truth)."""
-
-
-@dataclass(frozen=True)
-class FrequencyBands:
-    """Inclusive one-sided DFT mode ranges; ``None`` end = up to Nyquist."""
-
-    low: tuple[int, int] = (0, 4)
-    mid: tuple[int, int] = (5, 12)
-    high: tuple[int, int | None] = (13, None)
 
 
 @dataclass(frozen=True)
@@ -162,37 +160,29 @@ def _band_value(power: np.ndarray, band: tuple[int, int | None]) -> float:
     return float(np.mean(per_mode))
 
 
-def auxiliary_metrics(
-    predictions: np.ndarray,
-    truth: np.ndarray,
-    boundary_cells: tuple[int, ...] = (0, -1),
-    bands: FrequencyBands = FrequencyBands(),
-) -> AuxiliaryMetrics:
+def auxiliary_metrics(predictions: np.ndarray, truth: np.ndarray) -> AuxiliaryMetrics:
     """Conserved-mean, boundary, and frequency-band errors of a rollout."""
     if predictions.shape != truth.shape:
         raise MetricError("prediction and truth shapes differ")
     err = predictions - truth  # (..., cells, channels)
     spatial_mean = err.mean(axis=-2)
     crmse = float(np.sqrt(np.mean(spatial_mean**2)))
-    brmse = float(np.sqrt(np.mean(err[..., list(boundary_cells), :] ** 2)))
+    brmse = float(np.sqrt(np.mean(err[..., list(BOUNDARY_CELLS), :] ** 2)))
     power = error_spectrum(err)
     return AuxiliaryMetrics(
         crmse=crmse,
         brmse=brmse,
-        frmse_low=_band_value(power, bands.low),
-        frmse_mid=_band_value(power, bands.mid),
-        frmse_high=_band_value(power, bands.high),
+        frmse_low=_band_value(power, BAND_LOW),
+        frmse_mid=_band_value(power, BAND_MID),
+        frmse_high=_band_value(power, BAND_HIGH),
     )
 
 
 def rollout_report(
-    params: SurrogateParams,
-    ds: TrajectoryDataset,
-    split: str = "test",
-    bands: FrequencyBands = FrequencyBands(),
+    params: SurrogateParams, ds: TrajectoryDataset, split: str = "test"
 ) -> RolloutReport:
     preds, truth = rollout_predictions(params, ds, split=split)
-    aux = auxiliary_metrics(preds, truth, bands=bands)
+    aux = auxiliary_metrics(preds, truth)
     return RolloutReport(
         nrmse=nrmse_from_rollouts(preds, truth),
         crmse=aux.crmse,

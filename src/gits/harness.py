@@ -28,6 +28,7 @@ initialization stream.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import time
 import traceback
@@ -425,7 +426,7 @@ def write_results(result: ExperimentResult, output_dir) -> tuple[Path, Path]:
 
     summary = compare_report(result.cells)
     payload = {
-        "config_echo": _config_echo(result.config),
+        "config_echo": asdict(result.config),
         "cells": [
             {
                 "dataset": c.dataset,
@@ -449,15 +450,6 @@ def write_results(result: ExperimentResult, output_dir) -> tuple[Path, Path]:
     with open(json_path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
     return csv_path, json_path
-
-
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = asdict(cfg)
-    echo["solver"] = asdict(cfg.solver)
-    echo["train"] = asdict(cfg.train)
-    if cfg.coverage_override is not None:
-        echo["coverage_override"] = asdict(cfg.coverage_override)
-    return echo
 
 
 # ----------------------------------------------------------------------
@@ -490,18 +482,18 @@ class SelftestReport:
         return "\n".join(lines)
 
 
-def _exhaustive_optimum(s, s_mat, r_mat, lam, c_w, budget):
-    from itertools import combinations
-
+def exhaustive_optimum(scores, candidates: CandidateSet, obj: ObjectiveConfig,
+                       budget: int) -> float:
+    """The largest objective of any ``budget`` candidates, by brute force."""
+    windows = temporal_coverage.build_windows(candidates, obj.coverage)
+    s_mat = temporal_coverage.kernel_matrix_global(candidates, obj.coverage.tau)
+    r_mat = temporal_coverage.kernel_matrix_window(candidates, windows, obj.coverage.tau_w)
     best = -np.inf
-    n = len(s)
-    for combo in combinations(range(n), budget):
+    for combo in itertools.combinations(range(candidates.size), budget):
         sel = list(combo)
-        val = s[sel].sum()
-        if lam > 0:
-            val += lam * s_mat[:, sel].max(axis=1).sum()
-        if c_w > 0:
-            val += c_w * r_mat[:, sel].max(axis=1).sum()
+        val = scores[sel].sum()
+        val += obj.lambda_cov * s_mat[:, sel].max(axis=1).sum()
+        val += obj.c_win * r_mat[:, sel].max(axis=1).sum()
         best = max(best, val)
     return best
 
@@ -521,11 +513,8 @@ def _suite_greedy(rng: np.random.Generator, instances: int = 25) -> SuiteOutcome
             c_win=float(rng.uniform(0.0, 2.0)),
         )
         scores = rng.uniform(0.0, 1.0, size)
-        windows = temporal_coverage.build_windows(candidates, cov)
-        s_mat = temporal_coverage.kernel_matrix_global(candidates, cov.tau)
-        r_mat = temporal_coverage.kernel_matrix_window(candidates, windows, cov.tau_w)
         greedy = selector.greedy_select(scores, candidates, obj, budget)
-        optimum = _exhaustive_optimum(scores, s_mat, r_mat, obj.lambda_cov, obj.c_win, budget)
+        optimum = exhaustive_optimum(scores, candidates, obj, budget)
         if optimum > 0:
             worst = min(worst, greedy.objective / optimum)
         if greedy.objective < bound * optimum - 1e-9:

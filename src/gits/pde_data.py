@@ -17,6 +17,9 @@ which makes serialization bit-exact.
 
 File format: a pair ``<name>.json`` (manifest) + ``<name>.f32`` (flat
 little-endian float32 payload in (trajectory, time, cell, channel) order).
+:func:`write_pair` and :func:`read_header` hold the stem rule and the
+versioned JSON header of every such pair; the surrogate's checkpoints use
+them too.
 """
 
 from __future__ import annotations
@@ -342,18 +345,46 @@ def generate_dataset(cfg: SolverConfig, n_traj: int) -> TrajectoryDataset:
 # serialization
 # ----------------------------------------------------------------------
 
-def _stem(path) -> Path:
+def _pair_stem(path, payload_suffix: str) -> Path:
+    """The stem of a ``<stem>.json`` + ``<stem><payload_suffix>`` pair.
+
+    A path ending in either suffix names its pair; any other path is the stem.
+    """
     p = Path(path)
-    if p.suffix in (".json", ".f32"):
-        p = p.with_suffix("")
-    return p
+    return p.with_suffix("") if p.suffix in (".json", payload_suffix) else p
 
 
-def write_dataset(ds: TrajectoryDataset, path) -> None:
-    """Write the ``<stem>.json`` + ``<stem>.f32`` pair for ``ds``."""
-    stem = _stem(path)
+def write_pair(path, payload_suffix: str, version: int, header: dict, payload: bytes) -> Path:
+    """Write ``header`` (with ``format_version``) and ``payload``; returns the stem."""
+    stem = _pair_stem(path, payload_suffix)
+    stem.parent.mkdir(parents=True, exist_ok=True)
+    header = {"format_version": version, **header}
+    stem.with_suffix(".json").write_text(json.dumps(header, sort_keys=True, indent=1))
+    stem.with_suffix(payload_suffix).write_bytes(payload)
+    return stem
+
+
+def read_header(path, payload_suffix: str, version: int, error: type[Exception],
+                name: str) -> tuple[Path, dict]:
+    """The pair's stem and its JSON header, a ``name`` object of ``version``.
+
+    Undecodable JSON, a non-object or another version raises ``error``.
+    """
+    stem = _pair_stem(path, payload_suffix)
+    try:
+        header = json.loads(stem.with_suffix(".json").read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"malformed {name}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise error(f"malformed {name}: not a JSON object")
+    if header.get("format_version") != version:
+        raise error(f"unsupported format version {header.get('format_version')!r}")
+    return stem, header
+
+
+def write_dataset(ds: TrajectoryDataset, path) -> Path:
+    """Write the ``<stem>.json`` + ``<stem>.f32`` pair for ``ds``; returns the stem."""
     manifest = {
-        "format_version": FORMAT_VERSION,
         "n_traj": ds.n_traj,
         "t_count": ds.t_count,
         "spatial_size": ds.spatial_size,
@@ -365,10 +396,8 @@ def write_dataset(ds: TrajectoryDataset, path) -> None:
         },
         "meta": ds.meta,
     }
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    stem.with_suffix(".json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
     payload = np.ascontiguousarray(ds.data, dtype="<f4").tobytes()
-    stem.with_suffix(".f32").write_bytes(payload)
+    return write_pair(path, ".f32", FORMAT_VERSION, manifest, payload)
 
 
 def read_dataset(path) -> TrajectoryDataset:
@@ -376,17 +405,7 @@ def read_dataset(path) -> TrajectoryDataset:
 
     Any malformed or inconsistent pair raises :class:`DatasetFormatError`.
     """
-    stem = _stem(path)
-    try:
-        manifest = json.loads(stem.with_suffix(".json").read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DatasetFormatError(f"malformed manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DatasetFormatError("malformed manifest: not a JSON object")
-
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise DatasetFormatError(f"unsupported format version {version!r}")
+    stem, manifest = read_header(path, ".f32", FORMAT_VERSION, DatasetFormatError, "manifest")
     for key in ("n_traj", "t_count", "spatial_size", "channels", "split", "normalization"):
         if key not in manifest:
             raise DatasetFormatError(f"manifest missing key {key!r}")

@@ -22,19 +22,18 @@ H = min(horizon, t_count - 1 - k) truncated at the end of the time axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
 import contextlib
 import contextvars
 import functools
-import json
 import math
 
 import numpy as np
 
-from .pde_data import TrajectoryDataset
+from .pde_data import TrajectoryDataset, read_header, write_pair
 
 NRMSE_EPS = 1e-12
 ADAM_BETA1 = 0.9
@@ -664,28 +663,11 @@ def train(
 # checkpoints: <stem>.json header + <stem>.f64 payload
 # ----------------------------------------------------------------------
 
-def save_params(params: SurrogateParams, path, seed: int | None = None, epoch: int | None = None) -> None:
-    stem = Path(path)
-    if stem.suffix in (".json", ".f64"):
-        stem = stem.with_suffix("")
-    header = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "arch": {
-            "history_len": params.arch.history_len,
-            "hidden": params.arch.hidden,
-            "kernel_radius": params.arch.kernel_radius,
-            "channels": params.arch.channels,
-            "padding": params.arch.padding,
-            "clamp": params.arch.clamp,
-        },
-        "seed": seed,
-        "epoch": epoch,
-    }
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    stem.with_suffix(".json").write_text(json.dumps(header, sort_keys=True, indent=1))
-    stem.with_suffix(".f64").write_bytes(
-        np.ascontiguousarray(params.theta, dtype="<f8").tobytes()
-    )
+def save_params(params: SurrogateParams, path, seed: int | None = None, epoch: int | None = None) -> Path:
+    """Write the ``<stem>.json`` + ``<stem>.f64`` checkpoint pair; returns the stem."""
+    header = {"arch": asdict(params.arch), "seed": seed, "epoch": epoch}
+    payload = np.ascontiguousarray(params.theta, dtype="<f8").tobytes()
+    return write_pair(path, ".f64", CHECKPOINT_FORMAT_VERSION, header, payload)
 
 
 def load_params(path) -> tuple[SurrogateParams, dict]:
@@ -693,19 +675,8 @@ def load_params(path) -> tuple[SurrogateParams, dict]:
 
     Any malformed or inconsistent pair raises :class:`CheckpointFormatError`.
     """
-    stem = Path(path)
-    if stem.suffix in (".json", ".f64"):
-        stem = stem.with_suffix("")
-    try:
-        header = json.loads(stem.with_suffix(".json").read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CheckpointFormatError(f"malformed header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointFormatError("malformed header: not a JSON object")
-    if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointFormatError(
-            f"unsupported format version {header.get('format_version')!r}"
-        )
+    stem, header = read_header(path, ".f64", CHECKPOINT_FORMAT_VERSION, CheckpointFormatError,
+                               "header")
     arch = _arch_from_header(header.get("arch"))
     blob = stem.with_suffix(".f64").read_bytes()
     if len(blob) != 8 * arch.param_count():

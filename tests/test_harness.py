@@ -575,18 +575,66 @@ def test_cli_evaluate_on_missing_checkpoint_exits_with_file_error(tmp_path, caps
     assert not (tmp_path / "report.json").exists()
 
 
+def _cell_argv(command, cfg_path, tmp_path):
+    argv = [command, "--config", str(cfg_path)]
+    if command != "run":
+        argv += ["--sampler", "uniform", "--output", str(tmp_path / "out" / "cell")]
+    return argv
+
+
 @pytest.mark.parametrize("command", ["run", "select", "train"])
 def test_cli_on_missing_dataset_exits_with_file_error(tmp_path, capsys, command):
     cfg_path = _write_small_config(tmp_path)
     missing = tmp_path / "no_such_ds"
     cfg_path.write_text(cfg_path.read_text().replace("[dataset]\n",
                                                      f"[dataset]\npath = {missing}\n"))
-    argv = [command, "--config", str(cfg_path)]
-    if command != "run":
-        argv += ["--sampler", "uniform", "--output", str(tmp_path / "out" / "cell")]
-    assert cli.main(argv) == cli.EXIT_FORMAT
+    assert cli.main(_cell_argv(command, cfg_path, tmp_path)) == cli.EXIT_FORMAT
     assert capsys.readouterr().err == f"file error: {missing}.json: not found\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "select"])
+@pytest.mark.parametrize("text", ["[pilot]\nepoch = 1\n", "[objective]\nlambda = 3\n",
+                                  "[bogus]\nhidden = 3\n"])
+def test_cli_unknown_key_or_section_is_a_config_error(tmp_path, capsys, command, text):
+    cfg_path = _write_small_config(tmp_path)
+    header = text[: text.index("\n") + 1]
+    cfg = cfg_path.read_text()
+    cfg_path.write_text(cfg.replace(header, text) if header in cfg else cfg + text)
+    capsys.readouterr()
+    assert cli.main(_cell_argv(command, cfg_path, tmp_path)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "select", "train"])
+def test_cli_time_axis_without_a_start_is_a_config_error(tmp_path, capsys, command):
+    cfg_path = _write_small_config(tmp_path)
+    text = cfg_path.read_text().replace("t_count = 14", "t_count = 6")
+    cfg_path.write_text(text.replace("history_len = 3", "history_len = 5"))
+    assert cli.main(["generate", "--config", str(cfg_path), "--output", str(tmp_path / "ds")]) == 0
+    read = tmp_path / "read.ini"
+    read.write_text(cfg_path.read_text().replace("[dataset]\n",
+                                                 f"[dataset]\npath = {tmp_path / 'ds'}\n"))
+    for path in (cfg_path, read):
+        capsys.readouterr()
+        assert cli.main(_cell_argv(command, path, tmp_path)) == cli.EXIT_CONFIG, path
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t_count=6 admits no start index"), err
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+
+def test_cli_writers_report_the_pair_by_its_stem(tmp_path, capsys):
+    cfg_path = _write_small_config(tmp_path)
+    assert cli.main(["generate", "--config", str(cfg_path),
+                     "--output", str(tmp_path / "ds.f32")]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {tmp_path / 'ds'}.json/.f32 ")
+    assert cli.main(["train", "--config", str(cfg_path), "--sampler", "uniform",
+                     "--output", str(tmp_path / "ckpt.json")]) == 0
+    assert capsys.readouterr().out.endswith(f"-> {tmp_path / 'ckpt'}.json/.f64\n")
+    assert sorted(p.name for p in tmp_path.glob("ckpt*")) == ["ckpt.f64", "ckpt.json"]
 
 
 def test_cli_outputs_create_their_directories(tmp_path, capsys):

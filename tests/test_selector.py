@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from gits.harness import exhaustive_optimum
 from gits.pde_data import SolverConfig, generate_dataset
 from gits.pilot_scoring import (
     CandidateScores,
@@ -28,8 +29,6 @@ from gits.temporal_coverage import (
     build_windows,
     coverage_values,
     derive_coverage_config,
-    kernel_matrix_global,
-    kernel_matrix_window,
 )
 
 CANDS = build_candidates(101, 4)
@@ -52,22 +51,6 @@ def default_obj(candidates=CANDS, budget=10, lambda_cov=1.0, c_win=0.5):
 def sampled(name, budget, pilot_input=None, candidates=CANDS, obj=None):
     """One sampler run through the table's dispatch."""
     return run_sampler(name, candidates, obj or default_obj(candidates), budget, pilot_input)
-
-
-def exhaustive_optimum(scores, candidates, obj, budget):
-    windows = build_windows(candidates, obj.coverage)
-    s_mat = kernel_matrix_global(candidates, obj.coverage.tau)
-    r_mat = kernel_matrix_window(candidates, windows, obj.coverage.tau_w)
-    best = -np.inf
-    best_set = None
-    for combo in combinations(range(candidates.size), budget):
-        sel = list(combo)
-        val = scores[sel].sum()
-        val += obj.lambda_cov * s_mat[:, sel].max(axis=1).sum()
-        val += obj.c_win * r_mat[:, sel].max(axis=1).sum()
-        if val > best:
-            best, best_set = val, sel
-    return best, best_set
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +101,7 @@ def test_greedy_achieves_approximation_bound_small_instances():
         )
         scores = rng.uniform(0, 1, size)
         greedy = greedy_select(scores, cands, obj, budget)
-        optimum, _ = exhaustive_optimum(scores, cands, obj, budget)
+        optimum = exhaustive_optimum(scores, cands, obj, budget)
         assert greedy.objective >= bound * optimum - 1e-9
 
 
@@ -268,7 +251,7 @@ def test_coverage_only_respects_bound_on_small_instances():
         budget = int(rng.integers(2, 4))
         obj = ObjectiveConfig(coverage=derive_coverage_config(cands.t_count, budget))
         r = sampled("coverage_only", budget, candidates=cands, obj=obj)
-        optimum, _ = exhaustive_optimum(np.zeros(size), cands, obj, budget)
+        optimum = exhaustive_optimum(np.zeros(size), cands, obj, budget)
         assert r.objective >= bound * optimum - 1e-9
 
 
