@@ -158,7 +158,10 @@ def load_config(path: str | None) -> ExperimentConfig:
                 if (section, key) not in keys:
                     raise HarnessConfigError(f"unknown key {key!r} in [{section}]")
                 owner, name, parse = keys[section, key]
-                value = parse(text)
+                try:
+                    value = parse(text)
+                except ValueError as exc:
+                    raise HarnessConfigError(f"[{section}] {key}: {exc}") from exc
                 if value is not None:
                     given[owner][name] = value
         solver = SolverConfig(**given[SolverConfig])
@@ -172,8 +175,10 @@ def load_config(path: str | None) -> ExperimentConfig:
             train=TrainConfig(**given[TrainConfig]),
             **given[ExperimentConfig],
         )
+    except HarnessConfigError:
+        raise
     except (ValueError, KeyError, configparser.Error) as exc:
-        raise HarnessConfigError(f"bad config: {exc}") from exc
+        raise HarnessConfigError(str(exc)) from exc
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -238,7 +243,7 @@ def _cmd_train(args) -> int:
     params, history = harness.train_downstream(cfg, ds, selection.selected, args.seed)
     stem = surrogate.save_params(params, args.output,
                                  seed=harness.stage_seed(args.seed, "train"),
-                                 epoch=history[-1].epoch if history else 0)
+                                 epoch=surrogate.kept_epoch(history))
     print(f"trained on K={selection.budget} starts, {len(history)} epochs -> {stem}.json/.f64")
     return EXIT_OK
 
@@ -269,10 +274,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    suites = args.suite if args.suite is not None else None
-    if suites == ["none"]:
-        suites = []
-    report = harness.run_selftest(suites=suites)
+    report = harness.run_selftest(suites=[] if args.suite == ["none"] else args.suite)
     print(report.format())
     return EXIT_OK if report.passed else EXIT_FAILURES
 

@@ -498,10 +498,10 @@ def exhaustive_optimum(scores, candidates: CandidateSet, obj: ObjectiveConfig,
     return best
 
 
-def _suite_greedy(rng: np.random.Generator, instances: int = 25) -> SuiteOutcome:
+def _suite_greedy(rng: np.random.Generator) -> SuiteOutcome:
     bound = 1.0 - 1.0 / np.e
     worst = np.inf
-    for _ in range(instances):
+    for _ in range(25):
         size = int(rng.integers(6, 13))
         history = 4
         candidates = pilot_scoring.build_candidates(history + 1 + size, history)
@@ -524,14 +524,14 @@ def _suite_greedy(rng: np.random.Generator, instances: int = 25) -> SuiteOutcome
             )
     return SuiteOutcome(
         "greedy_vs_exhaustive", True,
-        f"{instances} instances, worst greedy/optimum ratio {worst:.4f}",
+        f"25 instances, worst greedy/optimum ratio {worst:.4f}",
     )
 
 
-def _suite_incremental(rng: np.random.Generator, trials: int = 20) -> SuiteOutcome:
+def _suite_incremental(rng: np.random.Generator) -> SuiteOutcome:
     candidates = pilot_scoring.build_candidates(101, 4)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         budget = int(rng.integers(1, 20))
         cov = temporal_coverage.derive_coverage_config(101, budget)
         windows = temporal_coverage.build_windows(candidates, cov)
@@ -544,10 +544,10 @@ def _suite_incremental(rng: np.random.Generator, trials: int = 20) -> SuiteOutco
         worst = max(worst, err)
         if err > 1e-12:
             return SuiteOutcome("incremental_coverage", False, f"mismatch {err:.3e}")
-    return SuiteOutcome("incremental_coverage", True, f"{trials} trials, worst gap {worst:.2e}")
+    return SuiteOutcome("incremental_coverage", True, f"20 trials, worst gap {worst:.2e}")
 
 
-def _suite_gradient(rng: np.random.Generator) -> SuiteOutcome:
+def _suite_gradient() -> SuiteOutcome:
     cfg = SolverConfig(family="diffusion1d", spatial_size=16, t_count=12, seed=3)
     ds = pde_data.generate_dataset(cfg, 10)
     arch = SurrogateArch(history_len=3, hidden=3, kernel_radius=1, channels=1)
@@ -570,8 +570,8 @@ def _suite_gradient(rng: np.random.Generator) -> SuiteOutcome:
     return SuiteOutcome("gradient_fd", ok, f"max relative error {rel:.3e}")
 
 
-def _suite_submodularity(rng: np.random.Generator, kernel_fn=None, trials: int = 40) -> SuiteOutcome:
-    kernel = kernel_fn or temporal_coverage.kernel_global
+def _suite_submodularity(rng: np.random.Generator) -> SuiteOutcome:
+    kernel = temporal_coverage.kernel_global  # read per call, so a test can replace it
     candidates = pilot_scoring.build_candidates(40, 4)
     idx = candidates.indices
     tau = 5.0
@@ -588,7 +588,7 @@ def _suite_submodularity(rng: np.random.Generator, kernel_fn=None, trials: int =
             return 0.0
         return float(s_mat[:, sorted(sel)].max(axis=1).sum())
 
-    for _ in range(trials):
+    for _ in range(40):
         perm = rng.permutation(len(idx))
         small = set(perm[: int(rng.integers(0, 4))].tolist())  # empty sets included
         large = small | set(perm[4:7].tolist())
@@ -602,28 +602,24 @@ def _suite_submodularity(rng: np.random.Generator, kernel_fn=None, trials: int =
             )
         if f_cov(large) - f_cov(small) < -1e-12:
             return SuiteOutcome("submodularity", False, "coverage decreased on a superset")
-    return SuiteOutcome("submodularity", True, f"{trials} nested-set trials")
+    return SuiteOutcome("submodularity", True, "40 nested-set trials")
 
 
-def run_selftest(suites=None, kernel_fn=None, rng_seed: int = 0) -> SelftestReport:
-    """Run the small-scale oracle suites; empty ``suites`` is a trivial pass.
-
-    ``kernel_fn`` replaces the global coverage kernel inside the
-    submodularity suite (test hook for mutation sensitivity).
-    """
+def run_selftest(suites=None) -> SelftestReport:
+    """Run the small-scale oracle suites; empty ``suites`` is a trivial pass."""
     if suites is None:
         suites = SELFTEST_SUITES
     outcomes = []
     for name in suites:
         if name not in SELFTEST_SUITES:
             raise ValueError(f"unknown selftest suite {name!r}")
-        rng = np.random.default_rng([rng_seed, SELFTEST_SUITES.index(name)])
+        rng = np.random.default_rng([0, SELFTEST_SUITES.index(name)])
         if name == "greedy_vs_exhaustive":
             outcomes.append(_suite_greedy(rng))
         elif name == "incremental_coverage":
             outcomes.append(_suite_incremental(rng))
         elif name == "gradient_fd":
-            outcomes.append(_suite_gradient(rng))
+            outcomes.append(_suite_gradient())
         else:
-            outcomes.append(_suite_submodularity(rng, kernel_fn))
+            outcomes.append(_suite_submodularity(rng))
     return SelftestReport(outcomes=tuple(outcomes))

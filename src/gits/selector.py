@@ -8,10 +8,10 @@ with s_k >= 0 pointwise scores and the two facility-location coverage terms
 from :mod:`gits.temporal_coverage`. The score term is modular and the
 coverage terms are monotone submodular, so greedy selection with exact
 incremental marginal gains carries the usual (1 - 1/e) guarantee.
-:func:`greedy_select` is a lazy greedy that evaluates each gain only over
-the stretch of the time axis the candidate can still cover, and returns
-bit for bit what recomputing every gain from the dense kernel matrices
-would.
+:func:`greedy_select` is a lazy greedy over one array of gains and upper
+bounds on them. It evaluates each gain only over the stretch of the time
+axis the candidate can still cover, and returns bit for bit what
+recomputing every gain from the dense kernel matrices would.
 
 Every sampler is one row of :data:`SAMPLER_TABLE`: what it needs from the
 pilot, and which selection algorithm runs on it. :func:`run_sampler` is
@@ -26,7 +26,6 @@ better) and per-step residual reductions in ``gains``.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -127,12 +126,12 @@ def greedy_select(
     term left out is exactly 0.0 and the kept ones are added in index
     order, as a column sum of the full kernel matrices adds them. The picks
     cut the axis into stretches of candidates that share their neighbours.
-    A heap holds one entry per stretch, keyed on its largest gain or upper
-    bound. A gain stays exact until a pick splits its stretch and bounds
-    the current gain from above after that. A stretch whose largest entry
-    is a bound has its largest bounds evaluated, at most _BLOCK at a time,
-    and goes back into the heap. Picks, gains and objective are bit for bit
-    those of recomputing every gain at every step.
+    One array holds each candidate's gain, or an upper bound on it where a
+    mask says it is not exact: a pick that splits a stretch leaves its old
+    gains as bounds. Each step takes the array's argmax; while that is a
+    bound, the _BLOCK largest bounds of its stretch are evaluated. Picks,
+    gains and objective are bit for bit those of recomputing every gain at
+    every step.
     """
     _check_budget(budget, candidates.size)
     s = _score_vector(scores, candidates)
@@ -178,35 +177,30 @@ def greedy_select(
             gain = gain + obj.c_win * (np.cumsum(t, axis=1)[:, -1] if t.size else 0.0)
         return gain
 
-    # One entry per stretch lo..hi-1 between two picks:
-    # (-key, position, lo, hi, bound, exact). bound holds each candidate's
-    # gain where exact is set, and an upper bound elsewhere: its gain before
-    # the pick that split the stretch off. key is the largest bound and
-    # position the lowest one holding it.
-    heap = [(-np.inf, 0, 0, n, np.full(n, np.inf), np.zeros(n, dtype=bool))]
+    # bound holds each candidate's gain where exact is set, an upper bound
+    # elsewhere (its gain before the pick that split its stretch), and -inf at
+    # a pick. Candidate k lies in the stretch lo_of[k]..hi_of[k]-1 between picks.
+    bound, exact = np.full(n, np.inf), np.zeros(n, dtype=bool)
+    lo_of, hi_of = np.zeros(n, dtype=np.intp), np.full(n, n, dtype=np.intp)
     picks: list[int] = []
     gains: list[float] = []
     for _ in range(budget):
         while True:
-            _, pos, lo, hi, bound, exact = heap[0]
-            if exact[pos - lo]:
+            pos = int(np.argmax(bound))  # first occurrence = lowest candidate index
+            a, b = int(lo_of[pos]), int(hi_of[pos])
+            if exact[pos]:
                 break
-            stale = np.flatnonzero(~exact)
+            stale = a + np.flatnonzero(~exact[a:b])
             if stale.size > _BLOCK:  # evaluate the _BLOCK largest bounds
                 stale = stale[np.argpartition(-bound[stale], _BLOCK)[:_BLOCK]]
-            bound[stale] = gains_at(lo, hi, lo + stale)
+            bound[stale] = gains_at(a, b, stale)
             exact[stale] = True
-            j = int(np.argmax(bound))  # first occurrence = lowest candidate index
-            heapq.heapreplace(heap, (-float(bound[j]), lo + j, lo, hi, bound, exact))
-        neg_key, pos, lo, hi, bound, _ = heapq.heappop(heap)
         picks.append(pos)
-        gains.append(-neg_key)
+        gains.append(float(bound[pos]))
         state = state_update(state, idx[pos], candidates, windows, obj.coverage)
-        for a, b in ((lo, pos), (pos + 1, hi)):
-            if a < b:
-                part = bound[a - lo:b - lo]
-                j = int(np.argmax(part))
-                heapq.heappush(heap, (-float(part[j]), a + j, a, b, part, np.zeros(b - a, dtype=bool)))
+        exact[a:b] = False  # the gains of the split stretch are bounds now
+        bound[pos] = -np.inf
+        hi_of[a:pos], lo_of[pos + 1:b] = pos, pos + 1
 
     selected = [int(idx[p]) for p in picks]
     # The maxima are exact, so these are the sums coverage_values computes

@@ -588,12 +588,12 @@ def train(
 
     Uses training-split trajectories only. With early stopping enabled,
     validation rollout error (full post-history horizon) is evaluated after
-    every epoch >= min_epochs and the best-validation parameters are
-    returned; with it disabled, the final-epoch parameters are returned.
+    every epoch >= min_epochs. The parameters returned are those of the
+    epoch :func:`kept_epoch` names: the best-validation epoch, or the last.
     Deterministic under cfg.seed. Every minibatch and validation rollout
     reuses one workspace, released on return.
     """
-    from .diagnostics import rollout_nrmse  # local import: diagnostics uses rollout()
+    from .diagnostics import rollout_nrmse  # local import: diagnostics imports surrogate
 
     arch = params_init.arch
     start_list = sorted(set(int(k) for k in starts))
@@ -617,10 +617,7 @@ def train(
     v = np.zeros_like(theta)
     step_count = 0
 
-    best_val = np.inf
     best_theta = None
-    best_epoch = 0
-
     for epoch in range(1, cfg.epochs_max + 1):
         order = rng.permutation(len(pairs))
         epoch_loss = 0.0
@@ -647,16 +644,23 @@ def train(
         val = None
         if cfg.early_stop and epoch >= cfg.min_epochs:
             val = rollout_nrmse(SurrogateParams(theta=theta, arch=arch), ds, split="val")
-            if val < best_val:
-                best_val = val
-                best_theta = theta.copy()
-                best_epoch = epoch
         history.append(EpochStats(epoch, epoch_loss, val))
-        if cfg.early_stop and best_theta is not None and epoch - best_epoch >= cfg.patience:
+        best_epoch = kept_epoch(history)
+        if val is not None and best_epoch == epoch:
+            best_theta = theta.copy()
+        if best_theta is not None and epoch - best_epoch >= cfg.patience:
             break
 
-    final_theta = best_theta if (cfg.early_stop and best_theta is not None) else theta
-    return SurrogateParams(theta=final_theta, arch=arch), history
+    return SurrogateParams(theta=theta if best_theta is None else best_theta, arch=arch), history
+
+
+def kept_epoch(history: list[EpochStats]) -> int:
+    """The epoch whose parameters :func:`train` keeps: the first with the lowest
+    finite validation nRMSE, else the last epoch, or 0 when no epoch ran."""
+    validated = [h for h in history if h.val_nrmse is not None and h.val_nrmse < np.inf]
+    if validated:
+        return min(validated, key=lambda h: h.val_nrmse).epoch
+    return history[-1].epoch if history else 0
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import gits
-from gits import cli, harness, parallel, pilot_scoring
-from gits.diagnostics import RESULT_COLUMNS, RolloutReport, rollout_report
+from gits import cli, harness, parallel, pilot_scoring, surrogate
+from gits.diagnostics import RESULT_COLUMNS, RolloutReport, rollout_nrmse, rollout_report
 from gits.harness import (
     CellResult,
     ExperimentConfig,
@@ -391,9 +391,10 @@ def test_selftest_full_pass():
     assert text.count("[PASS]") == 4
 
 
-def test_selftest_detects_kernel_sign_flip():
+def test_selftest_detects_kernel_sign_flip(monkeypatch):
     broken = lambda i, j, tau: -np.exp(-abs(i - j) / tau)
-    report = run_selftest(suites=["submodularity"], kernel_fn=broken)
+    monkeypatch.setattr("gits.temporal_coverage.kernel_global", broken)
+    report = run_selftest(suites=["submodularity"])
     assert not report.passed
     assert "[FAIL]" in report.format()
 
@@ -606,6 +607,47 @@ def test_cli_unknown_key_or_section_is_a_config_error(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (None, None, "config file {path!r} not found"),
+    ("ratios = 0.3", "ratios = 2.0", "ratio 2.0 outside (0, 1]"),
+    ("[dataset]", "[dataset]\nfamily = heat", "unknown family 'heat'"),
+    ("hidden = 3", "hidden = x", "[model] hidden: invalid literal for int() with base 10: 'x'"),
+])
+def test_cli_config_error_says_what_is_wrong_once(tmp_path, capsys, old, new, message):
+    cfg_path = _write_small_config(tmp_path)
+    if old is None:
+        cfg_path = tmp_path / "missing.ini"
+    else:
+        cfg_path.write_text(cfg_path.read_text().replace(f"{old}\n", f"{new}\n"))
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message.format(path=str(cfg_path))}\n"
+
+
+def test_cli_checkpoint_epoch_is_the_epoch_of_its_parameters(tmp_path, monkeypatch):
+    cfg_path = _write_small_config(tmp_path)
+    cfg_path.write_text(cfg_path.read_text().replace(
+        "epochs_max = 2\nmin_epochs = 1\n", "epochs_max = 30\nmin_epochs = 2\npatience = 3\n"))
+    histories = []
+    train_downstream = harness.train_downstream
+
+    def recorded(*args):
+        params, history = train_downstream(*args)
+        histories.append(history)
+        return params, history
+
+    monkeypatch.setattr(harness, "train_downstream", recorded)
+    stem = tmp_path / "ckpt"
+    assert cli.main(["train", "--config", str(cfg_path), "--sampler", "uniform",
+                     "--output", str(stem)]) == 0
+    [history] = histories
+    params, header = surrogate.load_params(stem)
+    kept = surrogate.kept_epoch(history)
+    assert header["epoch"] == kept < history[-1].epoch
+    ds = harness.load_or_generate_dataset(cli.load_config(str(cfg_path)))
+    assert rollout_nrmse(params, ds, split="val") == history[kept - 1].val_nrmse
 
 
 @pytest.mark.parametrize("command", ["run", "select", "train"])

@@ -30,6 +30,7 @@ from gits.temporal_coverage import (
     coverage_values,
     derive_coverage_config,
 )
+from test_greedy_parity import assert_same_as_dense
 
 CANDS = build_candidates(101, 4)
 
@@ -139,6 +140,22 @@ def test_tie_break_prefers_lowest_index():
     obj = default_obj(lambda_cov=0.0, c_win=0.0)
     r = greedy_select(scores, CANDS, obj, 3)
     assert r.selected == [4, 5, 6]
+
+
+@pytest.mark.parametrize("size, budget", [(300, 30), (600, 60)])
+@pytest.mark.parametrize("kind", ["steep", "decreasing", "equal"])
+def test_greedy_matches_dense_on_ordered_and_equal_scores(size, budget, kind):
+    """Steeply falling scores keep every pick in the left fifth, so each pick
+    splits the one long stretch to its right; gently falling ones start there
+    and then spread; equal scores leave every tie to the lowest index."""
+    cands = build_candidates(size + 5, 4)
+    scores = {"steep": np.linspace(float(size), 1.0, size),
+              "decreasing": np.linspace(40.0, 0.0, size),
+              "equal": np.ones(size)}[kind]
+    obj = default_obj(cands, budget)
+    if kind == "steep":
+        assert max(greedy_select(scores, cands, obj, budget).selected) < cands.indices[size // 5]
+    assert_same_as_dense(scores, cands, obj, budget)
 
 
 def test_score_normalization_flag():
