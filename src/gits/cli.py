@@ -32,6 +32,7 @@ from . import diagnostics, harness, pde_data, selector, surrogate
 from .harness import ExperimentConfig, HarnessConfigError
 from .pde_data import SolverConfig
 from .pilot_scoring import EmptyCandidateError, build_candidates
+from .selector import ObjectiveConfig
 from .surrogate import TrainConfig
 from .temporal_coverage import CoverageConfig
 
@@ -71,8 +72,9 @@ def _bool(text: str) -> bool:
 
 
 # Every INI key, in print-defaults order: (section, key, owner, field, parse).
-# ExperimentConfig holds the other owners as its solver, train and
-# coverage_override fields. CoverageConfig's fields have no default, so
+# ExperimentConfig holds SolverConfig, ObjectiveConfig and TrainConfig as its
+# solver, objective and train fields, and ObjectiveConfig holds CoverageConfig
+# as its coverage field. CoverageConfig's fields have no default, so
 # print-defaults leaves out its four keys, which override the derived
 # kernel parameters all together or not at all.
 CONFIG_KEYS = (
@@ -95,9 +97,9 @@ CONFIG_KEYS = (
     ("pilot", "epochs", ExperimentConfig, "pilot_epochs", int),
     ("pilot", "horizon", ExperimentConfig, "horizon", int),
     ("pilot", "batch_traj", ExperimentConfig, "batch_traj", int),
-    ("objective", "lambda_cov", ExperimentConfig, "lambda_cov", float),
-    ("objective", "c_win", ExperimentConfig, "c_win", float),
-    ("objective", "normalize_scores", ExperimentConfig, "normalize_scores", _bool),
+    ("objective", "lambda_cov", ObjectiveConfig, "lambda_cov", float),
+    ("objective", "c_win", ObjectiveConfig, "c_win", float),
+    ("objective", "normalize_scores", ObjectiveConfig, "normalize_scores", _bool),
     ("objective", "tau", CoverageConfig, "tau", _optional(float)),
     ("objective", "window_size", CoverageConfig, "window_size", _optional(int)),
     ("objective", "window_stride", CoverageConfig, "window_stride", _optional(int)),
@@ -145,7 +147,7 @@ def load_config(path: str | None) -> ExperimentConfig:
     """
     parser = configparser.ConfigParser()
     keys = {(section, key): entry for section, key, *entry in CONFIG_KEYS}
-    given = {SolverConfig: {}, CoverageConfig: {}, TrainConfig: {}, ExperimentConfig: {}}
+    given = {owner: {} for _, _, owner, _, _ in CONFIG_KEYS}
     try:
         if path is not None and not parser.read(path):
             raise HarnessConfigError(f"config file {path!r} not found")
@@ -169,9 +171,11 @@ def load_config(path: str | None) -> ExperimentConfig:
         names = [f.name for f in dataclasses.fields(CoverageConfig)]
         if 0 < len(coverage) < len(names):
             raise HarnessConfigError(f"[objective] needs all of {', '.join(names)} or none")
+        objective = ObjectiveConfig(coverage=CoverageConfig(**coverage) if coverage else None,
+                                    **given[ObjectiveConfig])
         return ExperimentConfig(
             solver=solver,
-            coverage_override=CoverageConfig(**coverage) if coverage else None,
+            objective=objective,
             train=TrainConfig(**given[TrainConfig]),
             **given[ExperimentConfig],
         )
@@ -274,7 +278,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    report = harness.run_selftest(suites=[] if args.suite == ["none"] else args.suite)
+    suites = None if args.suite is None else [s for s in args.suite if s != "none"]
+    report = harness.run_selftest(suites=suites)
     print(report.format())
     return EXIT_OK if report.passed else EXIT_FAILURES
 
@@ -328,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the oracle self-test suites")
     p.add_argument("--suite", action="append", default=None,
                    choices=harness.SELFTEST_SUITES + ("none",),
-                   help="restrict to one or more suites; 'none' runs nothing")
+                   help="restrict to one or more suites; 'none' adds no suite")
     p.set_defaults(fn=_cmd_selftest)
 
     return parser

@@ -74,14 +74,11 @@ class ExperimentConfig:
     pilot_epochs: int = 5
     horizon: int = 10
     batch_traj: int = 32
-    lambda_cov: float = 1.0
-    c_win: float = 0.5
-    normalize_scores: bool = False
-    coverage_override: temporal_coverage.CoverageConfig | None = None
-    history_len: int = 4
-    hidden: int = 8
-    kernel_radius: int = 2
-    clamp: float = 10.0
+    objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
+    history_len: int = SurrogateArch.history_len
+    hidden: int = SurrogateArch.hidden
+    kernel_radius: int = SurrogateArch.kernel_radius
+    clamp: float = SurrogateArch.clamp
     train: TrainConfig = field(default_factory=TrainConfig)
     output_dir: str = "results"
 
@@ -100,10 +97,6 @@ class ExperimentConfig:
                 raise HarnessConfigError(f"unknown sampler {s!r}")
         if self.pilot_epochs < 1 or self.horizon < 1 or self.batch_traj < 1:
             raise HarnessConfigError("pilot settings must be >= 1")
-        for name in ("lambda_cov", "c_win"):
-            weight = getattr(self, name)
-            if not (np.isfinite(weight) and weight >= 0.0):
-                raise HarnessConfigError(f"{name} must be finite and non-negative, got {weight}")
         try:
             SurrogateArch(history_len=self.history_len, hidden=self.hidden,
                           kernel_radius=self.kernel_radius, clamp=self.clamp)
@@ -146,12 +139,10 @@ def load_or_generate_dataset(cfg: ExperimentConfig) -> TrajectoryDataset:
     return pde_data.generate_dataset(cfg.solver, cfg.n_traj)
 
 
-def _objective(cfg: ExperimentConfig, t_count: int, budget: int) -> ObjectiveConfig:
-    coverage = cfg.coverage_override or temporal_coverage.derive_coverage_config(
-        t_count, budget
-    )
-    return ObjectiveConfig(coverage=coverage, lambda_cov=cfg.lambda_cov,
-                           c_win=cfg.c_win, normalize_scores=cfg.normalize_scores)
+def _model_arch(cfg: ExperimentConfig, ds: TrajectoryDataset) -> SurrogateArch:
+    """The run's surrogate: the config's model sizes on the dataset's channels and boundary."""
+    return pilot_scoring.default_arch(ds, history_len=cfg.history_len, hidden=cfg.hidden,
+                                      kernel_radius=cfg.kernel_radius, clamp=cfg.clamp)
 
 
 class PilotGradients(NamedTuple):
@@ -172,8 +163,7 @@ def pilot_gradients(
     on the sampler or the ratio. The pilot parameters are not kept.
     """
     t0 = time.perf_counter()
-    arch = pilot_scoring.default_arch(ds, cfg.history_len, cfg.hidden,
-                                      cfg.kernel_radius, cfg.clamp)
+    arch = _model_arch(cfg, ds)
     pilot_cfg = replace(cfg.train, epochs_max=cfg.pilot_epochs,
                         seed=stage_seed(seed, "pilot"))
     pilot = pilot_scoring.train_pilot(ds, candidates, pilot_cfg, arch=arch)
@@ -203,7 +193,6 @@ def select_starts(
     plus the sampler's own step.
     """
     budget = selector.budget_from_ratio(ratio, candidates.size)
-    obj = _objective(cfg, ds.t_count, budget)
     needs = selector.SAMPLER_TABLE[sampler].needs
     if needs is None:
         pilot_s, pilot_input = 0.0, None
@@ -211,7 +200,7 @@ def select_starts(
         pilot_s = pilot.pilot_s + pilot.scoring_s
         pilot_input = pilot_scoring.pilot_input(needs, pilot.losses, pilot.grads, candidates)
     t0 = time.perf_counter()
-    result = selector.run_sampler(sampler, candidates, obj, budget, pilot_input)
+    result = selector.run_sampler(sampler, candidates, cfg.objective, budget, pilot_input)
     return result, pilot_s + (time.perf_counter() - t0)
 
 
@@ -220,9 +209,7 @@ def train_downstream(
 ) -> tuple[SurrogateParams, list[EpochStats]]:
     """Train the downstream surrogate on ``starts`` under the cell's train seed."""
     train_cfg = replace(cfg.train, seed=stage_seed(seed, "train"))
-    arch = pilot_scoring.default_arch(ds, cfg.history_len, cfg.hidden,
-                                      cfg.kernel_radius, cfg.clamp)
-    params0 = surrogate.init_params(arch, train_cfg.seed)
+    params0 = surrogate.init_params(_model_arch(cfg, ds), train_cfg.seed)
     return surrogate.train(params0, starts, ds, train_cfg)
 
 
@@ -485,9 +472,10 @@ class SelftestReport:
 def exhaustive_optimum(scores, candidates: CandidateSet, obj: ObjectiveConfig,
                        budget: int) -> float:
     """The largest objective of any ``budget`` candidates, by brute force."""
-    windows = temporal_coverage.build_windows(candidates, obj.coverage)
-    s_mat = temporal_coverage.kernel_matrix_global(candidates, obj.coverage.tau)
-    r_mat = temporal_coverage.kernel_matrix_window(candidates, windows, obj.coverage.tau_w)
+    coverage = obj.coverage_for(candidates.t_count, budget)
+    windows = temporal_coverage.build_windows(candidates, coverage)
+    s_mat = temporal_coverage.kernel_matrix_global(candidates, coverage.tau)
+    r_mat = temporal_coverage.kernel_matrix_window(candidates, windows, coverage.tau_w)
     best = -np.inf
     for combo in itertools.combinations(range(candidates.size), budget):
         sel = list(combo)
@@ -506,12 +494,8 @@ def _suite_greedy(rng: np.random.Generator) -> SuiteOutcome:
         history = 4
         candidates = pilot_scoring.build_candidates(history + 1 + size, history)
         budget = int(rng.integers(2, 5))
-        cov = temporal_coverage.derive_coverage_config(candidates.t_count, budget)
-        obj = ObjectiveConfig(
-            coverage=cov,
-            lambda_cov=float(rng.uniform(0.0, 2.0)),
-            c_win=float(rng.uniform(0.0, 2.0)),
-        )
+        obj = ObjectiveConfig(lambda_cov=float(rng.uniform(0.0, 2.0)),
+                              c_win=float(rng.uniform(0.0, 2.0)))
         scores = rng.uniform(0.0, 1.0, size)
         greedy = selector.greedy_select(scores, candidates, obj, budget)
         optimum = exhaustive_optimum(scores, candidates, obj, budget)

@@ -81,18 +81,14 @@ class CandidateScores:
         object.__setattr__(self, "scores", scores)
 
 
-def default_arch(ds: TrajectoryDataset, history_len: int = 4, hidden: int = 8,
-                 kernel_radius: int = 2, clamp: float = 10.0) -> SurrogateArch:
-    """Model matching the dataset's channel count and boundary condition."""
+def default_arch(ds: TrajectoryDataset, **sizes) -> SurrogateArch:
+    """Model matching the dataset's channel count and boundary condition.
+
+    ``sizes`` are :class:`SurrogateArch` keywords (``history_len``,
+    ``hidden``, ``kernel_radius``, ``clamp``); the rest keep its defaults.
+    """
     padding = "reflect" if ds.meta.get("boundary") == "neumann" else "periodic"
-    return SurrogateArch(
-        history_len=history_len,
-        hidden=hidden,
-        kernel_radius=kernel_radius,
-        channels=ds.channels,
-        padding=padding,
-        clamp=clamp,
-    )
+    return SurrogateArch(channels=ds.channels, padding=padding, **sizes)
 
 
 def train_pilot(

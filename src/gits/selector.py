@@ -37,6 +37,7 @@ from .pilot_scoring import GRADIENTS, SCORE_KINDS, CandidateScores, CandidateSet
 from .temporal_coverage import (
     CoverageConfig,
     build_windows,
+    derive_coverage_config,
     empty_state,
     kernel_global,
     state_update,
@@ -48,16 +49,28 @@ _BLOCK = 64  # gains evaluated together: at most 64 x |C| kernel values at a tim
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    coverage: CoverageConfig
+    """The objective's weights and kernel parameters.
+
+    ``coverage`` None means the paper's rule: the kernel parameters are
+    derived from the time axis and the budget (:meth:`coverage_for`).
+    """
+
+    coverage: CoverageConfig | None = None
     lambda_cov: float = 1.0
     c_win: float = 0.5
     normalize_scores: bool = False  # optional rescale of s_k by max_k s_k; off by default
 
     def __post_init__(self):
-        if not (np.isfinite(self.lambda_cov) and np.isfinite(self.c_win)):
-            raise ValueError("coverage weights must be finite")
-        if self.lambda_cov < 0.0 or self.c_win < 0.0:
-            raise ValueError("coverage weights must be non-negative")
+        for name in ("lambda_cov", "c_win"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"coverage weights must be finite: {name} = {value}")
+            if value < 0.0:
+                raise ValueError(f"coverage weights must be non-negative: {name} = {value}")
+
+    def coverage_for(self, t_count: int, budget: int) -> CoverageConfig:
+        """The kernel parameters: ``coverage``, or derived from (t_count, budget)."""
+        return self.coverage or derive_coverage_config(t_count, budget)
 
 
 @dataclass(eq=False)
@@ -145,7 +158,8 @@ def greedy_select(
     if obj.normalize_scores and s.max() > 0.0:
         s = s / s.max()
 
-    windows = build_windows(candidates, obj.coverage)
+    coverage = obj.coverage_for(candidates.t_count, budget)
+    windows = build_windows(candidates, coverage)
     use_cov = obj.lambda_cov > 0.0
     use_win = obj.c_win > 0.0
     idx = candidates.indices
@@ -153,8 +167,8 @@ def greedy_select(
     # Both kernels at integer distance d = 0, 1, ..., max(C) - min(C); bit-equal
     # to kernel_global and kernel_window, which is kernel_global(d, 0, tau_w).
     dist = np.arange(int(idx[-1] - idx[0]) + 1)
-    g_table = kernel_global(dist, 0, obj.coverage.tau)
-    w_table = kernel_global(dist, 0, obj.coverage.tau_w)
+    g_table = kernel_global(dist, 0, coverage.tau)
+    w_table = kernel_global(dist, 0, coverage.tau_w)
     state = empty_state(candidates, windows)
 
     def gains_at(lo: int, hi: int, ks: np.ndarray) -> np.ndarray:
@@ -197,7 +211,7 @@ def greedy_select(
             exact[stale] = True
         picks.append(pos)
         gains.append(float(bound[pos]))
-        state = state_update(state, idx[pos], candidates, windows, obj.coverage)
+        state = state_update(state, idx[pos], candidates, windows, coverage)
         exact[a:b] = False  # the gains of the split stretch are bounds now
         bound[pos] = -np.inf
         hi_of[a:pos], lo_of[pos + 1:b] = pos, pos + 1

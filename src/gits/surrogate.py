@@ -599,14 +599,12 @@ def train(
     start_list = sorted(set(int(k) for k in starts))
     if not start_list:
         raise ValueError("starts must be nonempty")
-    for k in start_list:
-        if not arch.history_len <= k <= ds.t_count - 2:
-            raise ValueError(f"start index {k} outside the candidate range")
 
     train_idx = ds.split_indices("train")
     # (n, k) for every training trajectory n and start k, n outermost
-    pairs = np.column_stack([np.repeat(train_idx, len(start_list)),
-                             np.tile(start_list, len(train_idx))])
+    pairs = _validate_pairs(np.column_stack([np.repeat(train_idx, len(start_list)),
+                                             np.tile(start_list, len(train_idx))]),
+                            ds, arch.history_len)
     history: list[EpochStats] = []
     if cfg.epochs_max == 0:
         return params_init, history

@@ -23,8 +23,9 @@ from gits.harness import (
     write_results,
 )
 from gits.pde_data import SolverConfig
-from gits.selector import SAMPLERS
+from gits.selector import SAMPLERS, ObjectiveConfig
 from gits.surrogate import TrainConfig
+from gits.temporal_coverage import CoverageConfig
 
 
 def small_experiment(**overrides):
@@ -312,10 +313,12 @@ def test_config_validation():
                           ("seeds", (0, 0))):
         with pytest.raises(HarnessConfigError, match=f"{field} has duplicate"):
             small_experiment(**{field: values})
-    for field, value in (("lambda_cov", float("nan")), ("c_win", float("inf")),
-                         ("lambda_cov", -1.0), ("c_win", -0.5)):
-        with pytest.raises(HarnessConfigError, match=f"{field} must be finite and non-negative"):
-            small_experiment(**{field: value})
+    for field, value, message in (("lambda_cov", float("nan"), "finite: lambda_cov = nan"),
+                                  ("c_win", float("inf"), "finite: c_win = inf"),
+                                  ("lambda_cov", -1.0, "non-negative: lambda_cov = -1.0"),
+                                  ("c_win", -0.5, "non-negative: c_win = -0.5")):
+        with pytest.raises(ValueError, match=f"coverage weights must be {message}$"):
+            small_experiment(objective=ObjectiveConfig(**{field: value}))
     for field, value, message in (("hidden", 0, "invalid architecture sizes"),
                                   ("history_len", 0, "invalid architecture sizes"),
                                   ("clamp", float("nan"), "clamp must be finite and positive"),
@@ -332,7 +335,8 @@ def test_default_protocol_settings():
     assert cfg.pilot_epochs == 5
     assert cfg.horizon == 10
     assert cfg.batch_traj == 32
-    assert (cfg.lambda_cov, cfg.c_win) == (1.0, 0.5)
+    assert cfg.objective == ObjectiveConfig(coverage=None, lambda_cov=1.0, c_win=0.5,
+                                            normalize_scores=False)
     assert cfg.history_len == 4
     assert cfg.n_traj == 60 and cfg.solver.t_count == 101
     assert cfg.train.lr == 1e-3
@@ -341,9 +345,6 @@ def test_default_protocol_settings():
     assert cfg.train.epochs_max == 100
     assert cfg.train.min_epochs == 10 and cfg.train.patience == 5
     assert cfg.clamp == 10.0
-    assert cfg.normalize_scores is False
-    obj = harness._objective(cfg, 101, 10)
-    assert obj.normalize_scores is False and obj.lambda_cov == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -421,6 +422,19 @@ def test_cli_print_defaults_round_trips(tmp_path, capsys):
     path.write_text(text)
     cfg = cli.load_config(str(path))
     assert cfg == ExperimentConfig()
+
+
+def test_cli_objective_keys_fill_the_objective(tmp_path):
+    path = tmp_path / "objective.ini"
+    path.write_text("[objective]\nlambda_cov = 2.5\nc_win = 0.25\nnormalize_scores = true\n"
+                    "tau = 3\nwindow_size = 4\nwindow_stride = 2\ntau_w = 1\n")
+    cfg = cli.load_config(str(path))
+    assert cfg.objective == ObjectiveConfig(
+        coverage=CoverageConfig(tau=3.0, window_size=4, window_stride=2, tau_w=1.0),
+        lambda_cov=2.5, c_win=0.25, normalize_scores=True,
+    )
+    path.write_text("[objective]\nc_win = 0\n")
+    assert cli.load_config(str(path)).objective == ObjectiveConfig(c_win=0.0)
 
 
 def test_cli_family_solver_defaults_apply(tmp_path):
@@ -614,6 +628,8 @@ def test_cli_unknown_key_or_section_is_a_config_error(tmp_path, capsys, command,
     ("ratios = 0.3", "ratios = 2.0", "ratio 2.0 outside (0, 1]"),
     ("[dataset]", "[dataset]\nfamily = heat", "unknown family 'heat'"),
     ("hidden = 3", "hidden = x", "[model] hidden: invalid literal for int() with base 10: 'x'"),
+    ("[pilot]", "[objective]\nlambda_cov = nan\n[pilot]",
+     "coverage weights must be finite: lambda_cov = nan"),
 ])
 def test_cli_config_error_says_what_is_wrong_once(tmp_path, capsys, old, new, message):
     cfg_path = _write_small_config(tmp_path)
@@ -729,3 +745,7 @@ def test_cli_selftest_subcommand(capsys):
     assert cli.main(["selftest", "--suite", "incremental_coverage"]) == 0
     out = capsys.readouterr().out
     assert re.search(r"\[PASS\] incremental_coverage", out)
+    # 'none' adds no suite wherever it appears
+    assert cli.main(["selftest", "--suite", "none", "--suite", "submodularity"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] submodularity: 40 nested-set trials", "selftest: all suites passed"]

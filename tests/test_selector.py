@@ -394,6 +394,31 @@ def test_objective_weights_must_be_finite_and_non_negative():
             ObjectiveConfig(coverage=cov, lambda_cov=lambda_cov, c_win=c_win)
 
 
+@pytest.mark.parametrize("t_count, budget", [(12, 3), (41, 1), (101, 10), (101, 37), (301, 15)])
+def test_objective_without_coverage_derives_it_from_the_budget(t_count, budget):
+    cands = build_candidates(t_count, 4)
+    rng = np.random.default_rng([t_count, budget])
+    grad = make_scores(rng.uniform(0, 1, cands.size), indices=cands.indices)
+    loss = make_scores(rng.uniform(0, 1, cands.size), kind="rollout_loss", indices=cands.indices)
+    weights = dict(lambda_cov=float(rng.uniform(0, 2)), c_win=float(rng.uniform(0, 2)))
+    for plain in (ObjectiveConfig(), ObjectiveConfig(**weights)):
+        derived = ObjectiveConfig(derive_coverage_config(t_count, budget), plain.lambda_cov,
+                                  plain.c_win)
+        for name, scores in (("gits", grad), ("coverage_only", None), ("loss_div", loss)):
+            a = run_sampler(name, cands, plain, budget, scores)
+            b = run_sampler(name, cands, derived, budget, scores)
+            assert (a.selected, a.gains, a.objective) == (b.selected, b.gains, b.objective)
+
+
+@pytest.mark.parametrize("t_count, budget", [(10, 2), (12, 3), (16, 4)])
+def test_exhaustive_optimum_without_coverage_derives_it_from_the_budget(t_count, budget):
+    cands = build_candidates(t_count, 4)
+    scores = np.random.default_rng(t_count).uniform(0, 1, cands.size)
+    derived = ObjectiveConfig(coverage=derive_coverage_config(t_count, budget))
+    assert (exhaustive_optimum(scores, cands, ObjectiveConfig(), budget)
+            == exhaustive_optimum(scores, cands, derived, budget))
+
+
 def test_misaligned_scores_rejected():
     other = build_candidates(50, 4)
     scores = make_scores(np.ones(other.size), indices=other.indices)

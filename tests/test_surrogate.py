@@ -280,6 +280,10 @@ def test_train_rejects_empty_or_invalid_starts(tiny_ds):
         train(p0, [], tiny_ds, TrainConfig())
     with pytest.raises(ValueError):
         train(p0, [1], tiny_ds, TrainConfig())
+    last = tiny_ds.t_count - 2
+    for starts in ([1], [4, last + 1]):  # checked before the no-epoch return, too
+        with pytest.raises(ValueError, match=rf"start index {starts[-1]} outside \[3, {last}\]"):
+            train(p0, starts, tiny_ds, TrainConfig(epochs_max=0))
 
 
 def test_train_divergence_is_reported(tiny_ds):
