@@ -30,9 +30,8 @@ from .surrogate import (
     SurrogateArch,
     SurrogateParams,
     TrainConfig,
-    forward,
     init_params,
-    rollout,
+    rollout_batch,
     rollout_loss_grad,
     train,
 )

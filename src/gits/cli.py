@@ -13,9 +13,10 @@ its own:
 
 Exit codes: 0 success, 1 cell/suite failures present, 2 configuration error
 (an INI section or key that CONFIG_KEYS does not declare, a value its field
-rejects, or a time axis too short for any candidate start), 3 missing or
-malformed input file (a dataset or checkpoint pair that is not there, or
-that its reader rejects).
+rejects, a negative seed, a time axis too short for any candidate start, or
+a checkpoint whose history_len or channels the evaluated dataset does not
+fit), 3 missing or malformed input file (a dataset or checkpoint pair that
+is not there, or that its reader rejects).
 """
 
 from __future__ import annotations
@@ -256,6 +257,13 @@ def _cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     ds = harness.load_or_generate_dataset(cfg)
     params, _ = surrogate.load_params(args.params)
+    arch = params.arch
+    if arch.channels != ds.channels:
+        raise HarnessConfigError(f"checkpoint has channels={arch.channels}, "
+                                 f"dataset has channels={ds.channels}")
+    if ds.t_count <= arch.history_len:
+        raise HarnessConfigError(f"checkpoint has history_len={arch.history_len}, dataset has "
+                                 f"t_count={ds.t_count}: no frame left to roll out")
     report = diagnostics.rollout_report(params, ds, split="test")
     payload = dataclasses.asdict(report)
     if args.output:

@@ -32,22 +32,6 @@ from .pde_data import TrajectoryDataset
 from .pilot_scoring import CandidateScores, CandidateSet
 from .surrogate import SurrogateParams, rollout_batch
 
-#: CSV schema used by the experiment harness for per-cell metric rows.
-RESULT_COLUMNS = (
-    "dataset",
-    "sampler",
-    "ratio",
-    "seed",
-    "nrmse",
-    "crmse",
-    "brmse",
-    "frmse_low",
-    "frmse_mid",
-    "frmse_high",
-    "selection_time_s",
-    "train_time_s",
-)
-
 DEFAULT_BINS = 10
 
 #: Inclusive one-sided DFT mode ranges of the fRMSE bands; ``None`` = up to Nyquist.

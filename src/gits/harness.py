@@ -14,8 +14,8 @@ pilot and scoring, each cell's selection step, and each distinct
 selection's downstream training. Cell failures, a failed pilot included,
 are recorded and the sweep continues; the exit status reports them.
 
-Outputs: ``results.csv`` (one row per successful cell, schema from
-:data:`gits.diagnostics.RESULT_COLUMNS`) and ``summary.json`` with the
+Outputs: ``results.csv`` (one row per successful cell, columns
+:data:`RESULT_COLUMNS`) and ``summary.json`` with the
 config echo, per-cell details, the per-seed pilot and scoring times,
 per-sampler aggregates, and head-to-head win counts of the
 gradient-informed sampler against each baseline.
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import (diagnostics, parallel, pde_data, pilot_scoring, selector, surrogate,
                temporal_coverage)
-from .diagnostics import RESULT_COLUMNS, RolloutReport
+from .diagnostics import RolloutReport
 from .pde_data import SolverConfig, TrajectoryDataset
 from .pilot_scoring import CandidateSet
 from .selector import SAMPLERS, ObjectiveConfig, SelectionResult
@@ -52,6 +52,11 @@ SCORING_SEED_OFFSET = 20011
 # Every timing field of results.csv and summary.json (cells and per-seed
 # pilot records). All other output fields are deterministic given the config.
 TIMING_FIELDS = ("selection_time_s", "train_time_s", "pilot_s", "scoring_s")
+
+# The columns of results.csv. Each names a field of CellResult or of its
+# RolloutReport; the two share no field name.
+RESULT_COLUMNS = ("dataset", "sampler", "ratio", "seed", "nrmse", "crmse", "brmse",
+                  "frmse_low", "frmse_mid", "frmse_high", "selection_time_s", "train_time_s")
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -92,6 +97,9 @@ class ExperimentConfig:
         for r in self.ratios:
             if not 0.0 < r <= 1.0:
                 raise HarnessConfigError(f"ratio {r} outside (0, 1]")
+        for s in self.seeds:
+            if s < 0:
+                raise HarnessConfigError(f"seed must be >= 0, got {s}")
         for s in self.samplers:
             if s not in SAMPLERS:
                 raise HarnessConfigError(f"unknown sampler {s!r}")
@@ -381,21 +389,16 @@ def format_compare_table(summary: dict) -> str:
 
 
 def _cell_row(cell: CellResult) -> list:
-    r = cell.report
-    return [
-        cell.dataset,
-        cell.sampler,
-        repr(cell.ratio),
-        cell.seed,
-        repr(r.nrmse),
-        repr(r.crmse),
-        repr(r.brmse),
-        repr(r.frmse_low),
-        repr(r.frmse_mid),
-        repr(r.frmse_high),
-        f"{cell.selection_time_s:.6f}",
-        f"{cell.train_time_s:.6f}",
-    ]
+    """The cell's results.csv row: timings to six decimals, other floats by ``repr``."""
+    row = []
+    for name in RESULT_COLUMNS:
+        value = getattr(cell if hasattr(cell, name) else cell.report, name)
+        if name in TIMING_FIELDS:
+            value = f"{value:.6f}"
+        elif isinstance(value, float):
+            value = repr(value)
+        row.append(value)
+    return row
 
 
 def write_results(result: ExperimentResult, output_dir) -> tuple[Path, Path]:
@@ -555,11 +558,9 @@ def _suite_gradient() -> SuiteOutcome:
 
 
 def _suite_submodularity(rng: np.random.Generator) -> SuiteOutcome:
-    kernel = temporal_coverage.kernel_global  # read per call, so a test can replace it
     candidates = pilot_scoring.build_candidates(40, 4)
-    idx = candidates.indices
-    tau = 5.0
-    s_mat = np.array([[float(kernel(int(i), int(j), tau)) for j in idx] for i in idx])
+    # reads temporal_coverage.kernel_global per call, so a test can replace it
+    s_mat = temporal_coverage.kernel_matrix_global(candidates, 5.0)
 
     # a valid similarity kernel lies in (0, 1] with 1 exactly on the diagonal
     if np.any(s_mat <= 0.0) or np.any(s_mat > 1.0):
@@ -573,7 +574,7 @@ def _suite_submodularity(rng: np.random.Generator) -> SuiteOutcome:
         return float(s_mat[:, sorted(sel)].max(axis=1).sum())
 
     for _ in range(40):
-        perm = rng.permutation(len(idx))
+        perm = rng.permutation(candidates.size)
         small = set(perm[: int(rng.integers(0, 4))].tolist())  # empty sets included
         large = small | set(perm[4:7].tolist())
         k = int(perm[7])

@@ -95,6 +95,8 @@ class SolverConfig:
             raise ConfigurationError(f"unknown boundary {self.boundary!r}")
         if self.spatial_size < 4:
             raise ConfigurationError("spatial_size must be >= 4")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         # Smallest time axis that still admits a nonempty candidate set for
         # the default history length of 4.
         if self.t_count < 6:
@@ -256,22 +258,18 @@ def simulate_trajectory(cfg: SolverConfig, traj_index: int) -> np.ndarray:
         def step(u):
             return u + r * _laplacian(_ghost(u, cfg.boundary))
 
-    elif cfg.family == "burgers1d":
-        nu = rng.uniform(*cfg.viscosity)
-        rd = nu * cfg.dt / dx**2
-        flux = lambda v: 0.5 * v * v
-        speed = lambda a, b: np.maximum(np.abs(a), np.abs(b))
-
-        def step(u):
-            ue = _ghost(u, cfg.boundary)
-            return u - cfg.dt * _rusanov_divergence(ue, dx, flux, speed) + rd * _laplacian(ue)
-
     else:
-        c = rng.uniform(*cfg.speed)
-        coef_d = rng.uniform(*cfg.diffusivity)
-        rd = coef_d * cfg.dt / dx**2
-        flux = lambda v: c * v
-        speed = lambda a, b: abs(c) * np.ones_like(a)
+        if cfg.family == "burgers1d":
+            nu = rng.uniform(*cfg.viscosity)
+            rd = nu * cfg.dt / dx**2
+            flux = lambda v: 0.5 * v * v
+            speed = lambda a, b: np.maximum(np.abs(a), np.abs(b))
+        else:
+            c = rng.uniform(*cfg.speed)
+            coef_d = rng.uniform(*cfg.diffusivity)
+            rd = coef_d * cfg.dt / dx**2
+            flux = lambda v: c * v
+            speed = lambda a, b: abs(c) * np.ones_like(a)
 
         def step(u):
             ue = _ghost(u, cfg.boundary)

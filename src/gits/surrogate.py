@@ -394,36 +394,6 @@ def _backward_buffers(ws: _Workspace, views: _Views, arch: SurrogateArch, x_len:
     )
 
 
-def _check_history(arch: SurrogateArch, history: np.ndarray) -> np.ndarray:
-    history = np.asarray(history, dtype=np.float64)
-    if history.ndim != 3:
-        raise ValueError("history must have shape (L, cells, channels)")
-    if history.shape[0] != arch.history_len:
-        raise ValueError(
-            f"history has {history.shape[0]} frames, model expects {arch.history_len}"
-        )
-    if history.shape[2] != arch.channels:
-        raise ValueError(
-            f"history has {history.shape[2]} channels, model expects {arch.channels}"
-        )
-    return history
-
-
-def forward(params: SurrogateParams, history: np.ndarray) -> np.ndarray:
-    """One-step prediction from the L most recent frames of one trajectory.
-
-    history: (L, cells, channels) -> returns (cells, channels).
-    """
-    history = _check_history(params.arch, history)
-    return rollout_batch(params, history[None], 1)[0, 0]
-
-
-def rollout(params: SurrogateParams, history: np.ndarray, steps: int) -> np.ndarray:
-    """Recursive multi-step prediction; returns (steps, cells, channels)."""
-    history = _check_history(params.arch, history)
-    return rollout_batch(params, history[None], steps)[0]
-
-
 def rollout_batch(params: SurrogateParams, histories: np.ndarray, steps: int) -> np.ndarray:
     """Vectorized rollout over a batch of histories (B, L, cells, channels).
 
@@ -431,10 +401,16 @@ def rollout_batch(params: SurrogateParams, histories: np.ndarray, steps: int) ->
     """
     histories = np.asarray(histories, dtype=np.float64)
     arch = params.arch
-    if histories.ndim != 4 or histories.shape[1] != arch.history_len:
+    if histories.ndim != 4:
         raise ValueError("histories must have shape (B, L, cells, channels)")
+    if histories.shape[1] != arch.history_len:
+        raise ValueError(
+            f"histories have {histories.shape[1]} frames, model expects {arch.history_len}"
+        )
     if histories.shape[3] != arch.channels:
-        raise ValueError("channel count mismatch")
+        raise ValueError(
+            f"histories have {histories.shape[3]} channels, model expects {arch.channels}"
+        )
     if histories.shape[0] == 0:
         raise ValueError("histories is an empty batch")
     if steps < 1:

@@ -12,10 +12,12 @@ import pytest
 
 import gits
 from gits import cli, harness, parallel, pilot_scoring, surrogate
-from gits.diagnostics import RESULT_COLUMNS, RolloutReport, rollout_nrmse, rollout_report
+from gits.diagnostics import RolloutReport, rollout_nrmse, rollout_report
 from gits.harness import (
+    RESULT_COLUMNS,
     CellResult,
     ExperimentConfig,
+    ExperimentResult,
     HarnessConfigError,
     compare_report,
     run_experiment,
@@ -67,6 +69,21 @@ def test_single_cell_config_produces_one_csv_row(tmp_path):
     assert rows[0] == list(RESULT_COLUMNS)
     assert len(rows) == 2
     assert rows[1][0] == "diffusion1d" and rows[1][1] == "uniform"
+
+
+def test_results_row_is_pinned(tmp_path):
+    # floats by repr, timings to six decimals, the seed as an int
+    report = RolloutReport(nrmse=1 / 3, crmse=0.25, brmse=2.0, frmse_low=1e-20,
+                           frmse_mid=0.1, frmse_high=12345.678, horizon=10, n_test=2)
+    cell = CellResult(dataset="burgers1d", sampler="gits", ratio=0.1, seed=7, budget=3,
+                      selected=[4, 5, 6], report=report, selection_time_s=2 / 3,
+                      train_time_s=2.5)
+    csv_path, _ = write_results(ExperimentResult(config=ExperimentConfig(), cells=[cell]),
+                                tmp_path)
+    assert csv_path.read_text().splitlines() == [
+        ",".join(RESULT_COLUMNS),
+        "burgers1d,gits,0.1,7,0.3333333333333333,0.25,2.0,1e-20,0.1,12345.678,0.666667,2.500000",
+    ]
 
 
 def _strip_timing(path):
@@ -682,6 +699,38 @@ def test_cli_time_axis_without_a_start_is_a_config_error(tmp_path, capsys, comma
         assert err.startswith("config error: t_count=6 admits no start index"), err
         assert err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "run", "select", "train"])
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    cfg_path = _write_small_config(tmp_path)
+    if command == "generate":
+        cfg_path.write_text(cfg_path.read_text().replace("seed = 3", "seed = -1"))
+        argv = ["generate", "--config", str(cfg_path), "--output", str(tmp_path / "out" / "ds")]
+    else:
+        argv = _cell_argv(command, cfg_path, tmp_path) + ["--seed", "-1"]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("arch, t_count, message", [
+    (dict(history_len=8), 8, "checkpoint has history_len=8, dataset has t_count=8: "
+                             "no frame left to roll out"),
+    (dict(history_len=3, channels=2), 14, "checkpoint has channels=2, dataset has channels=1"),
+], ids=["history_len", "channels"])
+def test_cli_evaluate_on_a_checkpoint_the_dataset_does_not_fit(tmp_path, capsys, arch,
+                                                               t_count, message):
+    cfg_path = _write_small_config(tmp_path)
+    cfg_path.write_text(cfg_path.read_text().replace("t_count = 14", f"t_count = {t_count}"))
+    params = surrogate.init_params(surrogate.SurrogateArch(hidden=3, kernel_radius=1, **arch), 0)
+    surrogate.save_params(params, tmp_path / "ckpt")
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(cfg_path), "--params", str(tmp_path / "ckpt"),
+                     "--output", str(tmp_path / "report.json")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_cli_writers_report_the_pair_by_its_stem(tmp_path, capsys):

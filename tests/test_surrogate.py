@@ -18,10 +18,8 @@ from gits.surrogate import (
     TrainConfig,
     TrainingDivergedError,
     effective_horizon,
-    forward,
     init_params,
     load_params,
-    rollout,
     rollout_batch,
     rollout_loss_grad,
     save_params,
@@ -74,57 +72,62 @@ def rel_gradient_error(grad, fd):
 
 
 # ----------------------------------------------------------------------
-# forward / rollout
+# rollout_batch: one-step (forward) and multi-step predictions
 # ----------------------------------------------------------------------
 
 def test_zero_params_residual_identity(tiny_ds):
-    hist = tiny_ds.data[0, :3].astype(np.float64)
-    pred = forward(zero_params(), hist)
-    assert np.array_equal(pred, hist[-1])
+    hist = tiny_ds.data[:2, :3].astype(np.float64)
+    pred = rollout_batch(zero_params(), hist, 1)
+    assert np.array_equal(pred[:, 0], hist[:, -1])
 
 
 def test_forward_rejects_wrong_frame_count(tiny_ds):
-    hist = tiny_ds.data[0, :2].astype(np.float64)
-    with pytest.raises(ValueError, match="frames"):
-        forward(zero_params(), hist)
+    hist = tiny_ds.data[:1, :2].astype(np.float64)
+    with pytest.raises(ValueError, match="^histories have 2 frames, model expects 3$"):
+        rollout_batch(zero_params(), hist, 1)
+
+
+def test_forward_rejects_wrong_channel_count(tiny_ds):
+    hist = np.repeat(tiny_ds.data[:1, :3].astype(np.float64), 2, axis=3)
+    with pytest.raises(ValueError, match="^histories have 2 channels, model expects 1$"):
+        rollout_batch(zero_params(), hist, 1)
 
 
 def test_forward_deterministic(tiny_ds):
     params = init_params(TINY_ARCH, 0)
-    hist = tiny_ds.data[1, :3].astype(np.float64)
-    a = forward(params, hist)
-    b = forward(params, hist)
-    assert np.array_equal(a, b)
+    hist = tiny_ds.data[1:3, :3].astype(np.float64)
+    assert np.array_equal(rollout_batch(params, hist, 4), rollout_batch(params, hist, 4))
 
 
 def test_forward_clamps_output():
     arch = SurrogateArch(history_len=2, hidden=2, kernel_radius=1, clamp=0.5)
-    hist = np.full((2, 8, 1), 3.0)
-    pred = forward(SurrogateParams(np.zeros(arch.param_count()), arch), hist)
+    hist = np.full((1, 2, 8, 1), 3.0)
+    pred = rollout_batch(SurrogateParams(np.zeros(arch.param_count()), arch), hist, 1)
     assert np.all(pred == 0.5)
 
 
 def test_rollout_steps_one_equals_forward(tiny_ds):
     params = init_params(TINY_ARCH, 1)
-    hist = tiny_ds.data[2, :3].astype(np.float64)
-    assert np.array_equal(rollout(params, hist, 1)[0], forward(params, hist))
+    hist = tiny_ds.data[2:4, :3].astype(np.float64)
+    assert np.array_equal(rollout_batch(params, hist, 5)[:, 0],
+                          rollout_batch(params, hist, 1)[:, 0])
 
 
 def test_rollout_zero_params_repeats_last_frame(tiny_ds):
-    hist = tiny_ds.data[0, :3].astype(np.float64)
-    out = rollout(zero_params(), hist, 6)
+    hist = tiny_ds.data[:1, :3].astype(np.float64)
+    out = rollout_batch(zero_params(), hist, 6)[0]
     for frame in out:
-        assert np.array_equal(frame, hist[-1])
+        assert np.array_equal(frame, hist[0, -1])
 
 
 def test_rollout_matches_chained_forward(tiny_ds):
     params = init_params(TINY_ARCH, 2)
-    hist = tiny_ds.data[3, :3].astype(np.float64)
-    out = rollout(params, hist, 3)
-    frames = [hist[0], hist[1], hist[2]]
+    hist = tiny_ds.data[3:5, :3].astype(np.float64)
+    out = rollout_batch(params, hist, 3)
+    frames = hist
     for _ in range(3):
-        frames.append(forward(params, np.stack(frames[-3:])))
-    assert np.array_equal(out, np.stack(frames[3:]))
+        frames = np.concatenate([frames, rollout_batch(params, frames[:, -3:], 1)], axis=1)
+    assert np.array_equal(out, frames[:, 3:])
 
 
 @pytest.mark.parametrize("steps", [0, -1])
@@ -215,7 +218,7 @@ def test_mixed_start_batch_averages_pairs(tiny_ds):
 
 
 def test_loss_reads_each_pairs_history_and_target_frames(tiny_ds):
-    # per-pair reference from the public rollout: history frames k-L+1..k,
+    # per-pair reference from rollout_batch: history frames k-L+1..k,
     # targets k+1..k+h, per-frame NRMSE^2 averaged over frames, then pairs
     params = init_params(TINY_ARCH, 8)
     pairs = [(0, 4), (3, 5), (1, 7), (2, tiny_ds.t_count - 2), (3, 3)]
@@ -223,7 +226,7 @@ def test_loss_reads_each_pairs_history_and_target_frames(tiny_ds):
     expected = []
     for n, k in pairs:
         h = effective_horizon(horizon, tiny_ds.t_count, k)
-        pred = rollout(params, tiny_ds.data[n, k - length + 1 : k + 1], h)
+        pred = rollout_batch(params, tiny_ds.data[n, k - length + 1 : k + 1][None], h)[0]
         target = tiny_ds.data[n, k + 1 : k + 1 + h].astype(np.float64)
         sq = np.sum((pred - target) ** 2, axis=(1, 2))
         norm = (np.sqrt(np.sum(target**2, axis=(1, 2))) + surrogate.NRMSE_EPS) ** 2
