@@ -13,10 +13,11 @@ its own:
 
 Exit codes: 0 success, 1 cell/suite failures present, 2 configuration error
 (an INI section or key that CONFIG_KEYS does not declare, a value its field
-rejects, a negative seed, a time axis too short for any candidate start, or
-a checkpoint whose history_len or channels the evaluated dataset does not
-fit), 3 missing or malformed input file (a dataset or checkpoint pair that
-is not there, or that its reader rejects).
+rejects, a negative seed, a non-finite dt or coefficient range, a time axis
+too short for any candidate start, or a checkpoint whose history_len,
+channels or padding the evaluated dataset does not fit), 3 missing or
+malformed input file (a dataset or checkpoint pair that is not there, or
+that its reader rejects).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 from . import diagnostics, harness, pde_data, selector, surrogate
 from .harness import ExperimentConfig, HarnessConfigError
 from .pde_data import SolverConfig
-from .pilot_scoring import EmptyCandidateError, build_candidates
+from .pilot_scoring import EmptyCandidateError, build_candidates, default_arch
 from .selector import ObjectiveConfig
 from .surrogate import TrainConfig
 from .temporal_coverage import CoverageConfig
@@ -264,6 +265,9 @@ def _cmd_evaluate(args) -> int:
     if ds.t_count <= arch.history_len:
         raise HarnessConfigError(f"checkpoint has history_len={arch.history_len}, dataset has "
                                  f"t_count={ds.t_count}: no frame left to roll out")
+    if arch.padding != default_arch(ds).padding:
+        raise HarnessConfigError(f"checkpoint has padding={arch.padding}, dataset has "
+                                 f"boundary={ds.meta.get('boundary')}")
     report = diagnostics.rollout_report(params, ds, split="test")
     payload = dataclasses.asdict(report)
     if args.output:

@@ -10,10 +10,14 @@ Three scalar-field families on the unit interval, with periodic or zero-flux
 Initial conditions are sums of three random Fourier modes; physical
 coefficients are drawn per trajectory from configured ranges. Every
 trajectory gets its own sub-seed, so generation is deterministic and
-trajectory-order independent. Raw fields are integrated in float64,
-normalized per channel to zero mean / unit std over the training split,
-and stored as float32 -- the same precision used by the on-disk format,
-which makes serialization bit-exact.
+trajectory-order independent. :func:`simulate_trajectories` steps all
+trajectories of a dataset as one (n_traj, cells) float64 array, with the
+coefficients as (n_traj, 1) columns; each element goes through the same
+operations as if its trajectory were stepped alone, so a trajectory's
+values do not depend on the batch it is in. Raw fields are normalized per
+channel to zero mean / unit std over the training split, and stored as
+float32 -- the same precision used by the on-disk format, which makes
+serialization bit-exact.
 
 File format: a pair ``<name>.json`` (manifest) + ``<name>.f32`` (flat
 little-endian float32 payload in (trajectory, time, cell, channel) order).
@@ -105,12 +109,17 @@ class SolverConfig:
             object.__setattr__(self, "dt", _DEFAULT_DT[self.family])
         if self.snapshot_stride is None:
             object.__setattr__(self, "snapshot_stride", _DEFAULT_STRIDE[self.family])
+        # NaN passes every comparison below, so finiteness is checked first.
+        if not math.isfinite(self.dt):
+            raise ConfigurationError(f"dt must be finite, got {self.dt}")
         if self.dt <= 0.0:
             raise ConfigurationError("dt must be positive")
         if self.snapshot_stride < 1:
             raise ConfigurationError("snapshot_stride must be >= 1")
         for name in ("diffusivity", "viscosity", "speed"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigurationError(f"{name} must be finite, got ({lo}, {hi})")
             if hi < lo or lo < 0.0:
                 raise ConfigurationError(f"bad {name} range ({lo}, {hi})")
         self._check_stability()
@@ -210,24 +219,24 @@ class TrajectoryDataset:
 # ----------------------------------------------------------------------
 
 def _ghost(u: np.ndarray, boundary: str) -> np.ndarray:
-    """``u`` with one ghost cell at each end: wrapped (periodic) or the edge
-    value repeated (zero-flux Neumann). The stencils below read this array,
-    so the boundary enters a step only here."""
+    """``u`` with one ghost cell at each end of its last (cell) axis: wrapped
+    (periodic) or the edge value repeated (zero-flux Neumann). The stencils
+    below read this array, so the boundary enters a step only here."""
     if boundary == "periodic":
-        return np.concatenate([u[-1:], u, u[:1]])
-    return np.concatenate([u[:1], u, u[-1:]])
+        return np.concatenate([u[..., -1:], u, u[..., :1]], axis=-1)
+    return np.concatenate([u[..., :1], u, u[..., -1:]], axis=-1)
 
 
 def _laplacian(ue: np.ndarray) -> np.ndarray:
-    return ue[2:] + ue[:-2] - 2.0 * ue[1:-1]
+    return ue[..., 2:] + ue[..., :-2] - 2.0 * ue[..., 1:-1]
 
 
 def _rusanov_divergence(ue, dx, flux, speed):
     """Divergence of the Rusanov (local Lax-Friedrichs) numerical flux."""
-    ul = ue[:-1]
-    ur = ue[1:]
+    ul = ue[..., :-1]
+    ur = ue[..., 1:]
     f = 0.5 * (flux(ul) + flux(ur)) - 0.5 * speed(ul, ur) * (ur - ul)
-    return (f[1:] - f[:-1]) / dx
+    return (f[..., 1:] - f[..., :-1]) / dx
 
 
 def _initial_condition(rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
@@ -240,51 +249,69 @@ def _initial_condition(rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
     return u
 
 
-def simulate_trajectory(cfg: SolverConfig, traj_index: int) -> np.ndarray:
-    """Integrate one raw (un-normalized) trajectory in float64.
+def simulate_trajectories(cfg: SolverConfig, traj_indices) -> np.ndarray:
+    """Integrate raw (un-normalized) trajectories in float64, all as one array.
 
-    Returns an array of shape (t_count, spatial_size). Deterministic in
-    (cfg.seed, traj_index); trajectories are independent of each other.
+    Returns an array of shape (len(traj_indices), t_count, spatial_size),
+    row ``j`` holding trajectory ``traj_indices[j]``. Each trajectory draws
+    its initial condition and coefficients from its own
+    ``default_rng([cfg.seed, index])``, and every element goes through the
+    same operations whatever the other rows are, so a row does not depend on
+    which trajectories share the batch.
+
+    The state is checked after every snapshot. The first snapshot at which
+    any row is non-finite raises :class:`GenerationError` naming the
+    trajectory of the lowest such row.
     """
-    rng = np.random.default_rng([cfg.seed, traj_index])
+    traj_indices = [int(i) for i in traj_indices]
+    n = len(traj_indices)
     dx = cfg.dx
     x = (np.arange(cfg.spatial_size) + 0.5) * dx
-    u = _initial_condition(rng, x)
+    u = np.empty((n, cfg.spatial_size), dtype=np.float64)
+    # Per-trajectory columns: the diffusive number D dt / dx^2 (nu dt / dx^2
+    # for Burgers) and the advection speed c.
+    rd = np.empty((n, 1), dtype=np.float64)
+    c = np.zeros((n, 1), dtype=np.float64)
+    for row, i in enumerate(traj_indices):
+        rng = np.random.default_rng([cfg.seed, i])
+        u[row] = _initial_condition(rng, x)
+        if cfg.family == "diffusion1d":
+            rd[row] = rng.uniform(*cfg.diffusivity) * cfg.dt / dx**2
+        elif cfg.family == "burgers1d":
+            rd[row] = rng.uniform(*cfg.viscosity) * cfg.dt / dx**2
+        else:
+            c[row] = rng.uniform(*cfg.speed)
+            rd[row] = rng.uniform(*cfg.diffusivity) * cfg.dt / dx**2
 
     if cfg.family == "diffusion1d":
-        coef_d = rng.uniform(*cfg.diffusivity)
-        r = coef_d * cfg.dt / dx**2
 
         def step(u):
-            return u + r * _laplacian(_ghost(u, cfg.boundary))
+            return u + rd * _laplacian(_ghost(u, cfg.boundary))
 
     else:
         if cfg.family == "burgers1d":
-            nu = rng.uniform(*cfg.viscosity)
-            rd = nu * cfg.dt / dx**2
             flux = lambda v: 0.5 * v * v
             speed = lambda a, b: np.maximum(np.abs(a), np.abs(b))
         else:
-            c = rng.uniform(*cfg.speed)
-            coef_d = rng.uniform(*cfg.diffusivity)
-            rd = coef_d * cfg.dt / dx**2
             flux = lambda v: c * v
-            speed = lambda a, b: abs(c) * np.ones_like(a)
+            speed = lambda a, b: np.abs(c) * np.ones_like(a)
 
         def step(u):
             ue = _ghost(u, cfg.boundary)
             return u - cfg.dt * _rusanov_divergence(ue, dx, flux, speed) + rd * _laplacian(ue)
 
-    out = np.empty((cfg.t_count, cfg.spatial_size), dtype=np.float64)
-    out[0] = u
+    out = np.empty((n, cfg.t_count, cfg.spatial_size), dtype=np.float64)
+    out[:, 0] = u
     for t in range(1, cfg.t_count):
         for _ in range(cfg.snapshot_stride):
             u = step(u)
-        if not np.all(np.isfinite(u)):
+        finite = np.isfinite(u).all(axis=-1)
+        if not finite.all():
+            row = int(np.argmin(finite))
             raise GenerationError(
-                f"non-finite state in trajectory {traj_index} at snapshot {t}"
+                f"non-finite state in trajectory {traj_indices[row]} at snapshot {t}"
             )
-        out[t] = u
+        out[:, t] = u
     return out
 
 
@@ -309,9 +336,7 @@ def generate_dataset(cfg: SolverConfig, n_traj: int) -> TrajectoryDataset:
     """Generate, split, and normalize a dataset of ``n_traj`` trajectories."""
     if n_traj < 10:
         raise ConfigurationError("n_traj must be >= 10 (need nonempty val/test splits)")
-    raw = np.empty((n_traj, cfg.t_count, cfg.spatial_size), dtype=np.float64)
-    for n in range(n_traj):
-        raw[n] = simulate_trajectory(cfg, n)
+    raw = simulate_trajectories(cfg, range(n_traj))
 
     split = assign_splits(n_traj, cfg.seed)
     train_idx = [i for i, s in enumerate(split) if s == "train"]

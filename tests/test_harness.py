@@ -733,6 +733,39 @@ def test_cli_evaluate_on_a_checkpoint_the_dataset_does_not_fit(tmp_path, capsys,
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("trained, evaluated", [("periodic", "neumann"), ("neumann", "periodic")])
+def test_cli_evaluate_on_a_checkpoint_of_the_other_boundary(tmp_path, capsys, trained,
+                                                            evaluated):
+    cfg_path = _write_small_config(tmp_path)
+    text = cfg_path.read_text()
+    cfg_path.write_text(text.replace("[dataset]\n", f"[dataset]\nboundary = {trained}\n"))
+    assert cli.main(["train", "--config", str(cfg_path), "--sampler", "uniform",
+                     "--output", str(tmp_path / "ckpt")]) == 0
+    padding = surrogate.load_params(tmp_path / "ckpt")[0].arch.padding
+    cfg_path.write_text(text.replace("[dataset]\n", f"[dataset]\nboundary = {evaluated}\n"))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(cfg_path), "--params", str(tmp_path / "ckpt"),
+                     "--output", str(tmp_path / "report.json")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: checkpoint has padding={padding}, "
+                                       f"dataset has boundary={evaluated}\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("dt = nan", "dt must be finite, got nan"),
+    ("diffusivity = nan,nan", "diffusivity must be finite, got (nan, nan)"),
+    ("family = advection_diffusion1d\nspeed = nan,nan", "speed must be finite, got (nan, nan)"),
+])
+def test_cli_non_finite_solver_setting_is_a_config_error(tmp_path, capsys, line, message):
+    cfg_path = _write_small_config(tmp_path)
+    cfg_path.write_text(cfg_path.read_text().replace("[dataset]\n", f"[dataset]\n{line}\n"))
+    capsys.readouterr()
+    assert cli.main(["generate", "--config", str(cfg_path),
+                     "--output", str(tmp_path / "out" / "ds")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_writers_report_the_pair_by_its_stem(tmp_path, capsys):
     cfg_path = _write_small_config(tmp_path)
     assert cli.main(["generate", "--config", str(cfg_path),

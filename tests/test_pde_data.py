@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -15,9 +16,10 @@ from gits.pde_data import (
     DatasetFormatError,
     SolverConfig,
     TrajectoryDataset,
+    GenerationError,
     generate_dataset,
     read_dataset,
-    simulate_trajectory,
+    simulate_trajectories,
     write_dataset,
 )
 
@@ -31,14 +33,14 @@ def small_ds():
 def test_zero_diffusivity_keeps_initial_condition():
     cfg = SolverConfig(family="diffusion1d", diffusivity=(0.0, 0.0), spatial_size=32,
                        t_count=15, seed=1)
-    raw = simulate_trajectory(cfg, 0)
+    raw = simulate_trajectories(cfg, [0])[0]
     for t in range(1, cfg.t_count):
         assert np.array_equal(raw[t], raw[0])
 
 
 def test_periodic_diffusion_conserves_spatial_mean():
     cfg = SolverConfig(family="diffusion1d", seed=3)
-    raw = simulate_trajectory(cfg, 2)
+    raw = simulate_trajectories(cfg, [2])[0]
     assert abs(raw[50].mean() - raw[0].mean()) < 1e-10
     # holds along the whole trajectory, not just at t=50
     means = raw.mean(axis=1)
@@ -47,7 +49,7 @@ def test_periodic_diffusion_conserves_spatial_mean():
 
 def test_periodic_burgers_conserves_spatial_mean():
     cfg = SolverConfig(family="burgers1d", seed=5)
-    raw = simulate_trajectory(cfg, 0)
+    raw = simulate_trajectories(cfg, [0])[0]
     means = raw.mean(axis=1)
     assert np.max(np.abs(means - means[0])) < 1e-10
 
@@ -81,22 +83,22 @@ def test_neumann_boundary_runs():
 def _oracle_laplacian(u, boundary):
     """The per-boundary step the one ghost-cell rule replaced, kept as the reference."""
     if boundary == "periodic":
-        return np.roll(u, -1) + np.roll(u, 1) - 2.0 * u
-    up = np.concatenate([u[:1], u, u[-1:]])
-    return up[2:] + up[:-2] - 2.0 * u
+        return np.roll(u, -1, axis=-1) + np.roll(u, 1, axis=-1) - 2.0 * u
+    up = np.concatenate([u[..., :1], u, u[..., -1:]], axis=-1)
+    return up[..., 2:] + up[..., :-2] - 2.0 * u
 
 
 def _oracle_rusanov_divergence(u, dx, flux, speed, boundary):
     if boundary == "periodic":
         ul = u
-        ur = np.roll(u, -1)
+        ur = np.roll(u, -1, axis=-1)
         f = 0.5 * (flux(ul) + flux(ur)) - 0.5 * speed(ul, ur) * (ur - ul)
-        return (f - np.roll(f, 1)) / dx
-    ue = np.concatenate([u[:1], u, u[-1:]])
-    ul = ue[:-1]
-    ur = ue[1:]
+        return (f - np.roll(f, 1, axis=-1)) / dx
+    ue = np.concatenate([u[..., :1], u, u[..., -1:]], axis=-1)
+    ul = ue[..., :-1]
+    ur = ue[..., 1:]
     f = 0.5 * (flux(ul) + flux(ur)) - 0.5 * speed(ul, ur) * (ur - ul)
-    return (f[1:] - f[:-1]) / dx
+    return (f[..., 1:] - f[..., :-1]) / dx
 
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)
@@ -113,6 +115,124 @@ def test_ghost_cell_step_matches_the_per_boundary_oracle(tmp_path, monkeypatch, 
     payload = (tmp_path / "new.f32").read_bytes()
     assert payload == (tmp_path / "oracle.f32").read_bytes()
     assert len(payload) == 10 * cfg.t_count * cfg.spatial_size * 4
+
+
+def _oracle_trajectory(cfg, traj_index):
+    """One trajectory stepped on its own (cells,) state: the per-trajectory loop
+    that the batched solver replaced, kept as the reference."""
+
+    def ghost(u):
+        if cfg.boundary == "periodic":
+            return np.concatenate([u[-1:], u, u[:1]])
+        return np.concatenate([u[:1], u, u[-1:]])
+
+    def laplacian(ue):
+        return ue[2:] + ue[:-2] - 2.0 * ue[1:-1]
+
+    def rusanov_divergence(ue, dx, flux, speed):
+        ul = ue[:-1]
+        ur = ue[1:]
+        f = 0.5 * (flux(ul) + flux(ur)) - 0.5 * speed(ul, ur) * (ur - ul)
+        return (f[1:] - f[:-1]) / dx
+
+    rng = np.random.default_rng([cfg.seed, traj_index])
+    dx = cfg.dx
+    x = (np.arange(cfg.spatial_size) + 0.5) * dx
+    u = pde_data._initial_condition(rng, x)
+    if cfg.family == "diffusion1d":
+        coef_d = rng.uniform(*cfg.diffusivity)
+        r = coef_d * cfg.dt / dx**2
+
+        def step(u):
+            return u + r * laplacian(ghost(u))
+
+    else:
+        if cfg.family == "burgers1d":
+            nu = rng.uniform(*cfg.viscosity)
+            rd = nu * cfg.dt / dx**2
+            flux = lambda v: 0.5 * v * v
+            speed = lambda a, b: np.maximum(np.abs(a), np.abs(b))
+        else:
+            c = rng.uniform(*cfg.speed)
+            coef_d = rng.uniform(*cfg.diffusivity)
+            rd = coef_d * cfg.dt / dx**2
+            flux = lambda v: c * v
+            speed = lambda a, b: abs(c) * np.ones_like(a)
+
+        def step(u):
+            ue = ghost(u)
+            return u - cfg.dt * rusanov_divergence(ue, dx, flux, speed) + rd * laplacian(ue)
+
+    out = np.empty((cfg.t_count, cfg.spatial_size), dtype=np.float64)
+    out[0] = u
+    for t in range(1, cfg.t_count):
+        for _ in range(cfg.snapshot_stride):
+            u = step(u)
+        out[t] = u
+    return out
+
+
+def _oracle_trajectories(cfg, traj_indices):
+    return np.stack([_oracle_trajectory(cfg, i) for i in traj_indices])
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("family", pde_data.FAMILIES)
+def test_batched_payload_matches_the_per_trajectory_oracle(tmp_path, monkeypatch, family,
+                                                           boundary):
+    cfg = SolverConfig(family=family, boundary=boundary, spatial_size=24, t_count=10, seed=11)
+    write_dataset(generate_dataset(cfg, 12), tmp_path / "batched")
+    monkeypatch.setattr(pde_data, "simulate_trajectories", _oracle_trajectories)
+    write_dataset(generate_dataset(cfg, 12), tmp_path / "oracle")
+    payload = (tmp_path / "batched.f32").read_bytes()
+    assert payload == (tmp_path / "oracle.f32").read_bytes()
+    assert len(payload) == 12 * cfg.t_count * cfg.spatial_size * 4
+    assert (tmp_path / "batched.json").read_text() == (tmp_path / "oracle.json").read_text()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(family=st.sampled_from(pde_data.FAMILIES), boundary=st.sampled_from(BOUNDARIES),
+       n_traj=st.integers(1, 6), spatial_size=st.integers(4, 64), t_count=st.integers(6, 12),
+       snapshot_stride=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_batched_solver_equals_the_per_trajectory_oracle(family, boundary, n_traj, spatial_size,
+                                                         t_count, snapshot_stride, seed):
+    cfg = SolverConfig(family=family, boundary=boundary, spatial_size=spatial_size,
+                       t_count=t_count, snapshot_stride=snapshot_stride, seed=seed)
+    raw = simulate_trajectories(cfg, range(n_traj))
+    assert raw.shape == (n_traj, t_count, spatial_size) and raw.dtype == np.float64
+    assert np.array_equal(raw, _oracle_trajectories(cfg, range(n_traj)))
+
+
+@pytest.mark.parametrize("family", pde_data.FAMILIES)
+def test_a_trajectory_does_not_depend_on_its_batch(family):
+    cfg = SolverConfig(family=family, spatial_size=16, t_count=8, seed=4)
+    full = simulate_trajectories(cfg, range(7))
+    for i in range(7):
+        assert np.array_equal(simulate_trajectories(cfg, [i])[0], full[i]), i
+    assert np.array_equal(simulate_trajectories(cfg, [5, 2, 6]), full[[5, 2, 6]])
+
+
+def test_generation_error_names_the_lowest_row_at_the_first_bad_snapshot(monkeypatch):
+    # snapshot_stride 2: the step of call c belongs to snapshot (c + 1) // 2
+    cfg = SolverConfig(spatial_size=8, t_count=8, snapshot_stride=2, seed=0)
+    poison = {3: (3, 6), 5: (1,)}  # call -> rows made NaN: rows 3, 6 at snapshot 2, row 1 at 3
+    laplacian = pde_data._laplacian
+    calls = []
+
+    def poisoned(ue):
+        out = laplacian(ue)
+        calls.append(None)
+        for row in poison.get(len(calls), ()):
+            out[row, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(pde_data, "_laplacian", poisoned)
+    with pytest.raises(GenerationError, match=r"^non-finite state in trajectory 3 at snapshot 2$"):
+        generate_dataset(cfg, 10)
+    calls.clear()
+    # the error names the trajectory of the row, not the row's position
+    with pytest.raises(GenerationError, match=r"^non-finite state in trajectory 7 at snapshot 2$"):
+        simulate_trajectories(cfg, range(4, 14))
 
 
 def test_split_fractions_and_determinism(small_ds):
@@ -139,6 +259,20 @@ def test_unstable_dt_rejected():
         SolverConfig(family="burgers1d", dt=0.5)
     with pytest.raises(ConfigurationError):
         SolverConfig(family="advection_diffusion1d", dt=0.5)
+
+
+@pytest.mark.parametrize("family", pde_data.FAMILIES)
+@pytest.mark.parametrize("field, value, message", [
+    ("dt", float("nan"), "dt must be finite, got nan"),
+    ("dt", float("inf"), "dt must be finite, got inf"),
+    ("diffusivity", (float("nan"), float("nan")), "diffusivity must be finite, got (nan, nan)"),
+    ("viscosity", (0.01, float("nan")), "viscosity must be finite, got (0.01, nan)"),
+    ("speed", (float("nan"), 1.0), "speed must be finite, got (nan, 1.0)"),
+    ("speed", (0.5, float("inf")), "speed must be finite, got (0.5, inf)"),
+])
+def test_non_finite_solver_settings_rejected(family, field, value, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        SolverConfig(family=family, **{field: value})
 
 
 def test_n_traj_too_small_rejected():
