@@ -11,6 +11,13 @@ results are pickled. With one worker the same map runs in this process, so
 arithmetic in the same order wherever it runs, so the outputs do not
 depend on the worker count.
 
+Scoring hands each worker one contiguous chunk of candidates, which the
+worker scores in stacks of several candidates per surrogate call
+(``pilot_scoring.stack_size``: 8 at the long_axis_select bench shape, 1 at
+the default grid's). A stack is cut at the end of a chunk, and stacking
+does not change any candidate's arithmetic, so the chunking does not
+change the outputs either.
+
 The workers are forked rather than spawned: a spawned worker would import
 the package again and receive the dataset and the pilot by pickling.
 """

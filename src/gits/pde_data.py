@@ -342,12 +342,21 @@ def generate_dataset(cfg: SolverConfig, n_traj: int) -> TrajectoryDataset:
     train_idx = [i for i, s in enumerate(split) if s == "train"]
 
     # Single scalar channel for all current families.
-    mean = float(np.mean(raw[train_idx]))
-    std = float(np.std(raw[train_idx]))
+    # np.mean and np.std's arithmetic, with the deviations squared in place
+    # in the one gathered copy of the training rows
+    train = raw[train_idx]
+    mean = float(np.mean(train))
+    train -= mean
+    np.square(train, out=train)
+    std = math.sqrt(float(np.sum(train)) / train.size)
+    del train
     if std <= 0.0:
         raise GenerationError("training split has zero variance; cannot normalize")
 
-    data = ((raw - mean) / std)[:, :, :, None].astype(np.float32)
+    # in place, so no second full-size float64 array is made
+    raw -= mean
+    raw /= std
+    data = raw[:, :, :, None].astype(np.float32)
     meta = {
         "family": cfg.family,
         "boundary": cfg.boundary,

@@ -121,16 +121,20 @@ class _Views(NamedTuple):
 
 
 def _unpack(theta: np.ndarray, arch: SurrogateArch) -> _Views:
-    """Views into ``theta``; writing through them writes into ``theta``."""
+    """Views into ``theta`` (..., P); writing through them writes into ``theta``.
+
+    Leading axes of ``theta`` stay leading axes of every view.
+    """
     k = arch.kernel_size
     n1 = arch.hidden * arch.in_channels * k
     n2 = n1 + arch.hidden
     n3 = n2 + arch.channels * arch.hidden * k
+    lead = theta.shape[:-1]
     return _Views(
-        w1=theta[:n1].reshape(arch.hidden, arch.in_channels * k),
-        b1=theta[n1:n2],
-        w2=theta[n2:n3].reshape(arch.channels, arch.hidden * k),
-        b2=theta[n3:],
+        w1=theta[..., :n1].reshape(*lead, arch.hidden, arch.in_channels * k),
+        b1=theta[..., n1:n2],
+        w2=theta[..., n2:n3].reshape(*lead, arch.channels, arch.hidden * k),
+        b2=theta[..., n3:],
     )
 
 
@@ -153,15 +157,20 @@ def init_params(arch: SurrogateArch, seed: int) -> SurrogateParams:
 # one step in the channel-major layout, with its exact backward pass
 # ----------------------------------------------------------------------
 #
-# A rollout of B trajectories lives in one frame buffer shaped
-# (L + H, C, X, B): frames 0..L-1 hold the history and step t writes its
-# prediction into frame L + t in place. Frames t..t+L-1 of the buffer are
-# the step's (L*C, X*B) input without a copy. Each convolution gathers its
-# (Cin*K, X*B) window matrix with one flat index and is one GEMM,
-# W @ windows. Its backward pass is two more GEMMs, g_out @ windows.T for
-# the weights and W.T @ g_out for the windows, and an overlap-add of the
-# window gradient back onto the input rows. The batch is the fastest axis,
-# so each tap of the overlap-add is one contiguous block of X*B values.
+# A call steps a stack of G rollouts of B trajectories each. They live in
+# one frame buffer shaped (G, L + H, C, X, B): slice g holds rollout g,
+# frames 0..L-1 hold its history and step t writes its prediction into
+# frame L + t in place. Frames t..t+L-1 of a slice are the step's
+# (L*C, X*B) input. Each convolution gathers every slice's (Cin*K, X*B)
+# window matrix with one flat index and is one stacked GEMM, W @ windows,
+# of the shared weights against every slice. Its backward pass is two more
+# stacked GEMMs, g_out @ windows.T for each slice's weight gradient and
+# W.T @ g_out for the windows, and an overlap-add of the window gradient
+# back onto the input rows. The batch is the fastest axis, so each tap of
+# the overlap-add is one contiguous block of X*B values per slice. Every
+# op runs once over the whole stack, and slice g computes exactly what a
+# call of that one rollout (G = 1) computes: the stack only shares the
+# per-op overhead, which dominates when X*B is small.
 #
 # The window matrices, activations and gradient buffers of a rollout's
 # steps are written in place into buffers of a _Workspace, sized once per
@@ -238,159 +247,163 @@ def _window_index(x_len: int, r: int, padding: str, b_sz: int) -> np.ndarray:
 
 
 def _windows(z: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    """(Cin, X*B) rows -> (Cin*K, X*B) window matrix in ``out``, rows ordered (channel, tap).
+    """(G, Cin, X*B) rows -> (G, Cin*K, X*B) windows in ``out``, rows ordered (channel, tap).
 
     Every index is in range, so ``mode="wrap"`` never wraps; unlike the
     default mode it lets ``take`` write into ``out`` without a bounce buffer.
     """
-    z.take(idx, axis=1, out=out.reshape(z.shape[0], *idx.shape), mode="wrap")
+    z.take(idx, axis=2, out=out.reshape(*z.shape[:2], *idx.shape), mode="wrap")
 
 
 def _adjoint_buffers(ws: _Workspace, name: str, w: np.ndarray, k: int, x_len: int,
-                     b_sz: int) -> tuple[np.ndarray, np.ndarray]:
+                     b_sz: int, stack: int) -> tuple[np.ndarray, np.ndarray]:
     """The padded rows and the scratch of :func:`_windows_adjoint` for ``w`` (Cout, Cin*K)."""
     c_in = w.shape[1] // k
     scratch = (c_in, x_len, b_sz) if w.shape[0] == 1 else (c_in * k, x_len * b_sz)
-    return (ws.get(f"{name}.g_pad", (c_in, x_len + k - 1, b_sz)),
-            ws.get(f"{name}.scratch", scratch))
+    return (ws.get(f"{name}.g_pad", (stack, c_in, x_len + k - 1, b_sz)),
+            ws.get(f"{name}.scratch", (stack, *scratch)))
 
 
 def _windows_adjoint(w: np.ndarray, g: np.ndarray, pad: np.ndarray, g_pad: np.ndarray,
                      scratch: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`_windows` applied to ``w.T @ g``: (Cin, X*B), a view into ``g_pad``.
+    """Adjoint of :func:`_windows` applied to ``w.T @ g``: (G, Cin, X*B), a view into ``g_pad``.
 
     The K taps of the window gradient are overlap-added into the padded
-    rows ``g_pad`` (Cin, X + 2r, B); then each of the 2r padded edge columns
-    is added onto the cell it was read from. With one row in ``w`` the
-    product is an outer product: tap j adds the broadcast products
-    ``w[0, (c, j)] * g``, formed in ``scratch`` (Cin, X, B), and the
-    (Cin*K, X*B) product is never written. Otherwise ``scratch`` receives
-    that product. Both paths add the same products in the same order.
+    rows ``g_pad`` (G, Cin, X + 2r, B); then each of the 2r padded edge
+    columns is added onto the cell it was read from. With one row in ``w``
+    the product is an outer product: tap j adds the broadcast products
+    ``w[0, (c, j)] * g``, formed in ``scratch`` (G, Cin, X, B), and the
+    (G, Cin*K, X*B) product is never written. Otherwise ``scratch``
+    receives that product. Both paths add the same products in the same
+    order.
     """
-    c_in, _, b_sz = g_pad.shape
-    x_len = g.shape[1] // b_sz
+    stack, c_in, _, b_sz = g_pad.shape
+    x_len = g.shape[2] // b_sz
     r = (pad.size - x_len) // 2
     k = 2 * r + 1
     g_pad.fill(0.0)
     if w.shape[0] == 1:
         w_taps = w.reshape(c_in, k, 1, 1)
-        g_cells = g.reshape(x_len, b_sz)
+        g_cells = g.reshape(stack, 1, x_len, b_sz)
         for j in range(k):
-            g_pad[:, j : j + x_len] += np.multiply(w_taps[:, j], g_cells, out=scratch)
+            g_pad[:, :, j : j + x_len] += np.multiply(w_taps[:, j], g_cells, out=scratch)
     else:
-        g_win = np.matmul(w.T, g, out=scratch).reshape(c_in, k, x_len, b_sz)
+        g_win = np.matmul(w.T, g, out=scratch).reshape(stack, c_in, k, x_len, b_sz)
         for j in range(k):
-            g_pad[:, j : j + x_len] += g_win[:, j]
+            g_pad[:, :, j : j + x_len] += g_win[:, :, j]
     for p in (*range(r), *range(x_len + r, x_len + 2 * r)):
-        g_pad[:, r + pad[p]] += g_pad[:, p]
-    return g_pad.reshape(c_in, -1)[:, r * b_sz : (r + x_len) * b_sz]
+        g_pad[:, :, r + pad[p]] += g_pad[:, :, p]
+    return g_pad.reshape(stack, c_in, -1)[:, :, r * b_sz : (r + x_len) * b_sz]
 
 
 class _Tape(NamedTuple):
     """Saved activations of a rollout's steps; slot t holds step t."""
 
-    win1: np.ndarray  # (slots, L*C*K, X*B)
-    h: np.ndarray  # (slots, hidden, X*B)
-    win2: np.ndarray  # (slots, hidden*K, X*B)
-    mask: np.ndarray  # (slots, C, X*B) bool: the output is inside the clamp
+    win1: np.ndarray  # (slots, G, L*C*K, X*B)
+    h: np.ndarray  # (slots, G, hidden, X*B)
+    win2: np.ndarray  # (slots, G, hidden*K, X*B)
+    mask: np.ndarray  # (slots, G, C, X*B) bool: the output is inside the clamp
 
 
 class _Backward(NamedTuple):
     """Buffers of the backward pass of one rollout's steps."""
 
-    g_raw: np.ndarray  # (C, X*B)
-    g_a1: np.ndarray  # (hidden, X*B)
+    g_raw: np.ndarray  # (G, C, X*B)
+    g_a1: np.ndarray  # (G, hidden, X*B)
     adj2: tuple  # output layer: (g_pad, scratch) of _windows_adjoint
     adj1: tuple  # first layer
 
 
 def _step(views: _Views, arch: SurrogateArch, buf: np.ndarray, t: int, idx,
           win1, h, win2, raw, mask=None):
-    """Write step t's prediction into frame L + t of ``buf`` (L + H, C, X, B).
+    """Write step t's prediction into frame L + t of ``buf`` (G, L + H, C, X, B).
 
     ``win1``, ``h``, ``win2`` and ``raw`` receive the step's window matrices,
     hidden activations and unclamped output; ``mask``, when given, receives
     where the output is inside the clamp.
     """
     length = arch.history_len
+    stack = buf.shape[0]
     cols = idx.shape[1]
-    _windows(buf[t : t + length].reshape(arch.in_channels, cols), idx, win1)
+    _windows(buf[:, t : t + length].reshape(stack, arch.in_channels, cols), idx, win1)
     np.matmul(views.w1, win1, out=h)
     h += views.b1[:, None]
     np.tanh(h, out=h)
     _windows(h, idx, win2)
     np.matmul(views.w2, win2, out=raw)
     raw += views.b2[:, None]
-    raw += buf[t + length - 1].reshape(arch.channels, cols)
-    np.clip(raw, -arch.clamp, arch.clamp, out=buf[t + length].reshape(arch.channels, cols))
+    raw += buf[:, t + length - 1].reshape(stack, arch.channels, cols)
+    np.clip(raw, -arch.clamp, arch.clamp,
+            out=buf[:, t + length].reshape(stack, arch.channels, cols))
     if mask is not None:
         np.less(np.abs(raw, out=raw), arch.clamp, out=mask)
 
 
 def _step_backward(g_pred, tape: _Tape, t: int, views: _Views, arch: SurrogateArch, pad,
                    grads: _Views, bufs: _Backward, input_grad: bool):
-    """Backward of step t of ``tape`` for the prediction gradient ``g_pred`` (C, X, B).
+    """Backward of step t of ``tape`` for the prediction gradient ``g_pred`` (G, C, X, B).
 
-    Adds the parameter gradient into ``grads``. With ``input_grad``, returns
-    the gradient w.r.t. the step's L input frames, shaped (L, C, X, B), a
-    view into ``bufs`` that the next call overwrites.
+    Adds each slice's parameter gradient into ``grads``, whose views have a
+    leading stack axis. With ``input_grad``, returns the gradient w.r.t. the
+    step's L input frames, shaped (G, L, C, X, B), a view into ``bufs`` that
+    the next call overwrites.
     """
     win1, h, win2, mask = tape.win1[t], tape.h[t], tape.win2[t], tape.mask[t]
     g_w1, g_b1, g_w2, g_b2 = grads
-    x_len = g_pred.shape[1]
+    stack, _, x_len, _ = g_pred.shape
     g_raw = np.multiply(g_pred.reshape(mask.shape), mask, out=bufs.g_raw)
-    g_w2 += g_raw @ win2.T
-    g_b2 += g_raw.sum(axis=1)
+    g_w2 += np.matmul(g_raw, win2.transpose(0, 2, 1))
+    g_b2 += g_raw.sum(axis=2)
     g_h = _windows_adjoint(views.w2, g_raw, pad, *bufs.adj2)
     g_a1 = np.multiply(h, h, out=bufs.g_a1)
     np.subtract(1.0, g_a1, out=g_a1)
     g_a1 *= g_h
-    g_w1 += g_a1 @ win1.T
-    g_b1 += g_a1.sum(axis=1)
+    g_w1 += np.matmul(g_a1, win1.transpose(0, 2, 1))
+    g_b1 += g_a1.sum(axis=2)
     if not input_grad:
         return None
     g_z = _windows_adjoint(views.w1, g_a1, pad, *bufs.adj1)
-    g_z[-arch.channels :] += g_raw  # residual path: the last frame's rows
-    return g_z.reshape(arch.history_len, arch.channels, x_len, -1)
+    g_z[:, -arch.channels :] += g_raw  # residual path: the last frame's rows
+    return g_z.reshape(stack, arch.history_len, arch.channels, x_len, -1)
 
 
 def _advance(views: _Views, arch: SurrogateArch, buf: np.ndarray, ws: _Workspace,
              taped: bool = False) -> _Tape | None:
-    """Fill frames L.. of ``buf`` (L + H, C, X, B) by autoregressive steps.
+    """Fill frames L.. of every slice of ``buf`` (G, L + H, C, X, B) by autoregressive steps.
 
     With ``taped``, each step keeps its activations in its own slot and the
     tape is returned for the backward pass; otherwise all steps share one.
     """
-    _, channels, x_len, b_sz = buf.shape
-    steps = buf.shape[0] - arch.history_len
+    stack, frames, channels, x_len, b_sz = buf.shape
+    steps = frames - arch.history_len
     k = arch.kernel_size
     cols = x_len * b_sz
     idx = _window_index(x_len, arch.kernel_radius, arch.padding, b_sz)
     slots = steps if taped else 1
-    win1 = ws.get("win1", (slots, arch.in_channels * k, cols))
-    h = ws.get("h", (slots, arch.hidden, cols))
-    win2 = ws.get("win2", (slots, arch.hidden * k, cols))
-    raw = ws.get("raw", (channels, cols))
+    win1 = ws.get("win1", (slots, stack, arch.in_channels * k, cols))
+    h = ws.get("h", (slots, stack, arch.hidden, cols))
+    win2 = ws.get("win2", (slots, stack, arch.hidden * k, cols))
+    raw = ws.get("raw", (stack, channels, cols))
     if not taped:
         win1, h, win2 = win1[0], h[0], win2[0]
         for t in range(steps):
             _step(views, arch, buf, t, idx, win1, h, win2, raw)
         return None
-    mask = ws.get("mask", (slots, channels, cols), bool)
+    mask = ws.get("mask", (slots, stack, channels, cols), bool)
     for t in range(steps):
         _step(views, arch, buf, t, idx, win1[t], h[t], win2[t], raw, mask[t])
     return _Tape(win1, h, win2, mask)
 
 
 def _backward_buffers(ws: _Workspace, views: _Views, arch: SurrogateArch, x_len: int,
-                      b_sz: int) -> _Backward:
-    """The :class:`_Backward` buffers of a rollout of ``b_sz`` trajectories."""
+                      b_sz: int, stack: int) -> _Backward:
+    """The :class:`_Backward` buffers of ``stack`` rollouts of ``b_sz`` trajectories."""
     k = arch.kernel_size
     return _Backward(
-        g_raw=ws.get("g_raw", (arch.channels, x_len * b_sz)),
-        g_a1=ws.get("g_a1", (arch.hidden, x_len * b_sz)),
-        adj2=_adjoint_buffers(ws, "adj2", views.w2, k, x_len, b_sz),
-        adj1=_adjoint_buffers(ws, "adj1", views.w1, k, x_len, b_sz),
+        g_raw=ws.get("g_raw", (stack, arch.channels, x_len * b_sz)),
+        g_a1=ws.get("g_a1", (stack, arch.hidden, x_len * b_sz)),
+        adj2=_adjoint_buffers(ws, "adj2", views.w2, k, x_len, b_sz, stack),
+        adj1=_adjoint_buffers(ws, "adj1", views.w1, k, x_len, b_sz, stack),
     )
 
 
@@ -416,10 +429,10 @@ def rollout_batch(params: SurrogateParams, histories: np.ndarray, steps: int) ->
     if steps < 1:
         raise ValueError("steps must be >= 1")
     b_sz, length, x_len, _ = histories.shape
-    buf = np.empty((length + steps, arch.channels, x_len, b_sz))
-    buf[:length] = histories.transpose(1, 3, 2, 0)
+    buf = np.empty((1, length + steps, arch.channels, x_len, b_sz))
+    buf[0, :length] = histories.transpose(1, 3, 2, 0)
     _advance(_unpack(params.theta, arch), arch, buf, _workspace())
-    return buf[length:].transpose(3, 0, 2, 1)
+    return buf[0, length:].transpose(3, 0, 2, 1)
 
 
 # ----------------------------------------------------------------------
@@ -473,48 +486,68 @@ def rollout_loss_grad(
         raise ValueError("horizon must be >= 1")
     pairs = _validate_pairs(batch, ds, arch.history_len)
 
-    views = _unpack(params.theta, arch)
-    data = ds.data  # float32; gathered frames are upcast when written to float64
-    n_total = len(pairs)
-    length = arch.history_len
-    pad = _pad_index(ds.spatial_size, arch.kernel_radius, arch.padding)
-    ws = _workspace()
-
     loss = 0.0
     grad = np.zeros(arch.param_count())
-    grads = _unpack(grad, arch)
 
-    # one group per truncated horizon, in order of first appearance
+    # one group per truncated horizon, in order of first appearance; every
+    # group adds into the same gradient, and all share one workspace
     h_pair = effective_horizon(horizon, ds.t_count, pairs[:, 1])
     _, first = np.unique(h_pair, return_index=True)
-    for h_eff in h_pair[np.sort(first)].tolist():
-        ns, ks = pairs[h_pair == h_eff].T
-        hist = data[ns[:, None], ks[:, None] + np.arange(1 - length, 1)]  # (B, L, X, C)
-        future = data[ns[:, None], ks[:, None] + np.arange(1, h_eff + 1)]  # (B, H, X, C)
-        buf = ws.get("frames", (length + h_eff, arch.channels, ds.spatial_size, ns.size))
-        buf[:length] = hist.transpose(1, 3, 2, 0)
-        targets = np.ascontiguousarray(future.transpose(1, 3, 2, 0), dtype=np.float64)
-        tape = _advance(views, arch, buf, ws, taped=True)
-        bufs = _backward_buffers(ws, views, arch, ds.spatial_size, ns.size)
-
-        # per-frame NRMSE^2, each pair weighted 1 / (n_total * h_eff)
-        weight = n_total * h_eff
-        denom = (np.sqrt(np.sum(targets**2, axis=(1, 2))) + NRMSE_EPS) ** 2  # (H, B)
-        diff = buf[length:] - targets
-        loss += float(np.sum(np.sum(diff**2, axis=(1, 2)) / denom)) / weight
-        seeds = 2.0 * diff / denom[:, None, None, :] / weight
-
-        # reverse pass over the predicted frames; gradients w.r.t. the
-        # ground-truth history frames are dropped
-        g_frames = np.zeros_like(seeds)
-        for t in range(h_eff - 1, -1, -1):
-            g_in = _step_backward(seeds[t] + g_frames[t], tape, t, views, arch, pad, grads,
-                                  bufs, input_grad=t > 0)
-            if t > 0:
-                lo = max(length - t, 0)  # first input frame that is a prediction
-                g_frames[t + lo - length : t] += g_in[lo:]
-
+    with _step_workspace():
+        for h_eff in h_pair[np.sort(first)].tolist():
+            ns, ks = pairs[h_pair == h_eff].T
+            losses = _stack_loss_grad(params.theta, arch, ds, ns[None], ks[None], h_eff,
+                                      len(pairs), grad[None])
+            loss += float(losses[0])
     return loss, grad
+
+
+def _stack_loss_grad(theta: np.ndarray, arch: SurrogateArch, ds: TrajectoryDataset,
+                     ns: np.ndarray, ks: np.ndarray, h_eff: int, n_total: int,
+                     grad: np.ndarray) -> np.ndarray:
+    """Short-rollout losses of G stacked rollouts and their exact gradients.
+
+    Rollout g runs the B (trajectory, start) pairs ``(ns[g], ks[g])`` (both
+    (G, B) int arrays, not checked) for ``h_eff`` steps, and each of its
+    per-frame NRMSE^2 terms weighs 1 / (``n_total`` * ``h_eff``). Adds
+    rollout g's gradient into row g of ``grad`` (G, P) and returns the (G,)
+    losses. Row g is bit for bit what the call with rollout g alone gives.
+    """
+    data = ds.data  # float32; gathered frames are upcast when written to float64
+    length = arch.history_len
+    stack, b_sz = ns.shape
+    x_len = ds.spatial_size
+    pad = _pad_index(x_len, arch.kernel_radius, arch.padding)
+    views = _unpack(theta, arch)
+    grads = _unpack(grad, arch)
+    ws = _workspace()
+
+    hist = data[ns[..., None], ks[..., None] + np.arange(1 - length, 1)]  # (G, B, L, X, C)
+    future = data[ns[..., None], ks[..., None] + np.arange(1, h_eff + 1)]  # (G, B, H, X, C)
+    buf = ws.get("frames", (stack, length + h_eff, arch.channels, x_len, b_sz))
+    buf[:, :length] = hist.transpose(0, 2, 4, 3, 1)
+    targets = ws.get("targets", (stack, h_eff, arch.channels, x_len, b_sz))
+    targets[...] = future.transpose(0, 2, 4, 3, 1)
+    tape = _advance(views, arch, buf, ws, taped=True)
+    bufs = _backward_buffers(ws, views, arch, x_len, b_sz, stack)
+
+    # per-frame NRMSE^2, each pair weighted 1 / (n_total * h_eff)
+    weight = n_total * h_eff
+    denom = (np.sqrt(np.sum(targets**2, axis=(2, 3))) + NRMSE_EPS) ** 2  # (G, H, B)
+    diff = buf[:, length:] - targets
+    losses = np.sum((np.sum(diff**2, axis=(2, 3)) / denom).reshape(stack, -1), axis=1) / weight
+    seeds = 2.0 * diff / denom[:, :, None, None, :] / weight
+
+    # reverse pass over the predicted frames; gradients w.r.t. the
+    # ground-truth history frames are dropped
+    g_frames = np.zeros_like(seeds)
+    for t in range(h_eff - 1, -1, -1):
+        g_in = _step_backward(seeds[:, t] + g_frames[:, t], tape, t, views, arch, pad, grads,
+                              bufs, input_grad=t > 0)
+        if t > 0:
+            lo = max(length - t, 0)  # first input frame that is a prediction
+            g_frames[:, t + lo - length : t] += g_in[:, lo:]
+    return losses
 
 
 # ----------------------------------------------------------------------
@@ -597,8 +630,11 @@ def train(
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             chunk = pairs[order[lo : lo + cfg.batch_size]]
-            cur = SurrogateParams(theta=theta, arch=arch)
-            loss, grad = rollout_loss_grad(cur, chunk, 1, ds)
+            # every pair is checked above and rolls out one step: the one
+            # group rollout_loss_grad would form
+            grad = np.zeros(theta.size)
+            loss = float(_stack_loss_grad(theta, arch, ds, chunk[None, :, 0], chunk[None, :, 1],
+                                          1, len(chunk), grad[None])[0])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
             gnorm = float(np.linalg.norm(grad))

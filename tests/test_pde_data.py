@@ -252,6 +252,20 @@ def test_normalization_stats_on_training_split():
     assert np.all(ds.norm_std > 0.0)
 
 
+@pytest.mark.parametrize("family", pde_data.FAMILIES)
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_in_place_normalization_equals_the_reference_formula(family, boundary):
+    # generate_dataset squares and normalizes in place; the reference
+    # builds the full-size arrays with np.mean, np.std and (raw - mean) / std
+    cfg = SolverConfig(family=family, boundary=boundary, spatial_size=33, t_count=12, seed=6)
+    ds = generate_dataset(cfg, 17)
+    raw = simulate_trajectories(cfg, range(17))
+    train = raw[ds.split_indices("train")]
+    mean, std = float(np.mean(train)), float(np.std(train))
+    assert ds.norm_mean.tolist() == [mean] and ds.norm_std.tolist() == [std]
+    assert np.array_equal(ds.data, ((raw - mean) / std)[:, :, :, None].astype(np.float32))
+
+
 def test_unstable_dt_rejected():
     with pytest.raises(ConfigurationError):
         SolverConfig(family="diffusion1d", dt=1.0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gits.pde_data import SolverConfig, generate_dataset
+from gits import parallel, pilot_scoring
+from gits.pde_data import SolverConfig, TrajectoryDataset, generate_dataset
 from gits.pilot_scoring import (
     CandidateScores,
     EmptyCandidateError,
@@ -10,6 +11,7 @@ from gits.pilot_scoring import (
     default_arch,
     pilot_input,
     scoring_trajectories,
+    stack_size,
     train_pilot,
 )
 from gits.surrogate import SurrogateArch, TrainConfig, init_params, rollout_loss_grad
@@ -203,6 +205,55 @@ def test_score_order_independent_of_candidate_evaluation(pilot, tiny_ds):
     part = scored("grad_norm", pilot, subset, tiny_ds, horizon=2, batch_traj=4, seed=0)
     for out_pos, full_pos in enumerate(sorted(keep)):
         assert part.scores[out_pos] == full.scores[full_pos]
+
+
+# ----------------------------------------------------------------------
+# stacked scoring: several candidates per surrogate call
+# ----------------------------------------------------------------------
+
+def scoring_dataset(kind):
+    """A 14-snapshot dataset: periodic, Neumann (reflect padding) or 2-channel."""
+    if kind == "two_channel":
+        rng = np.random.default_rng(3)
+        return TrajectoryDataset(
+            data=rng.normal(size=(10, 14, 16, 2)).astype(np.float32),
+            split=("train",) * 8 + ("val", "test"),
+            norm_mean=np.zeros(2),
+            norm_std=np.ones(2),
+            meta={"boundary": "periodic"},
+        )
+    cfg = SolverConfig(family="diffusion1d", boundary=kind, spatial_size=16, t_count=14, seed=8)
+    return generate_dataset(cfg, 10)
+
+
+def test_stack_size_follows_the_columns_per_step():
+    # long_axis_select (X = 32, B = 8), grid_default (64, 8), the default grid (64, 32)
+    assert [stack_size(x * b) for x, b in ((32, 8), (64, 8), (64, 32), (64, 64))] == [8, 4, 1, 1]
+    assert stack_size(1) == pilot_scoring.STACK_COLUMNS
+
+
+@pytest.mark.parametrize("kind, radius, batch_traj", [
+    ("periodic", 1, 4), ("periodic", 0, 4), ("neumann", 1, 4), ("neumann", 0, 1),
+    ("two_channel", 1, 3), ("two_channel", 0, 4),
+])
+@pytest.mark.parametrize("stack, cpus", [(1, 1), (2, 1), (5, 1), (7, 1), (16, 1), (3, 2)])
+def test_stacked_scoring_equals_per_candidate_calls(monkeypatch, kind, radius, batch_traj,
+                                                    stack, cpus):
+    # 10 candidates; horizon 4 cuts the last 3 to horizons 3, 2 and 1, so a
+    # stack of 7 divides the full-horizon run and 2, 5 and 16 do not
+    ds = scoring_dataset(kind)
+    pilot = init_params(default_arch(ds, history_len=3, kernel_radius=radius), 9)
+    cands = build_candidates(ds.t_count, 3)
+    horizon = 4
+    assert cands.size == 10
+    monkeypatch.setattr(pilot_scoring, "stack_size", lambda columns: stack)
+    monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+    losses, grads = candidate_gradients(pilot, cands, ds, horizon, batch_traj, 2)
+    traj = scoring_trajectories(ds, batch_traj, 2)
+    for i, k in enumerate(cands.indices):
+        loss, grad = rollout_loss_grad(pilot, [(int(n), int(k)) for n in traj], horizon, ds)
+        assert losses[i] == loss, i
+        assert np.array_equal(grads[i], grad), i
 
 
 def test_candidate_scores_validation():

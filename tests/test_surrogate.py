@@ -289,6 +289,20 @@ def test_train_rejects_empty_or_invalid_starts(tiny_ds):
             train(p0, starts, tiny_ds, TrainConfig(epochs_max=0))
 
 
+def test_train_checks_its_pairs_once(tiny_ds, monkeypatch):
+    checked = []
+    validate = surrogate._validate_pairs
+
+    def spy(*args):
+        checked.append(args[0])
+        return validate(*args)
+
+    monkeypatch.setattr(surrogate, "_validate_pairs", spy)
+    cfg = TrainConfig(epochs_max=3, min_epochs=1, batch_size=4, seed=1)
+    train(init_params(TINY_ARCH, 2), [4, 6, 8], tiny_ds, cfg)
+    assert len(checked) == 1
+
+
 def test_train_divergence_is_reported(tiny_ds):
     # lr large enough to overflow the conv accumulations on the next batch
     cfg = TrainConfig(epochs_max=5, lr=1e308, grad_clip=1e308, early_stop=False, seed=0)
@@ -390,6 +404,33 @@ def test_training_shape_calls_fault_in_no_pages_in_a_workspace(grid_ds):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(calls):
             rollout_loss_grad(params, pairs, 1, grid_ds)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / calls < 20
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults with getrusage, as Linux reports them")
+def test_scoring_chunk_calls_fault_in_no_pages_in_a_workspace(grid_ds):
+    import resource
+
+    from gits import pilot_scoring
+
+    params = init_params(default_arch(grid_ds), 6)
+    traj = np.arange(8)
+    indices = np.arange(4, grid_ds.t_count - 1)
+    stack = pilot_scoring.stack_size(grid_ds.spatial_size * traj.size)
+    assert stack > 1
+    losses = np.zeros(indices.size)
+    grads = np.zeros((indices.size, params.param_count))
+    shared = (params, grid_ds, traj, 10, indices, losses, grads)
+    positions = np.arange(20, 20 + stack)  # one full-horizon stack per chunk
+    calls = 50
+    with surrogate._step_workspace():
+        for _ in range(3):
+            pilot_scoring._chunk_gradients(shared, positions)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(calls):
+            pilot_scoring._chunk_gradients(shared, positions)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / calls < 20
 
