@@ -53,6 +53,7 @@ from .diagnostics import (
     spearman,
     subset_geometry,
 )
-from .harness import ExperimentConfig, run_experiment, run_selftest
+from .harness import ExperimentConfig, run_experiment
+from .selftest import run_selftest
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import diagnostics, harness, pde_data, selector, surrogate
+from . import diagnostics, harness, pde_data, selector, selftest, surrogate
 from .harness import ExperimentConfig, HarnessConfigError
 from .pde_data import SolverConfig
 from .pilot_scoring import EmptyCandidateError, build_candidates, default_arch
@@ -291,7 +291,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_selftest(args) -> int:
     suites = None if args.suite is None else [s for s in args.suite if s != "none"]
-    report = harness.run_selftest(suites=suites)
+    report = selftest.run_selftest(suites=suites)
     print(report.format())
     return EXIT_OK if report.passed else EXIT_FAILURES
 
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the oracle self-test suites")
     p.add_argument("--suite", action="append", default=None,
-                   choices=harness.SELFTEST_SUITES + ("none",),
+                   choices=selftest.SELFTEST_SUITES + ("none",),
                    help="restrict to one or more suites; 'none' adds no suite")
     p.set_defaults(fn=_cmd_selftest)
 

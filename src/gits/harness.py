@@ -1,18 +1,24 @@
-"""Declarative experiment runner and self-test suites.
+"""Declarative experiment runner: the (ratio, sampler, seed) grid.
 
-Runs the (ratio, sampler, seed) grid: build candidates, train a pilot and
-score candidates where the sampler needs them, select K = max(1,
-round(ratio * |C|)) starts, train the downstream surrogate on the selected
-starts, and evaluate the full rollout report on the test split. The pilot
-and its candidate gradients depend only on the seed, so a grid computes
-them once per seed, before its first cell, and every pilot-based cell of
-that seed reads them. Likewise each distinct (seed, set of starts) is
-trained and evaluated once, and the cells that selected it share the
-result. Candidate scoring and downstream training run on
-:mod:`gits.parallel`'s fork workers. All timing happens here: each seed's
-pilot and scoring, each cell's selection step, and each distinct
-selection's downstream training. Cell failures, a failed pilot included,
-are recorded and the sweep continues; the exit status reports them.
+Runs the grid: build candidates, train a pilot and score candidates where
+the sampler needs them, select K = max(1, round(ratio * |C|)) starts, train
+the downstream surrogate on the selected starts, and evaluate the full
+rollout report on the test split. The pilot and its candidate gradients
+depend only on the seed, so a grid computes them once per seed and every
+pilot-based cell of that seed reads them. Likewise each distinct (seed,
+set of starts) is trained and evaluated once, and the cells that selected
+it share the result.
+
+One :class:`gits.parallel.Scheduler` pool runs that work as three kinds of
+task, in this order of priority: each seed's pilot, that seed's scoring
+chunks, and each distinct selection's training and evaluation. Cells whose
+sampler needs no pilot are selected before the pool starts, so their
+trainings run while the pilots train; a seed's pilot-based cells are
+selected here when its last scoring chunk returns. Every stage is timed by
+:func:`stage_timer`: each seed's pilot and scoring, each cell's selection
+step, and each distinct selection's downstream training. Cell failures, a
+failed pilot included, are recorded and the sweep continues; the exit
+status reports them.
 
 Outputs: ``results.csv`` (one row per successful cell, columns
 :data:`RESULT_COLUMNS`) and ``summary.json`` with the
@@ -27,9 +33,12 @@ initialization stream.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import itertools
 import json
+import math
 import time
 import traceback
 from dataclasses import asdict, dataclass, field, replace
@@ -38,8 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import (diagnostics, parallel, pde_data, pilot_scoring, selector, surrogate,
-               temporal_coverage)
+from . import diagnostics, parallel, pde_data, pilot_scoring, selector, surrogate
 from .diagnostics import RolloutReport
 from .pde_data import SolverConfig, TrajectoryDataset
 from .pilot_scoring import CandidateSet
@@ -58,10 +66,40 @@ TIMING_FIELDS = ("selection_time_s", "train_time_s", "pilot_s", "scoring_s")
 RESULT_COLUMNS = ("dataset", "sampler", "ratio", "seed", "nrmse", "crmse", "brmse",
                   "frmse_low", "frmse_mid", "frmse_high", "selection_time_s", "train_time_s")
 
+# The grid's task kinds, as scheduler priorities: a lower one runs first.
+PILOT, SCORING, TRAINING = range(3)
+
 
 def stage_seed(seed: int, stage: str) -> int:
     offsets = {"train": 0, "pilot": PILOT_SEED_OFFSET, "scoring": SCORING_SEED_OFFSET}
     return offsets[stage] + seed
+
+
+@dataclass
+class StageTime:
+    """One timed stage: its name and its ``time.perf_counter`` start and end.
+
+    The clock is system-wide, so a span timed in a worker process compares
+    with one timed here.
+    """
+
+    stage: str
+    start: float
+    end: float = math.nan
+
+    @property
+    def seconds(self) -> float:
+        return self.end - self.start
+
+
+@contextlib.contextmanager
+def stage_timer(stage: str):
+    """Time the ``with`` block; the yielded :class:`StageTime` gets its end on exit."""
+    timing = StageTime(stage, time.perf_counter())
+    try:
+        yield timing
+    finally:
+        timing.end = time.perf_counter()
 
 
 class HarnessConfigError(ValueError):
@@ -159,7 +197,15 @@ class PilotGradients(NamedTuple):
     losses: np.ndarray
     grads: np.ndarray  # (|C|, param_count)
     pilot_s: float
-    scoring_s: float
+    scoring_s: float  # wall time from the first scoring chunk's start to the last one's end
+
+
+def _train_seed_pilot(cfg: ExperimentConfig, ds: TrajectoryDataset, candidates: CandidateSet,
+                      seed: int) -> SurrogateParams:
+    """The seed's pilot: the run's model trained for ``pilot_epochs`` under the pilot seed."""
+    pilot_cfg = replace(cfg.train, epochs_max=cfg.pilot_epochs,
+                        seed=stage_seed(seed, "pilot"))
+    return pilot_scoring.train_pilot(ds, candidates, pilot_cfg, arch=_model_arch(cfg, ds))
 
 
 def pilot_gradients(
@@ -168,18 +214,17 @@ def pilot_gradients(
     """Train the seed's pilot and compute every candidate's loss and gradient.
 
     Depends on the seed only through its pilot and scoring stage seeds, not
-    on the sampler or the ratio. The pilot parameters are not kept.
+    on the sampler or the ratio. The pilot parameters are not kept. This is
+    the one-cell path of ``gits select`` and ``gits train``;
+    :func:`run_experiment` runs the same two stages as tasks of its pool.
     """
-    t0 = time.perf_counter()
-    arch = _model_arch(cfg, ds)
-    pilot_cfg = replace(cfg.train, epochs_max=cfg.pilot_epochs,
-                        seed=stage_seed(seed, "pilot"))
-    pilot = pilot_scoring.train_pilot(ds, candidates, pilot_cfg, arch=arch)
-    t1 = time.perf_counter()
-    losses, grads = pilot_scoring.candidate_gradients(
-        pilot, candidates, ds, cfg.horizon, cfg.batch_traj, stage_seed(seed, "scoring")
-    )
-    return PilotGradients(losses, grads, t1 - t0, time.perf_counter() - t1)
+    with stage_timer("pilot") as pilot_time:
+        pilot = _train_seed_pilot(cfg, ds, candidates, seed)
+    with stage_timer("scoring") as scoring_time:
+        losses, grads = pilot_scoring.candidate_gradients(
+            pilot, candidates, ds, cfg.horizon, cfg.batch_traj, stage_seed(seed, "scoring")
+        )
+    return PilotGradients(losses, grads, pilot_time.seconds, scoring_time.seconds)
 
 
 def select_starts(
@@ -207,9 +252,9 @@ def select_starts(
     else:
         pilot_s = pilot.pilot_s + pilot.scoring_s
         pilot_input = pilot_scoring.pilot_input(needs, pilot.losses, pilot.grads, candidates)
-    t0 = time.perf_counter()
-    result = selector.run_sampler(sampler, candidates, cfg.objective, budget, pilot_input)
-    return result, pilot_s + (time.perf_counter() - t0)
+    with stage_timer("selection") as step:
+        result = selector.run_sampler(sampler, candidates, cfg.objective, budget, pilot_input)
+    return result, pilot_s + step.seconds
 
 
 def train_downstream(
@@ -258,19 +303,58 @@ def _select_cell(
     return cell
 
 
-def _train_and_evaluate(shared, key) -> tuple[RolloutReport, float] | str:
+# ----------------------------------------------------------------------
+# the grid's tasks: they run on the pool's workers, or here with one worker
+# ----------------------------------------------------------------------
+
+class _Run(NamedTuple):
+    """What every task of one grid reads; the pool's workers inherit it by fork."""
+
+    cfg: ExperimentConfig
+    ds: TrajectoryDataset
+    candidates: CandidateSet
+    # pilot seed -> (scoring trajectories, losses, grads); the chunks write
+    # their rows into the two shared arrays
+    scoring: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _pilot_task(run: _Run, seed: int) -> tuple[SurrogateParams, float] | str:
+    """Train one seed's pilot; returns it and its seconds, or the error text."""
+    try:
+        with stage_timer("pilot") as pilot_time:
+            pilot = _train_seed_pilot(run.cfg, run.ds, run.candidates, seed)
+    except Exception as exc:  # recorded in every pilot-based cell of the seed
+        return _error_text(exc)
+    return pilot, pilot_time.seconds
+
+
+def _score_task(run: _Run, task) -> StageTime | str:
+    """Score one chunk of a seed's candidates with its pilot; ``task`` is
+    ``(seed, pilot, positions)``. Returns the chunk's timing or the error text."""
+    seed, pilot, positions = task
+    traj, losses, grads = run.scoring[seed]
+    try:
+        with stage_timer("scoring") as chunk_time:
+            pilot_scoring._chunk_gradients(
+                (pilot, run.ds, traj, run.cfg.horizon, run.candidates.indices, losses, grads),
+                positions,
+            )
+    except Exception as exc:  # recorded in every pilot-based cell of the seed
+        return _error_text(exc)
+    return chunk_time
+
+
+def _train_and_evaluate(run: _Run, key) -> tuple[RolloutReport, float] | str:
     """Train on one distinct selection and evaluate it on the test split.
 
     ``key`` is ``(seed, sorted starts)``. Returns the report and the
     training seconds, or the error text of the exception that stopped it.
     """
-    cfg, ds = shared
     seed, starts = key
     try:
-        t0 = time.perf_counter()
-        params, _ = train_downstream(cfg, ds, list(starts), seed)
-        train_s = time.perf_counter() - t0
-        return diagnostics.rollout_report(params, ds, split="test"), train_s
+        with stage_timer("training") as training:
+            params, _ = train_downstream(run.cfg, run.ds, list(starts), seed)
+        return diagnostics.rollout_report(params, run.ds, split="test"), training.seconds
     except Exception as exc:  # per-cell failure policy: record and continue
         return _error_text(exc)
 
@@ -282,35 +366,94 @@ def _training_key(cell: CellResult) -> tuple[int, tuple[int, ...]]:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the full (ratio, sampler, seed) grid; deterministic given cfg.
 
-    When any sampler needs the pilot, each seed's pilot and candidate
-    gradients are computed once, before the first cell, and shared by every
-    cell of that seed whose sampler needs them. A pilot that raises is not
+    When any sampler needs the pilot, each seed's pilot is trained once and
+    its candidates scored once, in chunks, and every cell of that seed
+    whose sampler needs them reads the result. A pilot that raises is not
     retried: its error text is recorded in each of those cells.
 
-    Every cell is selected first. Downstream training depends only on the
-    config, the seed and the set of selected starts, so each distinct
-    ``(seed, sorted starts)`` is trained and evaluated once, on
-    :func:`gits.parallel.fork_map`'s workers, and every cell with that
-    selection reads the same report, training time or error text.
+    Downstream training depends only on the config, the seed and the set of
+    selected starts, so each distinct ``(seed, sorted starts)`` is trained
+    and evaluated once, and every cell with that selection reads the same
+    report, training time or error text.
+
+    One :class:`gits.parallel.Scheduler` runs the pilots, the scoring chunks
+    and the trainings, in that order of priority. The cells that need no
+    pilot are selected first and their trainings queued, so they train
+    while the pilots do. When a seed's last chunk returns, its pilot-based
+    cells are selected here and their new trainings queued. The cells come
+    back in grid order, whatever order the tasks ran in.
     """
     ds = load_or_generate_dataset(cfg)
     candidates = pilot_scoring.build_candidates(ds.t_count, cfg.history_len)
+    grid = list(itertools.product(cfg.ratios, cfg.samplers, cfg.seeds))
+    pilot_based = {s for s in cfg.samplers if selector.SAMPLER_TABLE[s].needs is not None}
+    pilot_seeds = cfg.seeds if pilot_based else ()
+    param_count = _model_arch(cfg, ds).param_count()
+    run = _Run(cfg, ds, candidates, {
+        seed: (pilot_scoring.scoring_trajectories(ds, cfg.batch_traj, stage_seed(seed, "scoring")),
+               parallel.shared_zeros((candidates.size,)),
+               parallel.shared_zeros((candidates.size, param_count)))
+        for seed in pilot_seeds
+    })
+    chunks = pilot_scoring.score_chunks(candidates.size)
+    chunk_times = {seed: [None] * len(chunks) for seed in pilot_seeds}
+    cells: dict[tuple, CellResult] = {}
     pilots: dict[int, PilotGradients | str] = {}  # seed -> pilot, or its error text
-    if any(selector.SAMPLER_TABLE[s].needs is not None for s in cfg.samplers):
-        for seed in cfg.seeds:
-            try:
-                pilots[seed] = pilot_gradients(cfg, ds, candidates, seed)
-            except Exception as exc:  # recorded in every pilot-based cell of the seed
-                pilots[seed] = _error_text(exc)
-    cells = [
-        _select_cell(cfg, ds, candidates, sampler, ratio, seed, pilots.get(seed))
-        for ratio in cfg.ratios
-        for sampler in cfg.samplers
-        for seed in cfg.seeds
-    ]
-    keys = list(dict.fromkeys(_training_key(c) for c in cells if c.ok))
-    trained = dict(zip(keys, parallel.fork_map(_train_and_evaluate, (cfg, ds), keys)))
-    for cell in cells:
+    trained: dict[tuple, tuple | str | None] = {}  # training key -> outcome; None while queued
+
+    def select(entries, pilot) -> list:
+        """Select the cells at ``entries``; returns their training keys not yet queued."""
+        keys = []
+        for ratio, sampler, seed in entries:
+            cell = _select_cell(cfg, ds, candidates, sampler, ratio, seed, pilot)
+            cells[ratio, sampler, seed] = cell
+            if cell.ok and _training_key(cell) not in trained:
+                keys.append(_training_key(cell))
+                trained[keys[-1]] = None
+        return keys
+
+    def queue_trainings(keys) -> None:
+        for key in keys:
+            scheduler.submit(TRAINING, _train_and_evaluate, key,
+                             then=functools.partial(trained.__setitem__, key))
+
+    def seed_scored(seed, pilot) -> None:
+        pilots[seed] = pilot
+        queue_trainings(select([e for e in grid if e[2] == seed and e[1] in pilot_based], pilot))
+
+    def pilot_returned(seed, outcome) -> None:
+        if isinstance(outcome, str):
+            seed_scored(seed, outcome)
+            return
+        pilot, pilot_s = outcome
+        for index, positions in enumerate(chunks):
+            scheduler.submit(SCORING, _score_task, (seed, pilot, positions),
+                             then=functools.partial(chunk_returned, seed, pilot_s, index))
+
+    def chunk_returned(seed, pilot_s, index, outcome) -> None:
+        times = chunk_times[seed]
+        times[index] = outcome
+        if None in times:
+            return
+        errors = [t for t in times if isinstance(t, str)]
+        if errors:
+            seed_scored(seed, errors[0])
+            return
+        _, losses, grads = run.scoring[seed]
+        scoring_s = max(t.end for t in times) - min(t.start for t in times)
+        seed_scored(seed, PilotGradients(losses, grads, pilot_s, scoring_s))
+
+    queued = select([e for e in grid if e[1] not in pilot_based], None)
+    # the pool is sized by every task known before a pilot-based cell is selected
+    scheduler = parallel.Scheduler(
+        run, parallel.worker_count(len(queued) + len(pilot_seeds) * (1 + len(chunks))))
+    queue_trainings(queued)
+    for seed in pilot_seeds:
+        scheduler.submit(PILOT, _pilot_task, seed, then=functools.partial(pilot_returned, seed))
+    scheduler.run()
+
+    ordered = [cells[entry] for entry in grid]
+    for cell in ordered:
         if cell.ok:
             outcome = trained[_training_key(cell)]
             if isinstance(outcome, str):
@@ -318,11 +461,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             else:
                 cell.report, cell.train_time_s = outcome
     pilot_times = {
-        seed: {"pilot_s": entry.pilot_s, "scoring_s": entry.scoring_s}
-        for seed, entry in pilots.items()
-        if isinstance(entry, PilotGradients)
+        seed: {"pilot_s": pilots[seed].pilot_s, "scoring_s": pilots[seed].scoring_s}
+        for seed in pilot_seeds
+        if isinstance(pilots[seed], PilotGradients)
     }
-    return ExperimentResult(config=cfg, cells=cells, pilot_times=pilot_times)
+    return ExperimentResult(config=cfg, cells=ordered, pilot_times=pilot_times)
 
 
 # ----------------------------------------------------------------------
@@ -440,171 +583,3 @@ def write_results(result: ExperimentResult, output_dir) -> tuple[Path, Path]:
     with open(json_path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
     return csv_path, json_path
-
-
-# ----------------------------------------------------------------------
-# self-test suites (small-scale oracle checks)
-# ----------------------------------------------------------------------
-
-SELFTEST_SUITES = ("greedy_vs_exhaustive", "incremental_coverage", "gradient_fd", "submodularity")
-
-
-@dataclass(frozen=True)
-class SuiteOutcome:
-    suite: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class SelftestReport:
-    outcomes: tuple[SuiteOutcome, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(o.passed for o in self.outcomes)
-
-    def format(self) -> str:
-        lines = [
-            f"[{'PASS' if o.passed else 'FAIL'}] {o.suite}: {o.detail}" for o in self.outcomes
-        ]
-        lines.append("selftest: " + ("all suites passed" if self.passed else "FAILURES present"))
-        return "\n".join(lines)
-
-
-def exhaustive_optimum(scores, candidates: CandidateSet, obj: ObjectiveConfig,
-                       budget: int) -> float:
-    """The largest objective of any ``budget`` candidates, by brute force."""
-    coverage = obj.coverage_for(candidates.t_count, budget)
-    windows = temporal_coverage.build_windows(candidates, coverage)
-    s_mat = temporal_coverage.kernel_matrix_global(candidates, coverage.tau)
-    r_mat = temporal_coverage.kernel_matrix_window(candidates, windows, coverage.tau_w)
-    best = -np.inf
-    for combo in itertools.combinations(range(candidates.size), budget):
-        sel = list(combo)
-        val = scores[sel].sum()
-        val += obj.lambda_cov * s_mat[:, sel].max(axis=1).sum()
-        val += obj.c_win * r_mat[:, sel].max(axis=1).sum()
-        best = max(best, val)
-    return best
-
-
-def _suite_greedy(rng: np.random.Generator) -> SuiteOutcome:
-    bound = 1.0 - 1.0 / np.e
-    worst = np.inf
-    for _ in range(25):
-        size = int(rng.integers(6, 13))
-        history = 4
-        candidates = pilot_scoring.build_candidates(history + 1 + size, history)
-        budget = int(rng.integers(2, 5))
-        obj = ObjectiveConfig(lambda_cov=float(rng.uniform(0.0, 2.0)),
-                              c_win=float(rng.uniform(0.0, 2.0)))
-        scores = rng.uniform(0.0, 1.0, size)
-        greedy = selector.greedy_select(scores, candidates, obj, budget)
-        optimum = exhaustive_optimum(scores, candidates, obj, budget)
-        if optimum > 0:
-            worst = min(worst, greedy.objective / optimum)
-        if greedy.objective < bound * optimum - 1e-9:
-            return SuiteOutcome(
-                "greedy_vs_exhaustive", False,
-                f"ratio {greedy.objective / optimum:.6f} below (1 - 1/e)",
-            )
-    return SuiteOutcome(
-        "greedy_vs_exhaustive", True,
-        f"25 instances, worst greedy/optimum ratio {worst:.4f}",
-    )
-
-
-def _suite_incremental(rng: np.random.Generator) -> SuiteOutcome:
-    candidates = pilot_scoring.build_candidates(101, 4)
-    worst = 0.0
-    for _ in range(20):
-        budget = int(rng.integers(1, 20))
-        cov = temporal_coverage.derive_coverage_config(101, budget)
-        windows = temporal_coverage.build_windows(candidates, cov)
-        sel = rng.choice(candidates.indices, size=budget, replace=False)
-        state = temporal_coverage.empty_state(candidates, windows)
-        for k in sel:
-            state = temporal_coverage.state_update(state, int(k), candidates, windows, cov)
-        f_cov, f_win = temporal_coverage.coverage_values(sel, candidates, windows, cov)
-        err = max(abs(state.m.sum() - f_cov), abs(state.u.sum() - f_win))
-        worst = max(worst, err)
-        if err > 1e-12:
-            return SuiteOutcome("incremental_coverage", False, f"mismatch {err:.3e}")
-    return SuiteOutcome("incremental_coverage", True, f"20 trials, worst gap {worst:.2e}")
-
-
-def _suite_gradient() -> SuiteOutcome:
-    cfg = SolverConfig(family="diffusion1d", spatial_size=16, t_count=12, seed=3)
-    ds = pde_data.generate_dataset(cfg, 10)
-    arch = SurrogateArch(history_len=3, hidden=3, kernel_radius=1, channels=1)
-    params = surrogate.init_params(arch, 5)
-    pairs = [(0, 4), (1, 6), (2, ds.t_count - 2)]
-    loss, grad = surrogate.rollout_loss_grad(params, pairs, 3, ds)
-    fd = np.empty_like(grad)
-    h = 1e-6
-    for i in range(params.param_count):
-        up = params.theta.copy()
-        dn = params.theta.copy()
-        up[i] += h
-        dn[i] -= h
-        lu, _ = surrogate.rollout_loss_grad(SurrogateParams(up, arch), pairs, 3, ds)
-        ld, _ = surrogate.rollout_loss_grad(SurrogateParams(dn, arch), pairs, 3, ds)
-        fd[i] = (lu - ld) / (2 * h)
-    scale = max(float(np.max(np.abs(fd))), 1e-12)
-    rel = float(np.max(np.abs(grad - fd))) / scale
-    ok = rel < 1e-4
-    return SuiteOutcome("gradient_fd", ok, f"max relative error {rel:.3e}")
-
-
-def _suite_submodularity(rng: np.random.Generator) -> SuiteOutcome:
-    candidates = pilot_scoring.build_candidates(40, 4)
-    # reads temporal_coverage.kernel_global per call, so a test can replace it
-    s_mat = temporal_coverage.kernel_matrix_global(candidates, 5.0)
-
-    # a valid similarity kernel lies in (0, 1] with 1 exactly on the diagonal
-    if np.any(s_mat <= 0.0) or np.any(s_mat > 1.0):
-        return SuiteOutcome("submodularity", False, "kernel values leave (0, 1]")
-    if np.any(np.diag(s_mat) != 1.0):
-        return SuiteOutcome("submodularity", False, "kernel is not 1 at zero distance")
-
-    def f_cov(sel):
-        if not sel:
-            return 0.0
-        return float(s_mat[:, sorted(sel)].max(axis=1).sum())
-
-    for _ in range(40):
-        perm = rng.permutation(candidates.size)
-        small = set(perm[: int(rng.integers(0, 4))].tolist())  # empty sets included
-        large = small | set(perm[4:7].tolist())
-        k = int(perm[7])
-        gain_small = f_cov(small | {k}) - f_cov(small)
-        gain_large = f_cov(large | {k}) - f_cov(large)
-        if gain_small < gain_large - 1e-12:
-            return SuiteOutcome(
-                "submodularity", False,
-                f"marginal gain grew with the set: {gain_small:.6f} < {gain_large:.6f}",
-            )
-        if f_cov(large) - f_cov(small) < -1e-12:
-            return SuiteOutcome("submodularity", False, "coverage decreased on a superset")
-    return SuiteOutcome("submodularity", True, "40 nested-set trials")
-
-
-def run_selftest(suites=None) -> SelftestReport:
-    """Run the small-scale oracle suites; empty ``suites`` is a trivial pass."""
-    if suites is None:
-        suites = SELFTEST_SUITES
-    outcomes = []
-    for name in suites:
-        if name not in SELFTEST_SUITES:
-            raise ValueError(f"unknown selftest suite {name!r}")
-        rng = np.random.default_rng([0, SELFTEST_SUITES.index(name)])
-        if name == "greedy_vs_exhaustive":
-            outcomes.append(_suite_greedy(rng))
-        elif name == "incremental_coverage":
-            outcomes.append(_suite_incremental(rng))
-        elif name == "gradient_fd":
-            outcomes.append(_suite_gradient())
-        else:
-            outcomes.append(_suite_submodularity(rng))
-    return SelftestReport(outcomes=tuple(outcomes))

@@ -1,37 +1,54 @@
-"""One fork pool for the pipeline's independent loops.
+"""One fork pool for the pipeline's independent work.
 
-Two loops of the pipeline have iterations that do not depend on each
-other: the pilot's per-candidate losses and gradients, and the downstream
-training and evaluation of each distinct selection. :func:`fork_map` runs
-such a loop on forked worker processes, one per CPU this process may run
-on (its CPU affinity), and never more than there are tasks. The workers
-inherit the loop's shared inputs through fork, so only the tasks and their
-results are pickled. With one worker the same map runs in this process, so
+A :class:`Scheduler` runs tasks ``fn(shared, item)`` on forked worker
+processes, one per CPU this process may run on (its CPU affinity), as they
+become ready. A task may carry a ``then`` callback that runs here with the
+task's result and may submit further tasks, so one pool runs a whole task
+graph: :func:`gits.harness.run_experiment` queues each seed's pilot, the
+pilot's return queues that seed's scoring chunks, and the last chunk's
+return selects the seed's pilot-based cells and queues their trainings,
+while trainings that need no pilot already run on the other workers.
+
+At most one task is in flight per worker. Whenever a worker is free, the
+scheduler hands it the ready task of the lowest priority number, and tasks
+of one priority run in the order they were submitted. So a task that
+becomes ready late but matters more (a scoring chunk that a selection
+waits for) is not stuck behind tasks queued before it (trainings).
+:func:`fork_map` is the task graph without follow-up tasks.
+
+The workers inherit ``shared`` through fork, so only each task's item and
+result are pickled, and ``fn`` by its import path. They fork when the run
+starts, so ``shared`` must be complete by then; arrays from
+:func:`shared_zeros` in it carry the workers' writes back without pickling.
+With one worker the same tasks run in this process, in the same order, so
 ``taskset -c 0 gits run ...`` is a serial run. Each task runs the same
 arithmetic in the same order wherever it runs, so the outputs do not
 depend on the worker count.
 
-Scoring hands each worker one contiguous chunk of candidates, which the
-worker scores in stacks of several candidates per surrogate call
-(``pilot_scoring.stack_size``: 8 at the long_axis_select bench shape, 1 at
-the default grid's). A stack is cut at the end of a chunk, and stacking
-does not change any candidate's arithmetic, so the chunking does not
-change the outputs either.
+Scoring hands each worker one contiguous chunk of candidates
+(``pilot_scoring.score_chunks``), which the worker scores in stacks of
+several candidates per surrogate call (``pilot_scoring.stack_size``: 8 at
+the long_axis_select bench shape, 1 at the default grid's). A stack is cut
+at the end of a chunk, and stacking does not change any candidate's
+arithmetic, so the chunking does not change the outputs either.
 
 The workers are forked rather than spawned: a spawned worker would import
-the package again and receive the dataset and the pilot by pickling.
+the package again and receive the dataset by pickling.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
+import itertools
 import mmap
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 import numpy as np
 
-_installed = None  # (fn, shared) inside a worker
+_shared = None  # the scheduler's shared object, inside a worker
 
 
 def cpu_count() -> int:
@@ -55,28 +72,78 @@ def shared_zeros(shape) -> np.ndarray:
                          count=count).reshape(shape)
 
 
-def _install(fn, shared) -> None:
-    global _installed
-    _installed = (fn, shared)
+def _install(shared) -> None:
+    global _shared
+    _shared = shared
 
 
-def _run(item):
-    fn, shared = _installed
-    return fn(shared, item)
+def _run(fn, item):
+    return fn(_shared, item)
+
+
+class Scheduler:
+    """Runs tasks ``fn(shared, item)`` by priority as they become ready.
+
+    :meth:`submit` queues a task; :meth:`run` runs every queued task, and
+    every task that a ``then`` callback submits, until none is left.
+    ``workers`` is the pool size; with 1 every task runs in this process.
+    """
+
+    def __init__(self, shared, workers: int):
+        self.shared = shared
+        self.workers = workers
+        self._ready: list = []  # heap of (priority, submission number, fn, item, then)
+        self._submitted = itertools.count()
+
+    def submit(self, priority: int, fn, item, then=None) -> None:
+        """Queue ``fn(shared, item)``; ``then(result)`` runs here when it returns.
+
+        A lower ``priority`` runs first; within one, the first submitted.
+        """
+        heapq.heappush(self._ready, (priority, next(self._submitted), fn, item, then))
+
+    def _pop(self):
+        return heapq.heappop(self._ready)[1:]
+
+    def run(self) -> None:
+        """Run the tasks until none is ready or in flight.
+
+        An exception raised by a task or a callback is raised here once the
+        tasks in flight have returned; a caller that wants one task's
+        failure not to stop the others catches it inside ``fn``.
+        """
+        if self.workers == 1:
+            while self._ready:
+                _, fn, item, then = self._pop()
+                result = fn(self.shared, item)
+                if then is not None:
+                    then(result)
+            return
+        with ProcessPoolExecutor(self.workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_install, initargs=(self.shared,)) as pool:
+            running = {}  # future -> (submission number, then)
+            while self._ready or running:
+                while self._ready and len(running) < self.workers:
+                    number, fn, item, then = self._pop()
+                    running[pool.submit(_run, fn, item)] = (number, then)
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in sorted(done, key=lambda f: running[f][0]):
+                    _, then = running.pop(future)
+                    result = future.result()
+                    if then is not None:
+                        then(result)
 
 
 def fork_map(fn, shared, items) -> list:
     """``[fn(shared, item) for item in items]``, on forked workers when there are several.
 
-    ``fn`` and ``shared`` reach the workers by fork, not by pickling; each
-    item and each result is pickled. An exception raised by ``fn`` is raised
-    here; a caller that wants one task's failure not to stop the others
-    catches it inside ``fn``.
+    ``fn`` and ``shared`` follow :class:`Scheduler`'s rules. An exception
+    raised by ``fn`` is raised here.
     """
     items = list(items)
-    workers = worker_count(len(items))
-    if workers == 1:
-        return [fn(shared, item) for item in items]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_install, initargs=(fn, shared)) as pool:
-        return list(pool.map(_run, items))
+    results = [None] * len(items)
+    scheduler = Scheduler(shared, worker_count(len(items)))
+    for i, item in enumerate(items):
+        scheduler.submit(0, fn, item, then=functools.partial(results.__setitem__, i))
+    scheduler.run()
+    return results

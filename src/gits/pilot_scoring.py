@@ -152,7 +152,7 @@ def candidate_gradients(
     """Per-candidate short-rollout losses and gradient vectors.
 
     Returns (losses, grads) with grads of shape (n_candidates, param_count).
-    The candidates are split into one contiguous chunk per worker of
+    The candidates are split into :func:`score_chunks`, one per worker of
     :func:`gits.parallel.fork_map`, and each worker writes its rows into
     arrays shared with this process. A worker scores its chunk in stacks of
     at most :func:`stack_size` candidates of one effective horizon, one
@@ -163,10 +163,15 @@ def candidate_gradients(
     traj = scoring_trajectories(ds, batch_traj, seed)
     losses = parallel.shared_zeros((candidates.size,))
     grads = parallel.shared_zeros((candidates.size, pilot.param_count))
-    chunks = np.array_split(np.arange(candidates.size), parallel.worker_count(candidates.size))
     parallel.fork_map(_chunk_gradients,
-                      (pilot, ds, traj, horizon, candidates.indices, losses, grads), chunks)
+                      (pilot, ds, traj, horizon, candidates.indices, losses, grads),
+                      score_chunks(candidates.size))
     return losses, grads
+
+
+def score_chunks(size: int) -> list[np.ndarray]:
+    """The positions ``0 .. size - 1`` of the candidates, in one contiguous chunk per worker."""
+    return np.array_split(np.arange(size), parallel.worker_count(size))
 
 
 @_step_workspace()

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,9 @@ from gits.harness import (
     HarnessConfigError,
     compare_report,
     run_experiment,
-    run_selftest,
     write_results,
 )
+from gits.selftest import run_selftest
 from gits.pde_data import SolverConfig
 from gits.selector import SAMPLERS, ObjectiveConfig
 from gits.surrogate import TrainConfig
@@ -131,6 +132,10 @@ def test_rerun_is_byte_identical_across_blas_thread_counts(tmp_path):
     assert _strip_timing(a / "results.csv") == _strip_timing(b / "results.csv")
 
 
+def _use_workers(monkeypatch, n):
+    monkeypatch.setattr(parallel, "cpu_count", lambda: n)
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
@@ -144,9 +149,10 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_pilot_is_shared_per_seed_and_matches_the_single_cell_path(monkeypatch):
+    _use_workers(monkeypatch, 1)  # the tasks run here, so the counts do; one chunk per seed
     cfg = small_experiment(samplers=SAMPLERS, ratios=(0.1, 0.2), seeds=(0, 1))
     pilots = _count_calls(monkeypatch, pilot_scoring, "train_pilot")
-    scorings = _count_calls(monkeypatch, pilot_scoring, "candidate_gradients")
+    scorings = _count_calls(monkeypatch, harness, "_score_task")
     result = run_experiment(cfg)
     assert result.failed == 0
     assert len(result.cells) == len(SAMPLERS) * 2 * 2
@@ -165,19 +171,65 @@ def test_pilot_is_shared_per_seed_and_matches_the_single_cell_path(monkeypatch):
         assert cell.report.nrmse == report.nrmse, (cell.sampler, cell.ratio, cell.seed)
 
 
-def _use_workers(monkeypatch, n):
-    monkeypatch.setattr(parallel, "cpu_count", lambda: n)
+def test_one_two_and_three_workers_write_identical_results(monkeypatch, tmp_path):
+    # seed 1's pilot fails and its trainings diverge, so the error texts are compared too
+    train_pilot, train_downstream = pilot_scoring.train_pilot, harness.train_downstream
 
+    def pilot_failing_on_seed_1(ds, candidates, cfg, arch):
+        if cfg.seed == harness.stage_seed(1, "pilot"):
+            raise RuntimeError("pilot diverged")
+        return train_pilot(ds, candidates, cfg, arch=arch)
 
-def test_one_and_two_workers_write_identical_results(monkeypatch, tmp_path):
+    def training_diverging_on_seed_1(cfg, ds, starts, seed):
+        if seed == 1:
+            cfg = replace(cfg, train=replace(cfg.train, lr=1e308, grad_clip=1e308))
+        return train_downstream(cfg, ds, starts, seed)
+
+    monkeypatch.setattr(pilot_scoring, "train_pilot", pilot_failing_on_seed_1)
+    monkeypatch.setattr(harness, "train_downstream", training_diverging_on_seed_1)
     cfg = small_experiment(samplers=SAMPLERS, ratios=(0.1, 0.3), seeds=(0, 1))
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         _use_workers(monkeypatch, workers)
-        result = run_experiment(cfg)
-        assert result.failed == 0 and len(result.cells) == len(SAMPLERS) * 2 * 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_experiment(cfg)
+        assert len(result.cells) == len(SAMPLERS) * 2 * 2
+        assert all(c.ok == (c.seed == 0) for c in result.cells), workers
+        assert sorted(result.pilot_times) == [0]
+        first_lines = {c.error.splitlines()[0].split(":")[0] for c in result.cells if not c.ok}
+        assert first_lines == {"RuntimeError", "TrainingDivergedError"}, workers
         write_results(result, tmp_path / f"w{workers}")
-    assert _strip_timing(tmp_path / "w1/results.csv") == _strip_timing(tmp_path / "w2/results.csv")
-    assert _strip_json(tmp_path / "w1/summary.json") == _strip_json(tmp_path / "w2/summary.json")
+    for workers in (2, 3):
+        assert (_strip_timing(tmp_path / f"w{workers}/results.csv")
+                == _strip_timing(tmp_path / "w1/results.csv")), workers
+        assert (_strip_json(tmp_path / f"w{workers}/summary.json")
+                == _strip_json(tmp_path / "w1/summary.json")), workers
+
+
+def test_training_that_needs_no_pilot_starts_while_the_pilot_trains(monkeypatch, tmp_path):
+    # The pilot returns only once a downstream training has started: a file
+    # handshake with a bounded wait. With the pilot and the uniform cell's
+    # training on separate workers of one pool, the wait ends at once.
+    started = tmp_path / "training_started"
+    train_pilot, train_downstream = pilot_scoring.train_pilot, harness.train_downstream
+
+    def pilot_waiting_for_a_training(*args, **kwargs):
+        deadline = time.monotonic() + 30.0
+        while not started.exists():
+            if time.monotonic() > deadline:
+                raise TimeoutError("no training started while the pilot trained")
+            time.sleep(0.005)
+        return train_pilot(*args, **kwargs)
+
+    def announced_training(*args, **kwargs):
+        started.touch()
+        return train_downstream(*args, **kwargs)
+
+    monkeypatch.setattr(pilot_scoring, "train_pilot", pilot_waiting_for_a_training)
+    monkeypatch.setattr(harness, "train_downstream", announced_training)
+    _use_workers(monkeypatch, 2)
+    result = run_experiment(small_experiment(samplers=("gits", "uniform")))
+    assert [c.error for c in result.cells] == [None, None]
+    assert sorted(result.pilot_times) == [0]
 
 
 def test_each_distinct_selection_is_trained_once(monkeypatch):
@@ -215,8 +267,9 @@ def test_cell_failing_in_a_worker_records_the_same_error(monkeypatch):
 
 
 def test_grid_without_pilot_based_samplers_trains_no_pilot(monkeypatch):
+    _use_workers(monkeypatch, 1)  # the tasks run here, so the counts do
     pilots = _count_calls(monkeypatch, pilot_scoring, "train_pilot")
-    scorings = _count_calls(monkeypatch, pilot_scoring, "candidate_gradients")
+    scorings = _count_calls(monkeypatch, harness, "_score_task")
     cfg = small_experiment(samplers=("uniform", "coverage_only"), ratios=(0.1, 0.2),
                            seeds=(0, 1))
     result = run_experiment(cfg)
@@ -225,6 +278,7 @@ def test_grid_without_pilot_based_samplers_trains_no_pilot(monkeypatch):
 
 
 def test_failed_pilot_is_attempted_once_per_seed(monkeypatch, tmp_path):
+    _use_workers(monkeypatch, 1)  # the pilots run here, so the attempts are counted
     attempts = []
 
     def failing_pilot(*args, **kwargs):
@@ -488,6 +542,7 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
         assert cli.main(select) == cli.EXIT_CONFIG, text
         assert not (tmp_path / "sel.json").exists()
     assert cli.main(["run", "--config", str(tmp_path / "missing.ini")]) == cli.EXIT_CONFIG
+    _use_workers(monkeypatch, 1)  # a pilot would run here, so the count would see it
     pilots = _count_calls(monkeypatch, pilot_scoring, "train_pilot")
     capsys.readouterr()
     for text in ("[model]\nhidden = 3\n[model]\nhidden = 4\n",

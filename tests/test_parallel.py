@@ -54,6 +54,40 @@ def test_fork_map_raises_a_task_exception_here(monkeypatch, cpus):
         parallel.fork_map(_fail_on_three, None, range(5))
 
 
+def _record(shared, item):
+    return item, os.getpid()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_scheduler_runs_follow_up_tasks_by_priority(monkeypatch, cpus):
+    # trainings (2) queued first, a pilot (0) whose return queues chunks (1)
+    use_workers(monkeypatch, cpus)
+    scheduler = parallel.Scheduler("shared", parallel.worker_count(4))
+    returned = []
+
+    def then(result):
+        item, pid = result
+        returned.append((item, pid))
+        if item == "pilot":
+            for chunk in ("chunk0", "chunk1"):
+                scheduler.submit(1, _record, chunk, then=then)
+
+    for task in ("train0", "train1"):
+        scheduler.submit(2, _record, task, then=then)
+    scheduler.submit(0, _record, "pilot", then=then)
+    scheduler.run()
+    items = [item for item, _ in returned]
+    pids = {pid for _, pid in returned}
+    assert sorted(items) == ["chunk0", "chunk1", "pilot", "train0", "train1"]
+    if cpus == 1:
+        # in this process, by priority, then in submission order
+        assert items == ["pilot", "chunk0", "chunk1", "train0", "train1"]
+        assert pids == {os.getpid()}
+    else:
+        assert items.index("pilot") < min(items.index("chunk0"), items.index("chunk1"))
+        assert os.getpid() not in pids and len(pids) <= cpus
+
+
 def _fill(out, rows):
     for i in rows:
         out[i] = i + 0.5

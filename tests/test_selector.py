@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gits.harness import exhaustive_optimum
+from gits.selftest import exhaustive_optimum
 from gits.pde_data import SolverConfig, generate_dataset
 from gits.pilot_scoring import (
     CandidateScores,
