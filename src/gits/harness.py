@@ -200,33 +200,6 @@ class PilotGradients(NamedTuple):
     scoring_s: float  # wall time from the first scoring chunk's start to the last one's end
 
 
-def _train_seed_pilot(cfg: ExperimentConfig, ds: TrajectoryDataset, candidates: CandidateSet,
-                      seed: int) -> SurrogateParams:
-    """The seed's pilot: the run's model trained for ``pilot_epochs`` under the pilot seed."""
-    pilot_cfg = replace(cfg.train, epochs_max=cfg.pilot_epochs,
-                        seed=stage_seed(seed, "pilot"))
-    return pilot_scoring.train_pilot(ds, candidates, pilot_cfg, arch=_model_arch(cfg, ds))
-
-
-def pilot_gradients(
-    cfg: ExperimentConfig, ds: TrajectoryDataset, candidates: CandidateSet, seed: int
-) -> PilotGradients:
-    """Train the seed's pilot and compute every candidate's loss and gradient.
-
-    Depends on the seed only through its pilot and scoring stage seeds, not
-    on the sampler or the ratio. The pilot parameters are not kept. This is
-    the one-cell path of ``gits select`` and ``gits train``;
-    :func:`run_experiment` runs the same two stages as tasks of its pool.
-    """
-    with stage_timer("pilot") as pilot_time:
-        pilot = _train_seed_pilot(cfg, ds, candidates, seed)
-    with stage_timer("scoring") as scoring_time:
-        losses, grads = pilot_scoring.candidate_gradients(
-            pilot, candidates, ds, cfg.horizon, cfg.batch_traj, stage_seed(seed, "scoring")
-        )
-    return PilotGradients(losses, grads, pilot_time.seconds, scoring_time.seconds)
-
-
 def select_starts(
     cfg: ExperimentConfig,
     ds: TrajectoryDataset,
@@ -313,16 +286,19 @@ class _Run(NamedTuple):
     cfg: ExperimentConfig
     ds: TrajectoryDataset
     candidates: CandidateSet
-    # pilot seed -> (scoring trajectories, losses, grads); the chunks write
-    # their rows into the two shared arrays
+    # pilot seed -> (scoring trajectories, losses, grads), filled in by
+    # _queue_pilot; the chunks write their rows into the two shared arrays
     scoring: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _pilot_task(run: _Run, seed: int) -> tuple[SurrogateParams, float] | str:
-    """Train one seed's pilot; returns it and its seconds, or the error text."""
+    """Train one seed's pilot for ``pilot_epochs`` under its pilot seed; returns
+    it and its seconds, or the error text."""
+    cfg = replace(run.cfg.train, epochs_max=run.cfg.pilot_epochs, seed=stage_seed(seed, "pilot"))
     try:
         with stage_timer("pilot") as pilot_time:
-            pilot = _train_seed_pilot(run.cfg, run.ds, run.candidates, seed)
+            pilot = pilot_scoring.train_pilot(run.ds, run.candidates, cfg,
+                                              arch=_model_arch(run.cfg, run.ds))
     except Exception as exc:  # recorded in every pilot-based cell of the seed
         return _error_text(exc)
     return pilot, pilot_time.seconds
@@ -363,6 +339,70 @@ def _training_key(cell: CellResult) -> tuple[int, tuple[int, ...]]:
     return cell.seed, tuple(sorted(cell.selected))
 
 
+def _queue_pilot(scheduler: parallel.Scheduler, seed: int, done) -> None:
+    """Queue the seed's pilot on ``scheduler``, whose shared object is a :class:`_Run`.
+
+    The pilot's return queues the seed's scoring chunks. The last chunk's
+    return calls ``done`` with the seed's :class:`PilotGradients`, or with
+    the error text of the failed pilot or chunk. Call it before the
+    scheduler runs: it allocates the seed's shared score arrays, which the
+    workers inherit when they fork.
+    """
+    run = scheduler.shared
+    size, param_count = run.candidates.size, _model_arch(run.cfg, run.ds).param_count()
+    run.scoring[seed] = (
+        pilot_scoring.scoring_trajectories(run.ds, run.cfg.batch_traj, stage_seed(seed, "scoring")),
+        parallel.shared_zeros((size,)), parallel.shared_zeros((size, param_count)))
+    chunks = pilot_scoring.score_chunks(size)
+    times = [None] * len(chunks)
+
+    def chunk_returned(pilot_s, index, outcome) -> None:
+        times[index] = outcome
+        if None in times:
+            return
+        errors = [t for t in times if isinstance(t, str)]
+        if errors:
+            done(errors[0])
+            return
+        _, losses, grads = run.scoring[seed]
+        done(PilotGradients(losses, grads, pilot_s,
+                            max(t.end for t in times) - min(t.start for t in times)))
+
+    def pilot_returned(outcome) -> None:
+        if isinstance(outcome, str):
+            done(outcome)
+            return
+        pilot, pilot_s = outcome
+        for index, positions in enumerate(chunks):
+            scheduler.submit(SCORING, _score_task, (seed, pilot, positions),
+                             then=functools.partial(chunk_returned, pilot_s, index))
+
+    scheduler.submit(PILOT, _pilot_task, seed, then=pilot_returned)
+
+
+def pilot_gradients(
+    cfg: ExperimentConfig, ds: TrajectoryDataset, candidates: CandidateSet, seed: int
+) -> PilotGradients:
+    """Train the seed's pilot and compute every candidate's loss and gradient.
+
+    Depends on the seed only through its pilot and scoring stage seeds, not
+    on the sampler or the ratio. The pilot parameters are not kept. This is
+    the one-cell path of ``gits select`` and ``gits train``: a pool of its
+    own runs :func:`_queue_pilot`'s tasks, as :func:`run_experiment`'s pool
+    does for each seed. A failed pilot or chunk raises ``RuntimeError``
+    carrying the recorded error text.
+    """
+    # one worker per scoring chunk
+    scheduler = parallel.Scheduler(_Run(cfg, ds, candidates, {}),
+                                   parallel.worker_count(candidates.size))
+    outcome = []
+    _queue_pilot(scheduler, seed, outcome.append)
+    scheduler.run()
+    if isinstance(outcome[0], str):
+        raise RuntimeError(outcome[0])
+    return outcome[0]
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the full (ratio, sampler, seed) grid; deterministic given cfg.
 
@@ -388,15 +428,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     grid = list(itertools.product(cfg.ratios, cfg.samplers, cfg.seeds))
     pilot_based = {s for s in cfg.samplers if selector.SAMPLER_TABLE[s].needs is not None}
     pilot_seeds = cfg.seeds if pilot_based else ()
-    param_count = _model_arch(cfg, ds).param_count()
-    run = _Run(cfg, ds, candidates, {
-        seed: (pilot_scoring.scoring_trajectories(ds, cfg.batch_traj, stage_seed(seed, "scoring")),
-               parallel.shared_zeros((candidates.size,)),
-               parallel.shared_zeros((candidates.size, param_count)))
-        for seed in pilot_seeds
-    })
+    run = _Run(cfg, ds, candidates, {})
     chunks = pilot_scoring.score_chunks(candidates.size)
-    chunk_times = {seed: [None] * len(chunks) for seed in pilot_seeds}
     cells: dict[tuple, CellResult] = {}
     pilots: dict[int, PilotGradients | str] = {}  # seed -> pilot, or its error text
     trained: dict[tuple, tuple | str | None] = {}  # training key -> outcome; None while queued
@@ -421,35 +454,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         pilots[seed] = pilot
         queue_trainings(select([e for e in grid if e[2] == seed and e[1] in pilot_based], pilot))
 
-    def pilot_returned(seed, outcome) -> None:
-        if isinstance(outcome, str):
-            seed_scored(seed, outcome)
-            return
-        pilot, pilot_s = outcome
-        for index, positions in enumerate(chunks):
-            scheduler.submit(SCORING, _score_task, (seed, pilot, positions),
-                             then=functools.partial(chunk_returned, seed, pilot_s, index))
-
-    def chunk_returned(seed, pilot_s, index, outcome) -> None:
-        times = chunk_times[seed]
-        times[index] = outcome
-        if None in times:
-            return
-        errors = [t for t in times if isinstance(t, str)]
-        if errors:
-            seed_scored(seed, errors[0])
-            return
-        _, losses, grads = run.scoring[seed]
-        scoring_s = max(t.end for t in times) - min(t.start for t in times)
-        seed_scored(seed, PilotGradients(losses, grads, pilot_s, scoring_s))
-
     queued = select([e for e in grid if e[1] not in pilot_based], None)
     # the pool is sized by every task known before a pilot-based cell is selected
     scheduler = parallel.Scheduler(
         run, parallel.worker_count(len(queued) + len(pilot_seeds) * (1 + len(chunks))))
     queue_trainings(queued)
     for seed in pilot_seeds:
-        scheduler.submit(PILOT, _pilot_task, seed, then=functools.partial(pilot_returned, seed))
+        _queue_pilot(scheduler, seed, functools.partial(seed_scored, seed))
     scheduler.run()
 
     ordered = [cells[entry] for entry in grid]

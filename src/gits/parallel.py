@@ -14,7 +14,8 @@ scheduler hands it the ready task of the lowest priority number, and tasks
 of one priority run in the order they were submitted. So a task that
 becomes ready late but matters more (a scoring chunk that a selection
 waits for) is not stuck behind tasks queued before it (trainings).
-:func:`fork_map` is the task graph without follow-up tasks.
+``gits select`` and ``gits train`` run one seed's pilot and scoring chunks
+on a pool of their own (:func:`gits.harness.pilot_gradients`).
 
 The workers inherit ``shared`` through fork, so only each task's item and
 result are pickled, and ``fn`` by its import path. They fork when the run
@@ -38,7 +39,6 @@ the package again and receive the dataset by pickling.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import mmap
@@ -132,18 +132,3 @@ class Scheduler:
                     result = future.result()
                     if then is not None:
                         then(result)
-
-
-def fork_map(fn, shared, items) -> list:
-    """``[fn(shared, item) for item in items]``, on forked workers when there are several.
-
-    ``fn`` and ``shared`` follow :class:`Scheduler`'s rules. An exception
-    raised by ``fn`` is raised here.
-    """
-    items = list(items)
-    results = [None] * len(items)
-    scheduler = Scheduler(shared, worker_count(len(items)))
-    for i, item in enumerate(items):
-        scheduler.submit(0, fn, item, then=functools.partial(results.__setitem__, i))
-    scheduler.run()
-    return results

@@ -141,34 +141,6 @@ def stack_size(columns: int) -> int:
     return max(1, STACK_COLUMNS // columns)
 
 
-def candidate_gradients(
-    pilot: SurrogateParams,
-    candidates: CandidateSet,
-    ds: TrajectoryDataset,
-    horizon: int,
-    batch_traj: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-candidate short-rollout losses and gradient vectors.
-
-    Returns (losses, grads) with grads of shape (n_candidates, param_count).
-    The candidates are split into :func:`score_chunks`, one per worker of
-    :func:`gits.parallel.fork_map`, and each worker writes its rows into
-    arrays shared with this process. A worker scores its chunk in stacks of
-    at most :func:`stack_size` candidates of one effective horizon, one
-    surrogate call per stack. No candidate's arithmetic depends on the
-    split or the stacks: each row equals ``rollout_loss_grad`` of that
-    candidate's pairs, bit for bit.
-    """
-    traj = scoring_trajectories(ds, batch_traj, seed)
-    losses = parallel.shared_zeros((candidates.size,))
-    grads = parallel.shared_zeros((candidates.size, pilot.param_count))
-    parallel.fork_map(_chunk_gradients,
-                      (pilot, ds, traj, horizon, candidates.indices, losses, grads),
-                      score_chunks(candidates.size))
-    return losses, grads
-
-
 def score_chunks(size: int) -> list[np.ndarray]:
     """The positions ``0 .. size - 1`` of the candidates, in one contiguous chunk per worker."""
     return np.array_split(np.arange(size), parallel.worker_count(size))
@@ -178,9 +150,15 @@ def score_chunks(size: int) -> list[np.ndarray]:
 def _chunk_gradients(shared, positions) -> None:
     """Write the losses and gradients of the candidates at ``positions``.
 
-    The candidates are scored in stacks of at most :func:`stack_size` that
-    share one effective horizon, one surrogate call per stack. Every call
-    reuses one workspace, released on return.
+    ``shared`` is ``(pilot, ds, traj, horizon, indices, losses, grads)``:
+    ``traj`` is the :func:`scoring_trajectories` subsample, and row ``i`` of
+    ``losses`` and ``grads`` belongs to candidate ``indices[i]``. One
+    scoring worker runs this on one of :func:`score_chunks`. The candidates
+    are scored in stacks of at most :func:`stack_size` that share one
+    effective horizon, one surrogate call per stack. No candidate's
+    arithmetic depends on the chunks or the stacks: each row equals
+    ``rollout_loss_grad`` of that candidate's pairs, bit for bit. Every
+    call reuses one workspace, released on return.
     """
     pilot, ds, traj, horizon, indices, losses, grads = shared
     positions = np.asarray(positions)
@@ -200,7 +178,7 @@ def _chunk_gradients(shared, positions) -> None:
 
 
 def pilot_input(need: str, losses, grads, candidates: CandidateSet):
-    """What a sampler needs, made from :func:`candidate_gradients`' output.
+    """What a sampler needs, made from every candidate's losses and gradients.
 
     ``need`` is :data:`GRADIENTS` (the matrix itself) or a score kind:
     ``grad_norm`` is ||grad loss_k||_2 per candidate, ``rollout_loss`` the loss.

@@ -15,8 +15,9 @@ from gits.diagnostics import (
     subset_geometry,
 )
 from gits.pde_data import SolverConfig, generate_dataset
-from gits.pilot_scoring import build_candidates, candidate_gradients, pilot_input, train_pilot
+from gits.pilot_scoring import build_candidates, pilot_input, train_pilot
 from gits.surrogate import SurrogateArch, SurrogateParams, TrainConfig, init_params
+from test_pilot_scoring import chunk_gradients
 
 ARCH = SurrogateArch(history_len=3, hidden=3, kernel_radius=1)
 
@@ -260,7 +261,7 @@ def test_alignment_runs_end_to_end_and_zero_gradients_ok(tiny_ds):
     cands = build_candidates(tiny_ds.t_count, 3)
     cfg = TrainConfig(epochs_max=1, batch_size=16, seed=0, early_stop=False)
     pilot = train_pilot(tiny_ds, cands, cfg, arch=ARCH)
-    losses, grads = candidate_gradients(pilot, cands, tiny_ds, 2, 4, 0)
+    losses, grads = chunk_gradients(pilot, cands, tiny_ds, 2, 4, 0)
     scores = pilot_input("grad_norm", losses, grads, cands)
     rho = score_utility_alignment(pilot, scores, grads, cands, tiny_ds, probe_lr=1e-3)
     assert -1.0 <= rho <= 1.0
@@ -273,7 +274,7 @@ def test_alignment_runs_end_to_end_and_zero_gradients_ok(tiny_ds):
                         t_count=12, seed=4)
     ds0 = generate_dataset(cfg0, 10)
     zero = SurrogateParams(theta=np.zeros(ARCH.param_count()), arch=ARCH)
-    zlosses, zgrads = candidate_gradients(zero, cands, ds0, 2, 4, 0)
+    zlosses, zgrads = chunk_gradients(zero, cands, ds0, 2, 4, 0)
     zscores = pilot_input("grad_norm", zlosses, zgrads, cands)
     rho0 = score_utility_alignment(zero, zscores, zgrads, cands, ds0)
     assert np.isnan(rho0)

@@ -867,12 +867,47 @@ def test_cli_select_wall_time_includes_the_pilot(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("sampler, runs", [("gits", 1), ("uniform", 0), ("coverage_only", 0)])
 def test_cli_cell_runs_the_pilot_once_when_its_sampler_needs_it(tmp_path, monkeypatch,
                                                                 command, sampler, runs):
+    _use_workers(monkeypatch, 1)  # the tasks run here, so the counts do; one chunk
     pilots = _count_calls(monkeypatch, pilot_scoring, "train_pilot")
-    scorings = _count_calls(monkeypatch, pilot_scoring, "candidate_gradients")
+    scorings = _count_calls(monkeypatch, harness, "_score_task")
     assert cli.main([command, "--config", str(_write_small_config(tmp_path)),
                      "--sampler", sampler, "--ratio", "0.3", "--seed", "0",
                      "--output", str(tmp_path / "out")]) == 0
     assert (len(pilots), len(scorings)) == (runs, runs)
+
+
+def test_cli_cell_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    cfg_path = str(_write_small_config(tmp_path))
+    cell = ["--sampler", "gits", "--ratio", "0.3", "--seed", "0"]
+    selections, checkpoints = {}, {}
+    for workers in (1, 2, 3):
+        _use_workers(monkeypatch, workers)
+        out = tmp_path / str(workers)
+        assert cli.main(["select", "--config", cfg_path, *cell,
+                         "--output", str(out / "sel.json")]) == 0
+        assert cli.main(["train", "--config", cfg_path, *cell,
+                         "--output", str(out / "ckpt")]) == 0
+        selections[workers] = json.loads((out / "sel.json").read_text())
+        assert selections[workers].pop("wall_time") > 0.0
+        checkpoints[workers] = [(out / f"ckpt{suffix}").read_bytes()
+                                for suffix in (".json", ".f64")]
+    assert selections[1] == selections[2] == selections[3]
+    assert checkpoints[1] == checkpoints[2] == checkpoints[3]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cli_select_raises_the_pilot_error_text(tmp_path, monkeypatch, workers):
+    _use_workers(monkeypatch, workers)
+
+    def diverging_pilot(*args, **kwargs):
+        raise ArithmeticError("pilot diverged")
+
+    monkeypatch.setattr(pilot_scoring, "train_pilot", diverging_pilot)
+    out = tmp_path / "sel.json"
+    with pytest.raises(RuntimeError, match="ArithmeticError: pilot diverged"):
+        cli.main(["select", "--config", str(_write_small_config(tmp_path)),
+                  "--sampler", "gits", "--ratio", "0.3", "--seed", "0", "--output", str(out)])
+    assert not out.exists()
 
 
 def test_cli_selftest_subcommand(capsys):

@@ -1,12 +1,12 @@
+import functools
 import os
 
 import numpy as np
 import pytest
 
-from gits import parallel
+from gits import harness, parallel
 from gits.pde_data import SolverConfig, generate_dataset
-from gits.pilot_scoring import build_candidates, candidate_gradients, default_arch
-from gits.surrogate import init_params
+from gits.pilot_scoring import build_candidates
 
 
 def use_workers(monkeypatch, n):
@@ -28,17 +28,29 @@ def _tag(shared, item):
     return shared, item * item, os.getpid()
 
 
+def run_each(fn, shared, items) -> list:
+    """Run ``fn(shared, item)`` for every item on one Scheduler; each ``then``
+    stores its result at its item's submission number."""
+    items = list(items)
+    results = [None] * len(items)
+    scheduler = parallel.Scheduler(shared, parallel.worker_count(len(items)))
+    for i, item in enumerate(items):
+        scheduler.submit(0, fn, item, then=functools.partial(results.__setitem__, i))
+    scheduler.run()
+    return results
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_fork_map_keeps_order_and_forks_only_with_several_workers(monkeypatch, cpus):
+def test_scheduler_keeps_order_and_forks_only_with_several_workers(monkeypatch, cpus):
     use_workers(monkeypatch, cpus)
-    out = parallel.fork_map(_tag, "shared", range(7))
+    out = run_each(_tag, "shared", range(7))
     assert [(s, v) for s, v, _ in out] == [("shared", i * i) for i in range(7)]
     pids = {pid for _, _, pid in out}
     if cpus == 1:
         assert pids == {os.getpid()}
     else:
         assert os.getpid() not in pids and len(pids) <= cpus
-    assert parallel.fork_map(_tag, None, []) == []
+    assert run_each(_tag, None, []) == []
 
 
 def _fail_on_three(shared, item):
@@ -48,10 +60,10 @@ def _fail_on_three(shared, item):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_fork_map_raises_a_task_exception_here(monkeypatch, cpus):
+def test_scheduler_raises_a_task_exception_here(monkeypatch, cpus):
     use_workers(monkeypatch, cpus)
     with pytest.raises(ArithmeticError, match="task 3"):
-        parallel.fork_map(_fail_on_three, None, range(5))
+        run_each(_fail_on_three, None, range(5))
 
 
 def _record(shared, item):
@@ -98,7 +110,7 @@ def test_shared_zeros_carry_every_worker_write_back(monkeypatch):
     use_workers(monkeypatch, workers)
     out = parallel.shared_zeros((4000, 3))
     assert out.shape == (4000, 3) and out.dtype == np.float64 and not out.any()
-    parallel.fork_map(_fill, out, np.array_split(np.arange(4000), 4 * workers))
+    run_each(_fill, out, np.array_split(np.arange(4000), 4 * workers))
     assert np.array_equal(out, np.repeat(np.arange(4000)[:, None] + 0.5, 3, axis=1))
 
 
@@ -110,19 +122,21 @@ def test_shared_zeros_carry_every_worker_write_back(monkeypatch):
     (SolverConfig(family="advection_diffusion1d", boundary="neumann", spatial_size=32,
                   t_count=41, seed=6), 4, 10),
 ])
-def test_chunked_candidate_gradients_equal_one_chunk(monkeypatch, solver, history_len, horizon):
+def test_pilot_gradients_do_not_depend_on_the_cpu_count(monkeypatch, solver, history_len,
+                                                        horizon):
     ds = generate_dataset(solver, 10)
-    arch = default_arch(ds, history_len=history_len)
+    cfg = harness.ExperimentConfig(solver=solver, n_traj=10, pilot_epochs=1, horizon=horizon,
+                                   batch_traj=8, history_len=history_len)
+    arch = harness._model_arch(cfg, ds)
     assert arch.padding == ("reflect" if solver.boundary == "neumann" else "periodic")
-    pilot = init_params(arch, 7)
     candidates = build_candidates(ds.t_count, history_len)
     runs = {}
     for cpus in (1, 2, 3):
         use_workers(monkeypatch, cpus)
-        runs[cpus] = candidate_gradients(pilot, candidates, ds, horizon, 8, 11)
-    losses, grads = runs[1]
-    assert grads.shape == (candidates.size, pilot.param_count)
+        runs[cpus] = harness.pilot_gradients(cfg, ds, candidates, 11)
+    losses, grads = runs[1].losses, runs[1].grads
+    assert grads.shape == (candidates.size, arch.param_count())
     assert np.all(np.isfinite(grads)) and np.any(grads != 0.0)
     for cpus in (2, 3):
-        assert np.array_equal(runs[cpus][0], losses), cpus
-        assert np.array_equal(runs[cpus][1], grads), cpus
+        assert np.array_equal(runs[cpus].losses, losses), cpus
+        assert np.array_equal(runs[cpus].grads, grads), cpus

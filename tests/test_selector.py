@@ -6,12 +6,8 @@ import pytest
 
 from gits.selftest import exhaustive_optimum
 from gits.pde_data import SolverConfig, generate_dataset
-from gits.pilot_scoring import (
-    CandidateScores,
-    build_candidates,
-    candidate_gradients,
-    train_pilot,
-)
+from gits.harness import ExperimentConfig, pilot_gradients
+from gits.pilot_scoring import CandidateScores, build_candidates
 from gits.selector import (
     SAMPLER_TABLE,
     SAMPLERS,
@@ -24,7 +20,6 @@ from gits.selector import (
     top_k,
     write_selection_json,
 )
-from gits.surrogate import SurrogateArch, TrainConfig
 from gits.temporal_coverage import (
     build_windows,
     coverage_values,
@@ -323,15 +318,14 @@ def test_grad_match_near_exhaustive_on_small_instance():
 
 
 def test_grad_match_end_to_end_deterministic():
-    cfg = SolverConfig(family="diffusion1d", spatial_size=16, t_count=12, seed=3)
-    ds = generate_dataset(cfg, 10)
+    solver = SolverConfig(family="diffusion1d", spatial_size=16, t_count=12, seed=3)
+    ds = generate_dataset(solver, 10)
     cands = build_candidates(ds.t_count, 3)
-    arch = SurrogateArch(history_len=3, hidden=3, kernel_radius=1)
-    pilot = train_pilot(ds, cands, TrainConfig(epochs_max=1, seed=0, early_stop=False),
-                        arch=arch)
+    cfg = ExperimentConfig(solver=solver, n_traj=10, pilot_epochs=1, horizon=3, batch_traj=4,
+                           history_len=3, hidden=3, kernel_radius=1)
     obj = default_obj(cands, budget=3)
-    _, grads_a = candidate_gradients(pilot, cands, ds, 3, 4, 0)
-    _, grads_b = candidate_gradients(pilot, cands, ds, 3, 4, 0)
+    grads_a = pilot_gradients(cfg, ds, cands, 0).grads
+    grads_b = pilot_gradients(cfg, ds, cands, 0).grads
     a = run_sampler("grad_match", cands, obj, 3, grads_a)
     b = run_sampler("grad_match", cands, obj, 3, grads_b)
     assert a.selected == b.selected
