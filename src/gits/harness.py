@@ -311,10 +311,8 @@ def _score_task(run: _Run, task) -> StageTime | str:
     traj, losses, grads = run.scoring[seed]
     try:
         with stage_timer("scoring") as chunk_time:
-            pilot_scoring._chunk_gradients(
-                (pilot, run.ds, traj, run.cfg.horizon, run.candidates.indices, losses, grads),
-                positions,
-            )
+            pilot_scoring._chunk_gradients(pilot, run.ds, traj, run.cfg.horizon,
+                                           run.candidates.indices, positions, losses, grads)
     except Exception as exc:  # recorded in every pilot-based cell of the seed
         return _error_text(exc)
     return chunk_time

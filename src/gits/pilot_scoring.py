@@ -147,10 +147,11 @@ def score_chunks(size: int) -> list[np.ndarray]:
 
 
 @_step_workspace()
-def _chunk_gradients(shared, positions) -> None:
+def _chunk_gradients(pilot: SurrogateParams, ds: TrajectoryDataset, traj: np.ndarray,
+                     horizon: int, indices: np.ndarray, positions, losses: np.ndarray,
+                     grads: np.ndarray) -> None:
     """Write the losses and gradients of the candidates at ``positions``.
 
-    ``shared`` is ``(pilot, ds, traj, horizon, indices, losses, grads)``:
     ``traj`` is the :func:`scoring_trajectories` subsample, and row ``i`` of
     ``losses`` and ``grads`` belongs to candidate ``indices[i]``. One
     scoring worker runs this on one of :func:`score_chunks`. The candidates
@@ -160,7 +161,6 @@ def _chunk_gradients(shared, positions) -> None:
     ``rollout_loss_grad`` of that candidate's pairs, bit for bit. Every
     call reuses one workspace, released on return.
     """
-    pilot, ds, traj, horizon, indices, losses, grads = shared
     positions = np.asarray(positions)
     h_eff = effective_horizon(horizon, ds.t_count, indices[positions])
     most = stack_size(ds.spatial_size * traj.size)

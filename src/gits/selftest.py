@@ -20,9 +20,6 @@ from .pilot_scoring import CandidateSet
 from .selector import ObjectiveConfig
 from .surrogate import SurrogateArch, SurrogateParams
 
-SELFTEST_SUITES = ("greedy_vs_exhaustive", "incremental_coverage", "gradient_fd", "submodularity")
-
-
 @dataclass(frozen=True)
 class SuiteOutcome:
     suite: str
@@ -164,21 +161,24 @@ def _suite_submodularity(rng: np.random.Generator) -> SuiteOutcome:
     return SuiteOutcome("submodularity", True, "40 nested-set trials")
 
 
+# each suite by name, in run order; a suite's rng is seeded with [0, its position]
+_SUITES = {
+    "greedy_vs_exhaustive": _suite_greedy,
+    "incremental_coverage": _suite_incremental,
+    "gradient_fd": lambda rng: _suite_gradient(),
+    "submodularity": _suite_submodularity,
+}
+SELFTEST_SUITES = tuple(_SUITES)
+
+
 def run_selftest(suites=None) -> SelftestReport:
     """Run the small-scale oracle suites; empty ``suites`` is a trivial pass."""
     if suites is None:
         suites = SELFTEST_SUITES
     outcomes = []
     for name in suites:
-        if name not in SELFTEST_SUITES:
+        if name not in _SUITES:
             raise ValueError(f"unknown selftest suite {name!r}")
         rng = np.random.default_rng([0, SELFTEST_SUITES.index(name)])
-        if name == "greedy_vs_exhaustive":
-            outcomes.append(_suite_greedy(rng))
-        elif name == "incremental_coverage":
-            outcomes.append(_suite_incremental(rng))
-        elif name == "gradient_fd":
-            outcomes.append(_suite_gradient())
-        else:
-            outcomes.append(_suite_submodularity(rng))
+        outcomes.append(_SUITES[name](rng))
     return SelftestReport(outcomes=tuple(outcomes))

@@ -138,19 +138,15 @@ def _unpack(theta: np.ndarray, arch: SurrogateArch) -> _Views:
     )
 
 
-def _pack(w1, b1, w2, b2) -> np.ndarray:
-    return np.concatenate([w1.ravel(), b1.ravel(), w2.ravel(), b2.ravel()])
-
-
 def init_params(arch: SurrogateArch, seed: int) -> SurrogateParams:
     """Small random initialization; the output layer starts near (not at) zero."""
     rng = np.random.default_rng(seed)
     k = arch.kernel_size
-    w1 = rng.normal(0.0, 1.0 / np.sqrt(arch.in_channels * k), (arch.hidden, arch.in_channels, k))
-    b1 = np.zeros(arch.hidden)
-    w2 = rng.normal(0.0, 0.05 / np.sqrt(arch.hidden * k), (arch.channels, arch.hidden, k))
-    b2 = np.zeros(arch.channels)
-    return SurrogateParams(theta=_pack(w1, b1, w2, b2), arch=arch)
+    theta = np.zeros(arch.param_count())
+    views = _unpack(theta, arch)
+    views.w1[...] = rng.normal(0.0, 1.0 / np.sqrt(arch.in_channels * k), views.w1.shape)
+    views.w2[...] = rng.normal(0.0, 0.05 / np.sqrt(arch.hidden * k), views.w2.shape)
+    return SurrogateParams(theta=theta, arch=arch)
 
 
 # ----------------------------------------------------------------------
@@ -173,10 +169,10 @@ def init_params(arch: SurrogateArch, seed: int) -> SurrogateParams:
 # per-op overhead, which dominates when X*B is small.
 #
 # The window matrices, activations and gradient buffers of a rollout's
-# steps are written in place into buffers of a _Workspace, sized once per
-# rollout. Inside _step_workspace() one workspace serves every call, so a
-# loop of calls writes into the same pages again instead of having fresh
-# ones mapped and faulted in on every call.
+# steps are written in place into buffers of a _Workspace, each asked for
+# by name where it is used. Inside _step_workspace() one workspace serves
+# every call, so a loop of calls writes into the same pages again instead
+# of having fresh ones mapped and faulted in on every call.
 
 class _Workspace:
     """Named flat buffers; ``get`` hands out a view of the first elements of one.
@@ -203,10 +199,11 @@ _active_workspace = contextvars.ContextVar("surrogate_workspace", default=None)
 def _step_workspace():
     """Scope in which every surrogate call reuses one workspace.
 
-    :func:`train` and a scoring chunk (``pilot_scoring._chunk_gradients``)
-    each run their loop inside one; its buffers are dropped when the scope
-    exits. A scope opened inside another uses the outer one's workspace.
-    Outside any scope each call uses a workspace of its own.
+    Every entry into the step opens one: :func:`train` and a scoring chunk
+    (``pilot_scoring._chunk_gradients``) around their loops,
+    :func:`rollout_batch` and :func:`rollout_loss_grad` around one call. A
+    scope opened inside another uses the outer one's workspace; the
+    outermost scope drops its buffers when it exits.
     """
     if _active_workspace.get() is not None:
         yield
@@ -221,8 +218,8 @@ def _step_workspace():
 
 
 def _workspace() -> _Workspace:
-    ws = _active_workspace.get()
-    return _Workspace() if ws is None else ws
+    """The workspace of the active :func:`_step_workspace` scope."""
+    return _active_workspace.get()
 
 
 @functools.lru_cache(maxsize=8)
@@ -255,39 +252,34 @@ def _windows(z: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
     z.take(idx, axis=2, out=out.reshape(*z.shape[:2], *idx.shape), mode="wrap")
 
 
-def _adjoint_buffers(ws: _Workspace, name: str, w: np.ndarray, k: int, x_len: int,
-                     b_sz: int, stack: int) -> tuple[np.ndarray, np.ndarray]:
-    """The padded rows and the scratch of :func:`_windows_adjoint` for ``w`` (Cout, Cin*K)."""
-    c_in = w.shape[1] // k
-    scratch = (c_in, x_len, b_sz) if w.shape[0] == 1 else (c_in * k, x_len * b_sz)
-    return (ws.get(f"{name}.g_pad", (stack, c_in, x_len + k - 1, b_sz)),
-            ws.get(f"{name}.scratch", (stack, *scratch)))
-
-
-def _windows_adjoint(w: np.ndarray, g: np.ndarray, pad: np.ndarray, g_pad: np.ndarray,
-                     scratch: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`_windows` applied to ``w.T @ g``: (G, Cin, X*B), a view into ``g_pad``.
+def _windows_adjoint(w: np.ndarray, g: np.ndarray, pad: np.ndarray, b_sz: int,
+                     ws: _Workspace, name: str) -> np.ndarray:
+    """Adjoint of :func:`_windows` applied to ``w.T @ g`` (G, Cout, X*B): (G, Cin, X*B).
 
     The K taps of the window gradient are overlap-added into the padded
-    rows ``g_pad`` (G, Cin, X + 2r, B); then each of the 2r padded edge
-    columns is added onto the cell it was read from. With one row in ``w``
-    the product is an outer product: tap j adds the broadcast products
-    ``w[0, (c, j)] * g``, formed in ``scratch`` (G, Cin, X, B), and the
-    (G, Cin*K, X*B) product is never written. Otherwise ``scratch``
-    receives that product. Both paths add the same products in the same
-    order.
+    rows ``{name}.g_pad`` (G, Cin, X + 2r, B) of ``ws``; then each of the 2r
+    padded edge columns is added onto the cell it was read from. The result
+    is a view into those rows. With one row in ``w`` the product is an outer
+    product: tap j adds the broadcast products ``w[0, (c, j)] * g``, formed
+    in ``{name}.scratch`` (G, Cin, X, B), and the (G, Cin*K, X*B) product is
+    never written. Otherwise ``{name}.scratch`` receives that product. Both
+    paths add the same products in the same order.
     """
-    stack, c_in, _, b_sz = g_pad.shape
-    x_len = g.shape[2] // b_sz
+    stack, _, cols = g.shape
+    x_len = cols // b_sz
     r = (pad.size - x_len) // 2
     k = 2 * r + 1
+    c_in = w.shape[1] // k
+    g_pad = ws.get(f"{name}.g_pad", (stack, c_in, x_len + k - 1, b_sz))
     g_pad.fill(0.0)
     if w.shape[0] == 1:
+        scratch = ws.get(f"{name}.scratch", (stack, c_in, x_len, b_sz))
         w_taps = w.reshape(c_in, k, 1, 1)
         g_cells = g.reshape(stack, 1, x_len, b_sz)
         for j in range(k):
             g_pad[:, :, j : j + x_len] += np.multiply(w_taps[:, j], g_cells, out=scratch)
     else:
+        scratch = ws.get(f"{name}.scratch", (stack, c_in * k, cols))
         g_win = np.matmul(w.T, g, out=scratch).reshape(stack, c_in, k, x_len, b_sz)
         for j in range(k):
             g_pad[:, :, j : j + x_len] += g_win[:, :, j]
@@ -303,15 +295,6 @@ class _Tape(NamedTuple):
     h: np.ndarray  # (slots, G, hidden, X*B)
     win2: np.ndarray  # (slots, G, hidden*K, X*B)
     mask: np.ndarray  # (slots, G, C, X*B) bool: the output is inside the clamp
-
-
-class _Backward(NamedTuple):
-    """Buffers of the backward pass of one rollout's steps."""
-
-    g_raw: np.ndarray  # (G, C, X*B)
-    g_a1: np.ndarray  # (G, hidden, X*B)
-    adj2: tuple  # output layer: (g_pad, scratch) of _windows_adjoint
-    adj1: tuple  # first layer
 
 
 def _step(views: _Views, arch: SurrogateArch, buf: np.ndarray, t: int, idx,
@@ -340,29 +323,29 @@ def _step(views: _Views, arch: SurrogateArch, buf: np.ndarray, t: int, idx,
 
 
 def _step_backward(g_pred, tape: _Tape, t: int, views: _Views, arch: SurrogateArch, pad,
-                   grads: _Views, bufs: _Backward, input_grad: bool):
+                   grads: _Views, ws: _Workspace, input_grad: bool):
     """Backward of step t of ``tape`` for the prediction gradient ``g_pred`` (G, C, X, B).
 
     Adds each slice's parameter gradient into ``grads``, whose views have a
     leading stack axis. With ``input_grad``, returns the gradient w.r.t. the
-    step's L input frames, shaped (G, L, C, X, B), a view into ``bufs`` that
-    the next call overwrites.
+    step's L input frames, shaped (G, L, C, X, B), a view into a buffer of
+    ``ws`` that the next call overwrites.
     """
     win1, h, win2, mask = tape.win1[t], tape.h[t], tape.win2[t], tape.mask[t]
     g_w1, g_b1, g_w2, g_b2 = grads
-    stack, _, x_len, _ = g_pred.shape
-    g_raw = np.multiply(g_pred.reshape(mask.shape), mask, out=bufs.g_raw)
+    stack, _, x_len, b_sz = g_pred.shape
+    g_raw = np.multiply(g_pred.reshape(mask.shape), mask, out=ws.get("g_raw", mask.shape))
     g_w2 += np.matmul(g_raw, win2.transpose(0, 2, 1))
     g_b2 += g_raw.sum(axis=2)
-    g_h = _windows_adjoint(views.w2, g_raw, pad, *bufs.adj2)
-    g_a1 = np.multiply(h, h, out=bufs.g_a1)
+    g_h = _windows_adjoint(views.w2, g_raw, pad, b_sz, ws, "adj2")
+    g_a1 = np.multiply(h, h, out=ws.get("g_a1", h.shape))
     np.subtract(1.0, g_a1, out=g_a1)
     g_a1 *= g_h
     g_w1 += np.matmul(g_a1, win1.transpose(0, 2, 1))
     g_b1 += g_a1.sum(axis=2)
     if not input_grad:
         return None
-    g_z = _windows_adjoint(views.w1, g_a1, pad, *bufs.adj1)
+    g_z = _windows_adjoint(views.w1, g_a1, pad, b_sz, ws, "adj1")
     g_z[:, -arch.channels :] += g_raw  # residual path: the last frame's rows
     return g_z.reshape(stack, arch.history_len, arch.channels, x_len, -1)
 
@@ -395,18 +378,7 @@ def _advance(views: _Views, arch: SurrogateArch, buf: np.ndarray, ws: _Workspace
     return _Tape(win1, h, win2, mask)
 
 
-def _backward_buffers(ws: _Workspace, views: _Views, arch: SurrogateArch, x_len: int,
-                      b_sz: int, stack: int) -> _Backward:
-    """The :class:`_Backward` buffers of ``stack`` rollouts of ``b_sz`` trajectories."""
-    k = arch.kernel_size
-    return _Backward(
-        g_raw=ws.get("g_raw", (stack, arch.channels, x_len * b_sz)),
-        g_a1=ws.get("g_a1", (stack, arch.hidden, x_len * b_sz)),
-        adj2=_adjoint_buffers(ws, "adj2", views.w2, k, x_len, b_sz, stack),
-        adj1=_adjoint_buffers(ws, "adj1", views.w1, k, x_len, b_sz, stack),
-    )
-
-
+@_step_workspace()
 def rollout_batch(params: SurrogateParams, histories: np.ndarray, steps: int) -> np.ndarray:
     """Vectorized rollout over a batch of histories (B, L, cells, channels).
 
@@ -529,7 +501,6 @@ def _stack_loss_grad(theta: np.ndarray, arch: SurrogateArch, ds: TrajectoryDatas
     targets = ws.get("targets", (stack, h_eff, arch.channels, x_len, b_sz))
     targets[...] = future.transpose(0, 2, 4, 3, 1)
     tape = _advance(views, arch, buf, ws, taped=True)
-    bufs = _backward_buffers(ws, views, arch, x_len, b_sz, stack)
 
     # per-frame NRMSE^2, each pair weighted 1 / (n_total * h_eff)
     weight = n_total * h_eff
@@ -543,7 +514,7 @@ def _stack_loss_grad(theta: np.ndarray, arch: SurrogateArch, ds: TrajectoryDatas
     g_frames = np.zeros_like(seeds)
     for t in range(h_eff - 1, -1, -1):
         g_in = _step_backward(seeds[:, t] + g_frames[:, t], tape, t, views, arch, pad, grads,
-                              bufs, input_grad=t > 0)
+                              ws, input_grad=t > 0)
         if t > 0:
             lo = max(length - t, 0)  # first input frame that is a prediction
             g_frames[:, t + lo - length : t] += g_in[:, lo:]

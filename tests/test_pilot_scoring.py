@@ -42,8 +42,8 @@ def chunk_gradients(pilot, cands, ds, horizon, batch_traj, seed):
     computes them: ``_chunk_gradients`` over all positions."""
     losses, grads = np.zeros(cands.size), np.zeros((cands.size, pilot.param_count))
     traj = scoring_trajectories(ds, batch_traj, seed)
-    pilot_scoring._chunk_gradients((pilot, ds, traj, horizon, cands.indices, losses, grads),
-                                   np.arange(cands.size))
+    pilot_scoring._chunk_gradients(pilot, ds, traj, horizon, cands.indices, np.arange(cands.size),
+                                   losses, grads)
     return losses, grads
 
 

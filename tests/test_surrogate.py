@@ -235,6 +235,22 @@ def test_loss_reads_each_pairs_history_and_target_frames(tiny_ds):
     assert loss == pytest.approx(np.mean(expected), rel=1e-12)
 
 
+@pytest.mark.parametrize("padding", surrogate.PADDINGS)
+def test_one_row_adjoint_equals_the_matmul_path(padding):
+    # a zero second row sends the same products through np.matmul
+    rng = np.random.default_rng(8)
+    stack, c_in, r, x_len, b_sz = 3, 4, 2, 16, 5
+    k = 2 * r + 1
+    w = rng.normal(size=(1, c_in * k))
+    g = rng.normal(size=(stack, 1, x_len * b_sz))
+    pad = surrogate._pad_index(x_len, r, padding)
+    one_row = surrogate._windows_adjoint(w, g, pad, b_sz, surrogate._Workspace(), "adj")
+    two_rows = surrogate._windows_adjoint(np.vstack([w, np.zeros_like(w)]),
+                                          np.concatenate([g, np.zeros_like(g)], axis=1),
+                                          pad, b_sz, surrogate._Workspace(), "adj")
+    assert np.array_equal(one_row, two_rows)
+
+
 # ----------------------------------------------------------------------
 # training
 # ----------------------------------------------------------------------
@@ -422,15 +438,15 @@ def test_scoring_chunk_calls_fault_in_no_pages_in_a_workspace(grid_ds):
     assert stack > 1
     losses = np.zeros(indices.size)
     grads = np.zeros((indices.size, params.param_count))
-    shared = (params, grid_ds, traj, 10, indices, losses, grads)
     positions = np.arange(20, 20 + stack)  # one full-horizon stack per chunk
+    chunk = (params, grid_ds, traj, 10, indices, positions, losses, grads)
     calls = 50
     with surrogate._step_workspace():
         for _ in range(3):
-            pilot_scoring._chunk_gradients(shared, positions)
+            pilot_scoring._chunk_gradients(*chunk)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(calls):
-            pilot_scoring._chunk_gradients(shared, positions)
+            pilot_scoring._chunk_gradients(*chunk)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / calls < 20
 
@@ -445,6 +461,18 @@ def test_param_count_matches_arch():
     expected = 8 * 4 * k + 8 + 1 * 8 * k + 1
     assert arch.param_count() == expected
     assert init_params(arch, 0).param_count == expected
+
+
+@pytest.mark.parametrize("arch", [TINY_ARCH, SurrogateArch(channels=2, padding="reflect")])
+def test_init_params_draws_w1_then_w2_in_layout_order(arch):
+    rng = np.random.default_rng(7)
+    k = arch.kernel_size
+    w1 = rng.normal(0.0, 1.0 / np.sqrt(arch.in_channels * k), arch.hidden * arch.in_channels * k)
+    w2 = rng.normal(0.0, 0.05 / np.sqrt(arch.hidden * k), arch.channels * arch.hidden * k)
+    views = surrogate._unpack(init_params(arch, 7).theta, arch)
+    assert np.array_equal(views.w1.ravel(), w1)
+    assert np.array_equal(views.w2.ravel(), w2)
+    assert not views.b1.any() and not views.b2.any()
 
 
 def test_params_reject_bad_theta():
