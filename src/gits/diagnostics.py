@@ -24,7 +24,7 @@ updates against the validation rollout error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -167,16 +167,8 @@ def rollout_report(
 ) -> RolloutReport:
     preds, truth = rollout_predictions(params, ds, split=split)
     aux = auxiliary_metrics(preds, truth)
-    return RolloutReport(
-        nrmse=nrmse_from_rollouts(preds, truth),
-        crmse=aux.crmse,
-        brmse=aux.brmse,
-        frmse_low=aux.frmse_low,
-        frmse_mid=aux.frmse_mid,
-        frmse_high=aux.frmse_high,
-        horizon=preds.shape[1],
-        n_test=preds.shape[0],
-    )
+    return RolloutReport(nrmse=nrmse_from_rollouts(preds, truth), **asdict(aux),
+                         horizon=preds.shape[1], n_test=preds.shape[0])
 
 
 # ----------------------------------------------------------------------

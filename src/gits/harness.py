@@ -14,9 +14,11 @@ task, in this order of priority: each seed's pilot, that seed's scoring
 chunks, and each distinct selection's training and evaluation. Cells whose
 sampler needs no pilot are selected before the pool starts, so their
 trainings run while the pilots train; a seed's pilot-based cells are
-selected here when its last scoring chunk returns. Every stage is timed by
-:func:`stage_timer`: each seed's pilot and scoring, each cell's selection
-step, and each distinct selection's downstream training. Cell failures, a
+selected here when its last scoring chunk returns. The tasks are plain
+functions: the scheduler times each one and records its exception
+(:class:`gits.parallel.Outcome`), which gives each seed's pilot and scoring
+seconds and each distinct selection's training and evaluation seconds;
+:func:`select_starts` times each cell's selection step. Cell failures, a
 failed pilot included, are recorded and the sweep continues; the exit
 status reports them.
 
@@ -33,14 +35,11 @@ initialization stream.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import itertools
 import json
-import math
 import time
-import traceback
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -73,33 +72,6 @@ PILOT, SCORING, TRAINING = range(3)
 def stage_seed(seed: int, stage: str) -> int:
     offsets = {"train": 0, "pilot": PILOT_SEED_OFFSET, "scoring": SCORING_SEED_OFFSET}
     return offsets[stage] + seed
-
-
-@dataclass
-class StageTime:
-    """One timed stage: its name and its ``time.perf_counter`` start and end.
-
-    The clock is system-wide, so a span timed in a worker process compares
-    with one timed here.
-    """
-
-    stage: str
-    start: float
-    end: float = math.nan
-
-    @property
-    def seconds(self) -> float:
-        return self.end - self.start
-
-
-@contextlib.contextmanager
-def stage_timer(stage: str):
-    """Time the ``with`` block; the yielded :class:`StageTime` gets its end on exit."""
-    timing = StageTime(stage, time.perf_counter())
-    try:
-        yield timing
-    finally:
-        timing.end = time.perf_counter()
 
 
 class HarnessConfigError(ValueError):
@@ -160,7 +132,7 @@ class CellResult:
     selected: list[int] | None = None
     report: RolloutReport | None = None
     selection_time_s: float = 0.0  # the seed's pilot + scoring, plus this cell's selection step
-    train_time_s: float = 0.0  # shared by every cell with the same seed and starts
+    train_time_s: float = 0.0  # training and test evaluation, shared per (seed, starts)
     error: str | None = None
 
     @property
@@ -225,9 +197,9 @@ def select_starts(
     else:
         pilot_s = pilot.pilot_s + pilot.scoring_s
         pilot_input = pilot_scoring.pilot_input(needs, pilot.losses, pilot.grads, candidates)
-    with stage_timer("selection") as step:
-        result = selector.run_sampler(sampler, candidates, cfg.objective, budget, pilot_input)
-    return result, pilot_s + step.seconds
+    start = time.perf_counter()
+    result = selector.run_sampler(sampler, candidates, cfg.objective, budget, pilot_input)
+    return result, pilot_s + time.perf_counter() - start
 
 
 def train_downstream(
@@ -237,11 +209,6 @@ def train_downstream(
     train_cfg = replace(cfg.train, seed=stage_seed(seed, "train"))
     params0 = surrogate.init_params(_model_arch(cfg, ds), train_cfg.seed)
     return surrogate.train(params0, starts, ds, train_cfg)
-
-
-def _error_text(exc: Exception) -> str:
-    """How a failed cell records its exception: type, message, short traceback."""
-    return f"{type(exc).__name__}: {exc}\n" + traceback.format_exc(limit=3)
 
 
 def _select_cell(
@@ -272,12 +239,13 @@ def _select_cell(
         )
         cell.selected = selection.selected
     except Exception as exc:  # per-cell failure policy: record and continue
-        cell.error = _error_text(exc)
+        cell.error = parallel.error_text(exc)
     return cell
 
 
 # ----------------------------------------------------------------------
-# the grid's tasks: they run on the pool's workers, or here with one worker
+# the grid's tasks: they run on the pool's workers, or here with one worker;
+# the scheduler times each one and records its exception
 # ----------------------------------------------------------------------
 
 class _Run(NamedTuple):
@@ -291,46 +259,28 @@ class _Run(NamedTuple):
     scoring: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _pilot_task(run: _Run, seed: int) -> tuple[SurrogateParams, float] | str:
-    """Train one seed's pilot for ``pilot_epochs`` under its pilot seed; returns
-    it and its seconds, or the error text."""
+def _pilot_task(run: _Run, seed: int) -> SurrogateParams:
+    """Train one seed's pilot for ``pilot_epochs`` under its pilot seed."""
     cfg = replace(run.cfg.train, epochs_max=run.cfg.pilot_epochs, seed=stage_seed(seed, "pilot"))
-    try:
-        with stage_timer("pilot") as pilot_time:
-            pilot = pilot_scoring.train_pilot(run.ds, run.candidates, cfg,
-                                              arch=_model_arch(run.cfg, run.ds))
-    except Exception as exc:  # recorded in every pilot-based cell of the seed
-        return _error_text(exc)
-    return pilot, pilot_time.seconds
+    return pilot_scoring.train_pilot(run.ds, run.candidates, cfg,
+                                     arch=_model_arch(run.cfg, run.ds))
 
 
-def _score_task(run: _Run, task) -> StageTime | str:
-    """Score one chunk of a seed's candidates with its pilot; ``task`` is
-    ``(seed, pilot, positions)``. Returns the chunk's timing or the error text."""
+def _score_task(run: _Run, task) -> None:
+    """Score one chunk of a seed's candidates with its pilot into the seed's
+    shared arrays; ``task`` is ``(seed, pilot, positions)``."""
     seed, pilot, positions = task
     traj, losses, grads = run.scoring[seed]
-    try:
-        with stage_timer("scoring") as chunk_time:
-            pilot_scoring._chunk_gradients(pilot, run.ds, traj, run.cfg.horizon,
-                                           run.candidates.indices, positions, losses, grads)
-    except Exception as exc:  # recorded in every pilot-based cell of the seed
-        return _error_text(exc)
-    return chunk_time
+    pilot_scoring._chunk_gradients(pilot, run.ds, traj, run.cfg.horizon,
+                                   run.candidates.indices, positions, losses, grads)
 
 
-def _train_and_evaluate(run: _Run, key) -> tuple[RolloutReport, float] | str:
-    """Train on one distinct selection and evaluate it on the test split.
-
-    ``key`` is ``(seed, sorted starts)``. Returns the report and the
-    training seconds, or the error text of the exception that stopped it.
-    """
+def _train_and_evaluate(run: _Run, key) -> RolloutReport:
+    """Train on one distinct selection and evaluate it on the test split;
+    ``key`` is ``(seed, sorted starts)``."""
     seed, starts = key
-    try:
-        with stage_timer("training") as training:
-            params, _ = train_downstream(run.cfg, run.ds, list(starts), seed)
-        return diagnostics.rollout_report(params, run.ds, split="test"), training.seconds
-    except Exception as exc:  # per-cell failure policy: record and continue
-        return _error_text(exc)
+    params, _ = train_downstream(run.cfg, run.ds, list(starts), seed)
+    return diagnostics.rollout_report(params, run.ds, split="test")
 
 
 def _training_key(cell: CellResult) -> tuple[int, tuple[int, ...]]:
@@ -352,28 +302,27 @@ def _queue_pilot(scheduler: parallel.Scheduler, seed: int, done) -> None:
         pilot_scoring.scoring_trajectories(run.ds, run.cfg.batch_traj, stage_seed(seed, "scoring")),
         parallel.shared_zeros((size,)), parallel.shared_zeros((size, param_count)))
     chunks = pilot_scoring.score_chunks(size)
-    times = [None] * len(chunks)
+    outcomes = [None] * len(chunks)
 
     def chunk_returned(pilot_s, index, outcome) -> None:
-        times[index] = outcome
-        if None in times:
+        outcomes[index] = outcome
+        if None in outcomes:
             return
-        errors = [t for t in times if isinstance(t, str)]
+        errors = [o.error for o in outcomes if o.error is not None]
         if errors:
             done(errors[0])
             return
         _, losses, grads = run.scoring[seed]
         done(PilotGradients(losses, grads, pilot_s,
-                            max(t.end for t in times) - min(t.start for t in times)))
+                            max(o.end for o in outcomes) - min(o.start for o in outcomes)))
 
     def pilot_returned(outcome) -> None:
-        if isinstance(outcome, str):
-            done(outcome)
+        if outcome.error is not None:
+            done(outcome.error)
             return
-        pilot, pilot_s = outcome
         for index, positions in enumerate(chunks):
-            scheduler.submit(SCORING, _score_task, (seed, pilot, positions),
-                             then=functools.partial(chunk_returned, pilot_s, index))
+            scheduler.submit(SCORING, _score_task, (seed, outcome.value, positions),
+                             then=functools.partial(chunk_returned, outcome.seconds, index))
 
     scheduler.submit(PILOT, _pilot_task, seed, then=pilot_returned)
 
@@ -430,7 +379,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     chunks = pilot_scoring.score_chunks(candidates.size)
     cells: dict[tuple, CellResult] = {}
     pilots: dict[int, PilotGradients | str] = {}  # seed -> pilot, or its error text
-    trained: dict[tuple, tuple | str | None] = {}  # training key -> outcome; None while queued
+    trained: dict[tuple, parallel.Outcome | None] = {}  # key -> outcome; None while queued
 
     def select(entries, pilot) -> list:
         """Select the cells at ``entries``; returns their training keys not yet queued."""
@@ -465,10 +414,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for cell in ordered:
         if cell.ok:
             outcome = trained[_training_key(cell)]
-            if isinstance(outcome, str):
-                cell.error = outcome
-            else:
-                cell.report, cell.train_time_s = outcome
+            cell.report, cell.error = outcome.value, outcome.error
+            cell.train_time_s = outcome.seconds
     pilot_times = {
         seed: {"pilot_s": pilots[seed].pilot_s, "scoring_s": pilots[seed].scoring_s}
         for seed in pilot_seeds

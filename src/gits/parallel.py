@@ -3,11 +3,12 @@
 A :class:`Scheduler` runs tasks ``fn(shared, item)`` on forked worker
 processes, one per CPU this process may run on (its CPU affinity), as they
 become ready. A task may carry a ``then`` callback that runs here with the
-task's result and may submit further tasks, so one pool runs a whole task
-graph: :func:`gits.harness.run_experiment` queues each seed's pilot, the
-pilot's return queues that seed's scoring chunks, and the last chunk's
-return selects the seed's pilot-based cells and queues their trainings,
-while trainings that need no pilot already run on the other workers.
+task's :class:`Outcome` and may submit further tasks, so one pool runs a
+whole task graph: :func:`gits.harness.run_experiment` queues each seed's
+pilot, the pilot's return queues that seed's scoring chunks, and the last
+chunk's return selects the seed's pilot-based cells and queues their
+trainings, while trainings that need no pilot already run on the other
+workers.
 
 At most one task is in flight per worker. Whenever a worker is free, the
 scheduler hands it the ready task of the lowest priority number, and tasks
@@ -17,8 +18,16 @@ waits for) is not stuck behind tasks queued before it (trainings).
 ``gits select`` and ``gits train`` run one seed's pilot and scoring chunks
 on a pool of their own (:func:`gits.harness.pilot_gradients`).
 
+Every task, wherever it runs, passes through :func:`_call`, which holds
+the one failure and timing policy: an exception a task raises becomes the
+outcome's error text (:func:`error_text`), and the outcome carries the
+task's ``time.perf_counter`` start and end. That clock is system-wide, so a
+span timed in a worker compares with one timed here. An exception in a
+``then`` callback, or a worker that dies, still raises from
+:meth:`Scheduler.run`.
+
 The workers inherit ``shared`` through fork, so only each task's item and
-result are pickled, and ``fn`` by its import path. They fork when the run
+outcome are pickled, and ``fn`` by its import path. They fork when the run
 starts, so ``shared`` must be complete by then; arrays from
 :func:`shared_zeros` in it carry the workers' writes back without pickling.
 With one worker the same tasks run in this process, in the same order, so
@@ -44,7 +53,10 @@ import itertools
 import mmap
 import multiprocessing
 import os
+import time
+import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -72,13 +84,41 @@ def shared_zeros(shape) -> np.ndarray:
                          count=count).reshape(shape)
 
 
+def error_text(exc: Exception) -> str:
+    """How a failure is recorded: type, message, short traceback."""
+    return f"{type(exc).__name__}: {exc}\n" + traceback.format_exc(limit=3)
+
+
+class Outcome(NamedTuple):
+    """What one task returned, or its error text, and its ``perf_counter`` span."""
+
+    value: Any
+    error: str | None
+    start: float
+    end: float
+
+    @property
+    def seconds(self) -> float:
+        return self.end - self.start
+
+
+def _call(fn, shared, item) -> Outcome:
+    """Run ``fn(shared, item)`` and time it; an exception becomes the outcome's error."""
+    start = time.perf_counter()
+    try:
+        value, error = fn(shared, item), None
+    except Exception as exc:  # the task failure policy: record and continue
+        value, error = None, error_text(exc)
+    return Outcome(value, error, start, time.perf_counter())
+
+
 def _install(shared) -> None:
     global _shared
     _shared = shared
 
 
-def _run(fn, item):
-    return fn(_shared, item)
+def _run(fn, item) -> Outcome:
+    return _call(fn, _shared, item)
 
 
 class Scheduler:
@@ -96,7 +136,7 @@ class Scheduler:
         self._submitted = itertools.count()
 
     def submit(self, priority: int, fn, item, then=None) -> None:
-        """Queue ``fn(shared, item)``; ``then(result)`` runs here when it returns.
+        """Queue ``fn(shared, item)``; ``then(outcome)`` runs here when it returns.
 
         A lower ``priority`` runs first; within one, the first submitted.
         """
@@ -108,16 +148,16 @@ class Scheduler:
     def run(self) -> None:
         """Run the tasks until none is ready or in flight.
 
-        An exception raised by a task or a callback is raised here once the
-        tasks in flight have returned; a caller that wants one task's
-        failure not to stop the others catches it inside ``fn``.
+        A task's exception is its :class:`Outcome`'s error and stops no
+        other task. An exception raised by a callback, or a dead worker, is
+        raised here once the tasks in flight have returned.
         """
         if self.workers == 1:
             while self._ready:
                 _, fn, item, then = self._pop()
-                result = fn(self.shared, item)
+                outcome = _call(fn, self.shared, item)
                 if then is not None:
-                    then(result)
+                    then(outcome)
             return
         with ProcessPoolExecutor(self.workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_install, initargs=(self.shared,)) as pool:
@@ -129,6 +169,6 @@ class Scheduler:
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in sorted(done, key=lambda f: running[f][0]):
                     _, then = running.pop(future)
-                    result = future.result()
+                    outcome = future.result()
                     if then is not None:
-                        then(result)
+                        then(outcome)

@@ -1,5 +1,6 @@
 import functools
 import os
+import time
 
 import numpy as np
 import pytest
@@ -28,16 +29,21 @@ def _tag(shared, item):
     return shared, item * item, os.getpid()
 
 
-def run_each(fn, shared, items) -> list:
+def run_outcomes(fn, shared, items) -> list:
     """Run ``fn(shared, item)`` for every item on one Scheduler; each ``then``
-    stores its result at its item's submission number."""
+    stores its outcome at its item's submission number."""
     items = list(items)
-    results = [None] * len(items)
+    outcomes = [None] * len(items)
     scheduler = parallel.Scheduler(shared, parallel.worker_count(len(items)))
     for i, item in enumerate(items):
-        scheduler.submit(0, fn, item, then=functools.partial(results.__setitem__, i))
+        scheduler.submit(0, fn, item, then=functools.partial(outcomes.__setitem__, i))
     scheduler.run()
-    return results
+    return outcomes
+
+
+def run_each(fn, shared, items) -> list:
+    """The value of every item's outcome, in submission order."""
+    return [outcome.value for outcome in run_outcomes(fn, shared, items)]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -60,10 +66,47 @@ def _fail_on_three(shared, item):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_scheduler_raises_a_task_exception_here(monkeypatch, cpus):
+def test_scheduler_returns_a_task_exception_as_its_outcome(monkeypatch, cpus):
     use_workers(monkeypatch, cpus)
-    with pytest.raises(ArithmeticError, match="task 3"):
-        run_each(_fail_on_three, None, range(5))
+    outcomes = run_outcomes(_fail_on_three, None, range(5))
+    assert [o.value for o in outcomes] == [0, 1, 2, None, 4]
+    assert [o.error for o in outcomes[:3] + outcomes[4:]] == [None] * 4
+    assert outcomes[3].error.splitlines()[0] == "ArithmeticError: task 3"
+    # the same text as the task's failure in this process
+    assert outcomes[3].error == parallel._call(_fail_on_three, None, 3).error
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_scheduler_raises_a_callback_exception_here(monkeypatch, cpus):
+    use_workers(monkeypatch, cpus)
+    scheduler = parallel.Scheduler(None, parallel.worker_count(3))
+
+    def then(outcome):
+        if outcome.value == 1:
+            raise LookupError("callback 1")
+
+    for item in range(3):
+        scheduler.submit(0, _fail_on_three, item, then=then)
+    with pytest.raises(LookupError, match="callback 1"):
+        scheduler.run()
+
+
+def _sleep(shared, seconds):
+    time.sleep(seconds)
+    return os.getpid()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_outcome_times_the_task_where_it_ran(monkeypatch, cpus):
+    use_workers(monkeypatch, cpus)
+    before = time.perf_counter()
+    outcomes = run_outcomes(_sleep, None, [0.05, 0.0])
+    after = time.perf_counter()
+    assert (outcomes[0].value == os.getpid()) == (cpus == 1)
+    assert outcomes[0].seconds >= 0.05
+    for outcome in outcomes:
+        assert outcome.error is None
+        assert before <= outcome.start <= outcome.end <= after
 
 
 def _record(shared, item):
@@ -77,8 +120,8 @@ def test_scheduler_runs_follow_up_tasks_by_priority(monkeypatch, cpus):
     scheduler = parallel.Scheduler("shared", parallel.worker_count(4))
     returned = []
 
-    def then(result):
-        item, pid = result
+    def then(outcome):
+        item, pid = outcome.value
         returned.append((item, pid))
         if item == "pilot":
             for chunk in ("chunk0", "chunk1"):
