@@ -223,11 +223,7 @@ def _prepare_cell(cfg, sampler, ratio, seed):
     """Select one cell's starts; the selection time includes the seed's pilot, if any."""
     ds = harness.load_or_generate_dataset(cfg)
     candidates = build_candidates(ds.t_count, cfg.history_len)
-    pilot = None
-    if selector.SAMPLER_TABLE[sampler].needs is not None:
-        pilot = harness.pilot_gradients(cfg, ds, candidates, seed)
-    selection, sel_time = harness.select_starts(cfg, ds, candidates, sampler, ratio, seed,
-                                                pilot=pilot)
+    selection, sel_time = harness.select_starts(cfg, ds, candidates, sampler, ratio, seed)
     return ds, selection, sel_time
 
 

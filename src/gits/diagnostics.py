@@ -260,7 +260,8 @@ def score_utility_alignment(
     """Spearman correlation between candidate scores and probe-update utility.
 
     ``grads`` holds each candidate's loss gradient at the pilot parameters,
-    one row per candidate, as the harness's ``PilotGradients.grads``.
+    one row per candidate, as the scoring chunks write them
+    (``pilot_scoring._chunk_gradients``).
     Utility of candidate k is the validation rollout-error improvement from
     one normalized-gradient step: val(pilot) - val(pilot - probe_lr * g_k/||g_k||).
     Candidates with an exactly zero gradient get utility 0 (no update).

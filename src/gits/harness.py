@@ -9,18 +9,19 @@ pilot-based cell of that seed reads them. Likewise each distinct (seed,
 set of starts) is trained and evaluated once, and the cells that selected
 it share the result.
 
-One :class:`gits.parallel.Scheduler` pool runs that work as three kinds of
+One :class:`gits.parallel.Scheduler` pool runs that work as four kinds of
 task, in this order of priority: each seed's pilot, that seed's scoring
-chunks, and each distinct selection's training and evaluation. Cells whose
-sampler needs no pilot are selected before the pool starts, so their
-trainings run while the pilots train; a seed's pilot-based cells are
-selected here when its last scoring chunk returns. The tasks are plain
-functions: the scheduler times each one and records its exception
-(:class:`gits.parallel.Outcome`), which gives each seed's pilot and scoring
-seconds and each distinct selection's training and evaluation seconds;
-:func:`select_starts` times each cell's selection step. Cell failures, a
-failed pilot included, are recorded and the sweep continues; the exit
-status reports them.
+chunks, each cell's selection, and each distinct selection's training and
+evaluation. Selections whose sampler needs no pilot are queued at once, so
+they and their trainings run while the pilots train; a seed's pilot-based
+selections are queued when its last scoring chunk returns. ``gits select``
+and ``gits train`` queue one cell's tasks the same way
+(:func:`select_starts`). The tasks are plain functions: the scheduler
+times each one and records its exception (:class:`gits.parallel.Outcome`),
+which gives each seed's pilot and scoring seconds, each cell's selection
+seconds, and each distinct selection's training and evaluation seconds.
+Cell failures, a failed pilot included, are recorded and the sweep
+continues; the exit status reports them.
 
 Outputs: ``results.csv`` (one row per successful cell, columns
 :data:`RESULT_COLUMNS`) and ``summary.json`` with the
@@ -39,7 +40,6 @@ import csv
 import functools
 import itertools
 import json
-import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -66,7 +66,7 @@ RESULT_COLUMNS = ("dataset", "sampler", "ratio", "seed", "nrmse", "crmse", "brms
                   "frmse_low", "frmse_mid", "frmse_high", "selection_time_s", "train_time_s")
 
 # The grid's task kinds, as scheduler priorities: a lower one runs first.
-PILOT, SCORING, TRAINING = range(3)
+PILOT, SCORING, SELECTION, TRAINING = range(4)
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -131,7 +131,7 @@ class CellResult:
     budget: int
     selected: list[int] | None = None
     report: RolloutReport | None = None
-    selection_time_s: float = 0.0  # the seed's pilot + scoring, plus this cell's selection step
+    selection_time_s: float = 0.0  # the seed's pilot + scoring, plus this cell's selection
     train_time_s: float = 0.0  # training and test evaluation, shared per (seed, starts)
     error: str | None = None
 
@@ -163,45 +163,6 @@ def _model_arch(cfg: ExperimentConfig, ds: TrajectoryDataset) -> SurrogateArch:
                                       kernel_radius=cfg.kernel_radius, clamp=cfg.clamp)
 
 
-class PilotGradients(NamedTuple):
-    """One seed's per-candidate pilot losses and gradients, and what they cost."""
-
-    losses: np.ndarray
-    grads: np.ndarray  # (|C|, param_count)
-    pilot_s: float
-    scoring_s: float  # wall time from the first scoring chunk's start to the last one's end
-
-
-def select_starts(
-    cfg: ExperimentConfig,
-    ds: TrajectoryDataset,
-    candidates: CandidateSet,
-    sampler: str,
-    ratio: float,
-    seed: int,
-    *,
-    pilot: PilotGradients | None,
-) -> tuple[SelectionResult, float]:
-    """Run one sampler on one cell; returns (selection, selection_time_s).
-
-    ``ratio`` sets the budget. ``pilot`` is the seed's
-    :func:`pilot_gradients`, or None for a sampler that needs no pilot;
-    ``seed`` names the cell and is not otherwise read. Selection time is the
-    cost of producing this selection: the seed's pilot and scoring seconds
-    plus the sampler's own step.
-    """
-    budget = selector.budget_from_ratio(ratio, candidates.size)
-    needs = selector.SAMPLER_TABLE[sampler].needs
-    if needs is None:
-        pilot_s, pilot_input = 0.0, None
-    else:
-        pilot_s = pilot.pilot_s + pilot.scoring_s
-        pilot_input = pilot_scoring.pilot_input(needs, pilot.losses, pilot.grads, candidates)
-    start = time.perf_counter()
-    result = selector.run_sampler(sampler, candidates, cfg.objective, budget, pilot_input)
-    return result, pilot_s + time.perf_counter() - start
-
-
 def train_downstream(
     cfg: ExperimentConfig, ds: TrajectoryDataset, starts, seed: int
 ) -> tuple[SurrogateParams, list[EpochStats]]:
@@ -209,38 +170,6 @@ def train_downstream(
     train_cfg = replace(cfg.train, seed=stage_seed(seed, "train"))
     params0 = surrogate.init_params(_model_arch(cfg, ds), train_cfg.seed)
     return surrogate.train(params0, starts, ds, train_cfg)
-
-
-def _select_cell(
-    cfg: ExperimentConfig,
-    ds: TrajectoryDataset,
-    candidates: CandidateSet,
-    sampler: str,
-    ratio: float,
-    seed: int,
-    pilot: PilotGradients | str | None,
-) -> CellResult:
-    """One cell up to its selection; ``pilot`` is its seed's pilot, the seed's
-    pilot error text, or None."""
-    budget = selector.budget_from_ratio(ratio, candidates.size)
-    cell = CellResult(
-        dataset=ds.meta.get("family", "dataset"),
-        sampler=sampler,
-        ratio=ratio,
-        seed=seed,
-        budget=budget,
-    )
-    if isinstance(pilot, str) and selector.SAMPLER_TABLE[sampler].needs is not None:
-        cell.error = pilot
-        return cell
-    try:
-        selection, cell.selection_time_s = select_starts(
-            cfg, ds, candidates, sampler, ratio, seed, pilot=pilot
-        )
-        cell.selected = selection.selected
-    except Exception as exc:  # per-cell failure policy: record and continue
-        cell.error = parallel.error_text(exc)
-    return cell
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +184,8 @@ class _Run(NamedTuple):
     ds: TrajectoryDataset
     candidates: CandidateSet
     # pilot seed -> (scoring trajectories, losses, grads), filled in by
-    # _queue_pilot; the chunks write their rows into the two shared arrays
+    # _queue_pilot; the chunks write their rows into the two shared arrays,
+    # and the seed's pilot-based selections read them
     scoring: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -275,6 +205,20 @@ def _score_task(run: _Run, task) -> None:
                                    run.candidates.indices, positions, losses, grads)
 
 
+def _select_task(run: _Run, cell) -> SelectionResult:
+    """Run one cell's sampler; ``cell`` is ``(ratio, sampler, seed)``. A
+    pilot-based sampler reads its seed's losses and gradients, which the
+    seed's scoring chunks wrote into the shared arrays."""
+    ratio, sampler, seed = cell
+    needs = selector.SAMPLER_TABLE[sampler].needs
+    pilot = None
+    if needs is not None:
+        _, losses, grads = run.scoring[seed]
+        pilot = pilot_scoring.pilot_input(needs, losses, grads, run.candidates)
+    budget = selector.budget_from_ratio(ratio, run.candidates.size)
+    return selector.run_sampler(sampler, run.candidates, run.cfg.objective, budget, pilot)
+
+
 def _train_and_evaluate(run: _Run, key) -> RolloutReport:
     """Train on one distinct selection and evaluate it on the test split;
     ``key`` is ``(seed, sorted starts)``."""
@@ -290,11 +234,12 @@ def _training_key(cell: CellResult) -> tuple[int, tuple[int, ...]]:
 def _queue_pilot(scheduler: parallel.Scheduler, seed: int, done) -> None:
     """Queue the seed's pilot on ``scheduler``, whose shared object is a :class:`_Run`.
 
-    The pilot's return queues the seed's scoring chunks. The last chunk's
-    return calls ``done`` with the seed's :class:`PilotGradients`, or with
-    the error text of the failed pilot or chunk. Call it before the
-    scheduler runs: it allocates the seed's shared score arrays, which the
-    workers inherit when they fork.
+    The pilot's return queues the seed's scoring chunks, which write every
+    candidate's loss and gradient into the seed's shared arrays in
+    ``_Run.scoring``. The last chunk's return calls ``done`` with the seed's
+    ``{"pilot_s", "scoring_s"}`` seconds, or with the error text of the
+    failed pilot or chunk. Call it before the scheduler runs: it allocates
+    the seed's shared score arrays, which the workers inherit when they fork.
     """
     run = scheduler.shared
     size, param_count = run.candidates.size, _model_arch(run.cfg, run.ds).param_count()
@@ -312,9 +257,8 @@ def _queue_pilot(scheduler: parallel.Scheduler, seed: int, done) -> None:
         if errors:
             done(errors[0])
             return
-        _, losses, grads = run.scoring[seed]
-        done(PilotGradients(losses, grads, pilot_s,
-                            max(o.end for o in outcomes) - min(o.start for o in outcomes)))
+        done({"pilot_s": pilot_s,
+              "scoring_s": max(o.end for o in outcomes) - min(o.start for o in outcomes)})
 
     def pilot_returned(outcome) -> None:
         if outcome.error is not None:
@@ -327,27 +271,86 @@ def _queue_pilot(scheduler: parallel.Scheduler, seed: int, done) -> None:
     scheduler.submit(PILOT, _pilot_task, seed, then=pilot_returned)
 
 
-def pilot_gradients(
-    cfg: ExperimentConfig, ds: TrajectoryDataset, candidates: CandidateSet, seed: int
-) -> PilotGradients:
-    """Train the seed's pilot and compute every candidate's loss and gradient.
+def _select_cells(
+    cfg: ExperimentConfig,
+    ds: TrajectoryDataset,
+    candidates: CandidateSet,
+    cells: list[tuple[float, str, int]],
+    selected,
+) -> tuple[parallel.Scheduler, dict[int, dict[str, float]]]:
+    """Queue the selection of each ``(ratio, sampler, seed)`` in ``cells``.
 
-    Depends on the seed only through its pilot and scoring stage seeds, not
-    on the sampler or the ratio. The pilot parameters are not kept. This is
-    the one-cell path of ``gits select`` and ``gits train``: a pool of its
-    own runs :func:`_queue_pilot`'s tasks, as :func:`run_experiment`'s pool
-    does for each seed. A failed pilot or chunk raises ``RuntimeError``
-    carrying the recorded error text.
+    Returns the scheduler, not yet run, and the per-seed pilot times, which
+    fill in as it runs. A cell whose sampler needs no pilot is queued at
+    once; the others when their seed's pilot and scoring chunks have
+    returned (:func:`_queue_pilot`, once per seed). Each selection's return
+    calls ``selected(cell, outcome, seconds)`` with its
+    :class:`gits.parallel.Outcome` and the cell's selection time: the
+    selection task's seconds plus, for a pilot-based sampler, its seed's
+    ``pilot_s + scoring_s``. If the seed's pilot or a chunk failed, its
+    pilot-based cells are not queued and ``selected`` gets an outcome with
+    that error text and 0 seconds. ``selected`` may queue more tasks.
     """
-    # one worker per scoring chunk
-    scheduler = parallel.Scheduler(_Run(cfg, ds, candidates, {}),
-                                   parallel.worker_count(candidates.size))
-    outcome = []
-    _queue_pilot(scheduler, seed, outcome.append)
+    pilot_free, pilot_based = [], {}  # pilot seed -> its cells
+    for cell in cells:
+        _, sampler, seed = cell
+        if selector.SAMPLER_TABLE[sampler].needs is None:
+            pilot_free.append(cell)
+        else:
+            pilot_based.setdefault(seed, []).append(cell)
+    chunks = pilot_scoring.score_chunks(candidates.size)
+    # the pool is sized by every task known before a pilot-based cell is selected
+    scheduler = parallel.Scheduler(_Run(cfg, ds, candidates, {}), parallel.worker_count(
+        len(pilot_free) + len(pilot_based) * (1 + len(chunks))))
+    pilot_times: dict[int, dict[str, float]] = {}
+
+    def queue(cell, pilot_s) -> None:
+        scheduler.submit(SELECTION, _select_task, cell,
+                         then=lambda outcome: selected(cell, outcome, pilot_s + outcome.seconds))
+
+    def scored(seed, times) -> None:
+        if isinstance(times, str):  # the error text of the seed's pilot or a chunk
+            for cell in pilot_based[seed]:
+                selected(cell, parallel.Outcome(None, times, 0.0, 0.0), 0.0)
+            return
+        pilot_times[seed] = times
+        for cell in pilot_based[seed]:
+            queue(cell, times["pilot_s"] + times["scoring_s"])
+
+    for cell in pilot_free:
+        queue(cell, 0.0)
+    for seed in pilot_based:
+        _queue_pilot(scheduler, seed, functools.partial(scored, seed))
+    return scheduler, pilot_times
+
+
+def select_starts(
+    cfg: ExperimentConfig,
+    ds: TrajectoryDataset,
+    candidates: CandidateSet,
+    sampler: str,
+    ratio: float,
+    seed: int,
+) -> tuple[SelectionResult, float]:
+    """Select one cell's starts; returns (selection, selection_time_s).
+
+    This is the one-cell path of ``gits select`` and ``gits train``: a pool
+    of its own runs the cell's tasks through :func:`_select_cells`, as
+    :func:`run_experiment`'s pool does for a grid. Selection time is the
+    cost of producing this selection: the seed's pilot and scoring seconds
+    for a pilot-based sampler, plus the selection task's. A failed pilot,
+    chunk or selection raises ``RuntimeError`` carrying the recorded error
+    text.
+    """
+    returned = []
+    scheduler, _ = _select_cells(
+        cfg, ds, candidates, [(ratio, sampler, seed)],
+        lambda cell, outcome, seconds: returned.append((outcome, seconds)))
     scheduler.run()
-    if isinstance(outcome[0], str):
-        raise RuntimeError(outcome[0])
-    return outcome[0]
+    [(outcome, seconds)] = returned
+    if outcome.error is not None:
+        raise RuntimeError(outcome.error)
+    return outcome.value, seconds
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -363,66 +366,42 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     and evaluated once, and every cell with that selection reads the same
     report, training time or error text.
 
-    One :class:`gits.parallel.Scheduler` runs the pilots, the scoring chunks
-    and the trainings, in that order of priority. The cells that need no
-    pilot are selected first and their trainings queued, so they train
-    while the pilots do. When a seed's last chunk returns, its pilot-based
-    cells are selected here and their new trainings queued. The cells come
-    back in grid order, whatever order the tasks ran in.
+    One :class:`gits.parallel.Scheduler` runs the pilots, the scoring
+    chunks, the selections and the trainings, in that order of priority
+    (:func:`_select_cells`). The selections that need no pilot are queued
+    at once, so they and their trainings run while the pilots train. Each
+    selection's return queues its training if no cell queued it yet. The
+    cells come back in grid order, whatever order the tasks ran in.
     """
     ds = load_or_generate_dataset(cfg)
     candidates = pilot_scoring.build_candidates(ds.t_count, cfg.history_len)
-    grid = list(itertools.product(cfg.ratios, cfg.samplers, cfg.seeds))
-    pilot_based = {s for s in cfg.samplers if selector.SAMPLER_TABLE[s].needs is not None}
-    pilot_seeds = cfg.seeds if pilot_based else ()
-    run = _Run(cfg, ds, candidates, {})
-    chunks = pilot_scoring.score_chunks(candidates.size)
-    cells: dict[tuple, CellResult] = {}
-    pilots: dict[int, PilotGradients | str] = {}  # seed -> pilot, or its error text
+    cells = {
+        (ratio, sampler, seed): CellResult(
+            dataset=ds.meta.get("family", "dataset"), sampler=sampler, ratio=ratio, seed=seed,
+            budget=selector.budget_from_ratio(ratio, candidates.size))
+        for ratio, sampler, seed in itertools.product(cfg.ratios, cfg.samplers, cfg.seeds)
+    }
     trained: dict[tuple, parallel.Outcome | None] = {}  # key -> outcome; None while queued
 
-    def select(entries, pilot) -> list:
-        """Select the cells at ``entries``; returns their training keys not yet queued."""
-        keys = []
-        for ratio, sampler, seed in entries:
-            cell = _select_cell(cfg, ds, candidates, sampler, ratio, seed, pilot)
-            cells[ratio, sampler, seed] = cell
-            if cell.ok and _training_key(cell) not in trained:
-                keys.append(_training_key(cell))
-                trained[keys[-1]] = None
-        return keys
+    def selected(entry, outcome, seconds) -> None:
+        cell = cells[entry]
+        cell.error, cell.selection_time_s = outcome.error, seconds
+        if outcome.error is None:
+            cell.selected = outcome.value.selected
+            key = _training_key(cell)
+            if key not in trained:
+                trained[key] = None
+                scheduler.submit(TRAINING, _train_and_evaluate, key,
+                                 then=functools.partial(trained.__setitem__, key))
 
-    def queue_trainings(keys) -> None:
-        for key in keys:
-            scheduler.submit(TRAINING, _train_and_evaluate, key,
-                             then=functools.partial(trained.__setitem__, key))
-
-    def seed_scored(seed, pilot) -> None:
-        pilots[seed] = pilot
-        queue_trainings(select([e for e in grid if e[2] == seed and e[1] in pilot_based], pilot))
-
-    queued = select([e for e in grid if e[1] not in pilot_based], None)
-    # the pool is sized by every task known before a pilot-based cell is selected
-    scheduler = parallel.Scheduler(
-        run, parallel.worker_count(len(queued) + len(pilot_seeds) * (1 + len(chunks))))
-    queue_trainings(queued)
-    for seed in pilot_seeds:
-        _queue_pilot(scheduler, seed, functools.partial(seed_scored, seed))
+    scheduler, pilot_times = _select_cells(cfg, ds, candidates, list(cells), selected)
     scheduler.run()
-
-    ordered = [cells[entry] for entry in grid]
-    for cell in ordered:
+    for cell in cells.values():
         if cell.ok:
             outcome = trained[_training_key(cell)]
             cell.report, cell.error = outcome.value, outcome.error
             cell.train_time_s = outcome.seconds
-    pilot_times = {
-        seed: {"pilot_s": pilots[seed].pilot_s, "scoring_s": pilots[seed].scoring_s}
-        for seed in pilot_seeds
-        if isinstance(pilots[seed], PilotGradients)
-    }
-    return ExperimentResult(config=cfg, cells=ordered, pilot_times=pilot_times)
-
+    return ExperimentResult(config=cfg, cells=list(cells.values()), pilot_times=pilot_times)
 
 # ----------------------------------------------------------------------
 # reporting

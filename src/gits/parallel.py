@@ -5,18 +5,18 @@ processes, one per CPU this process may run on (its CPU affinity), as they
 become ready. A task may carry a ``then`` callback that runs here with the
 task's :class:`Outcome` and may submit further tasks, so one pool runs a
 whole task graph: :func:`gits.harness.run_experiment` queues each seed's
-pilot, the pilot's return queues that seed's scoring chunks, and the last
-chunk's return selects the seed's pilot-based cells and queues their
-trainings, while trainings that need no pilot already run on the other
-workers.
+pilot, the pilot's return queues that seed's scoring chunks, the last
+chunk's return queues the seed's pilot-based selections, and each
+selection's return queues its training, while the selections and
+trainings that need no pilot already run on the other workers.
 
 At most one task is in flight per worker. Whenever a worker is free, the
 scheduler hands it the ready task of the lowest priority number, and tasks
 of one priority run in the order they were submitted. So a task that
 becomes ready late but matters more (a scoring chunk that a selection
 waits for) is not stuck behind tasks queued before it (trainings).
-``gits select`` and ``gits train`` run one seed's pilot and scoring chunks
-on a pool of their own (:func:`gits.harness.pilot_gradients`).
+``gits select`` and ``gits train`` run one cell's pilot, scoring chunks
+and selection on a pool of their own (:func:`gits.harness.select_starts`).
 
 Every task, wherever it runs, passes through :func:`_call`, which holds
 the one failure and timing policy: an exception a task raises becomes the

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gits
-from gits import cli, harness, parallel, pilot_scoring, surrogate
+from gits import cli, harness, parallel, pilot_scoring, selector, surrogate
 from gits.diagnostics import RolloutReport, rollout_nrmse, rollout_report
 from gits.harness import (
     RESULT_COLUMNS,
@@ -162,9 +162,8 @@ def test_pilot_is_shared_per_seed_and_matches_the_single_cell_path(monkeypatch):
     ds = harness.load_or_generate_dataset(cfg)
     candidates = pilot_scoring.build_candidates(ds.t_count, cfg.history_len)
     for cell in result.cells:
-        pilot = harness.pilot_gradients(cfg, ds, candidates, cell.seed)
         selection, _ = harness.select_starts(cfg, ds, candidates, cell.sampler,
-                                             cell.ratio, cell.seed, pilot=pilot)
+                                             cell.ratio, cell.seed)
         params, _ = harness.train_downstream(cfg, ds, selection.selected, cell.seed)
         report = rollout_report(params, ds, split="test")
         assert cell.selected == selection.selected, (cell.sampler, cell.ratio, cell.seed)
@@ -300,7 +299,7 @@ def test_failed_pilot_is_attempted_once_per_seed(monkeypatch, tmp_path):
     assert json.loads(json_path.read_text())["pilot"] == {}
 
 
-def test_non_finite_pilot_score_fails_the_gits_cell_only(monkeypatch):
+def _poison_pilot_input(monkeypatch):
     original = pilot_scoring.pilot_input
 
     def poisoned(*args, **kwargs):
@@ -309,12 +308,48 @@ def test_non_finite_pilot_score_fails_the_gits_cell_only(monkeypatch):
         return result
 
     monkeypatch.setattr(pilot_scoring, "pilot_input", poisoned)
-    result = run_experiment(small_experiment(samplers=("gits", "uniform")))
-    cells = {c.sampler: c for c in result.cells}
-    assert cells["gits"].error.splitlines()[0] == (
-        "ValueError: score at candidate position 3 (start index 6) is not finite: nan"
-    )
-    assert cells["uniform"].ok and result.failed == 1
+
+
+def test_non_finite_pilot_score_fails_the_gits_cell_only(monkeypatch):
+    # with two workers the selection fails in a worker and its text crosses a pipe
+    _poison_pilot_input(monkeypatch)
+    errors = {}
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        result = run_experiment(small_experiment(samplers=("gits", "uniform")))
+        cells = {c.sampler: c for c in result.cells}
+        assert cells["gits"].error.splitlines()[0] == (
+            "ValueError: score at candidate position 3 (start index 6) is not finite: nan"
+        ), workers
+        assert cells["gits"].selection_time_s > 0.0, workers
+        assert cells["uniform"].ok and result.failed == 1, workers
+        errors[workers] = cells["gits"].error
+    assert errors[1] == errors[2]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_selection_runs_on_a_worker_when_there_are_several(tmp_path, monkeypatch, workers):
+    _use_workers(monkeypatch, workers)
+    pids = tmp_path / "pids"
+    greedy_select = selector.greedy_select
+
+    def recorded(*args, **kwargs):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return greedy_select(*args, **kwargs)
+
+    monkeypatch.setattr(selector, "greedy_select", recorded)
+    cfg = small_experiment(samplers=("gits", "coverage_only"))
+    assert run_experiment(cfg).failed == 0
+    ds = harness.load_or_generate_dataset(cfg)
+    harness.select_starts(cfg, ds, pilot_scoring.build_candidates(ds.t_count, cfg.history_len),
+                          "gits", 0.3, 0)
+    recorded_pids = [int(line) for line in pids.read_text().split()]
+    assert len(recorded_pids) == 3
+    if workers == 1:
+        assert set(recorded_pids) == {os.getpid()}
+    else:
+        assert os.getpid() not in recorded_pids
 
 
 def test_budget_rule_per_row():
@@ -895,16 +930,23 @@ def test_cli_cell_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatc
     assert checkpoints[1] == checkpoints[2] == checkpoints[3]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_cli_select_raises_the_pilot_error_text(tmp_path, monkeypatch, workers):
-    _use_workers(monkeypatch, workers)
-
+def _diverging_pilot(monkeypatch):
     def diverging_pilot(*args, **kwargs):
         raise ArithmeticError("pilot diverged")
 
     monkeypatch.setattr(pilot_scoring, "train_pilot", diverging_pilot)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fail, message", [
+    (_diverging_pilot, "ArithmeticError: pilot diverged"),
+    (_poison_pilot_input, "ValueError: score at candidate position"),
+], ids=["pilot", "score"])
+def test_cli_select_raises_the_pilot_error_text(tmp_path, monkeypatch, workers, fail, message):
+    _use_workers(monkeypatch, workers)
+    fail(monkeypatch)
     out = tmp_path / "sel.json"
-    with pytest.raises(RuntimeError, match="ArithmeticError: pilot diverged"):
+    with pytest.raises(RuntimeError, match=message):
         cli.main(["select", "--config", str(_write_small_config(tmp_path)),
                   "--sampler", "gits", "--ratio", "0.3", "--seed", "0", "--output", str(out)])
     assert not out.exists()

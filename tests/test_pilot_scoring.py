@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gits import pilot_scoring
+from gits import harness, parallel, pilot_scoring
 from gits.pde_data import SolverConfig, TrajectoryDataset, generate_dataset
 from gits.pilot_scoring import (
     CandidateScores,
@@ -44,6 +44,19 @@ def chunk_gradients(pilot, cands, ds, horizon, batch_traj, seed):
     traj = scoring_trajectories(ds, batch_traj, seed)
     pilot_scoring._chunk_gradients(pilot, ds, traj, horizon, cands.indices, np.arange(cands.size),
                                    losses, grads)
+    return losses, grads
+
+
+def pilot_gradients(cfg, ds, cands, seed):
+    """The seed's (losses, grads) as a grid computes them: its pilot and scoring
+    chunks on a pool of one worker per chunk (``harness._queue_pilot``)."""
+    scheduler = parallel.Scheduler(harness._Run(cfg, ds, cands, {}),
+                                   parallel.worker_count(cands.size))
+    done = []
+    harness._queue_pilot(scheduler, seed, done.append)
+    scheduler.run()
+    assert not isinstance(done[0], str), done[0]
+    _, losses, grads = scheduler.shared.scoring[seed]
     return losses, grads
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from gits.selftest import exhaustive_optimum
 from gits.pde_data import SolverConfig, generate_dataset
-from gits.harness import ExperimentConfig, pilot_gradients
+from gits.harness import ExperimentConfig
 from gits.pilot_scoring import CandidateScores, build_candidates
 from gits.selector import (
     SAMPLER_TABLE,
@@ -26,6 +26,7 @@ from gits.temporal_coverage import (
     derive_coverage_config,
 )
 from test_greedy_parity import assert_same_as_dense
+from test_pilot_scoring import pilot_gradients
 
 CANDS = build_candidates(101, 4)
 
@@ -324,8 +325,8 @@ def test_grad_match_end_to_end_deterministic():
     cfg = ExperimentConfig(solver=solver, n_traj=10, pilot_epochs=1, horizon=3, batch_traj=4,
                            history_len=3, hidden=3, kernel_radius=1)
     obj = default_obj(cands, budget=3)
-    grads_a = pilot_gradients(cfg, ds, cands, 0).grads
-    grads_b = pilot_gradients(cfg, ds, cands, 0).grads
+    _, grads_a = pilot_gradients(cfg, ds, cands, 0)
+    _, grads_b = pilot_gradients(cfg, ds, cands, 0)
     a = run_sampler("grad_match", cands, obj, 3, grads_a)
     b = run_sampler("grad_match", cands, obj, 3, grads_b)
     assert a.selected == b.selected
