@@ -79,6 +79,22 @@ class GeometryReport:
 # rollout error
 # ----------------------------------------------------------------------
 
+def split_frames(ds: TrajectoryDataset, split: str, history_len: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The initial histories and the truth of a split's full-horizon rollouts.
+
+    Returns (histories, truth), (n_split, L, cells, channels) and
+    (n_split, T_r, cells, channels) float64, with T_r = t_count - L.
+    """
+    idx = ds.split_indices(split)
+    if idx.size == 0:
+        raise MetricError(f"split {split!r} is empty")
+    if ds.t_count - history_len < 1:
+        raise MetricError("time axis too short for any rollout step")
+    return (ds.data[idx, :history_len].astype(np.float64),
+            ds.data[idx, history_len:].astype(np.float64))
+
+
 def rollout_predictions(
     params: SurrogateParams, ds: TrajectoryDataset, split: str = "test"
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -87,17 +103,8 @@ def rollout_predictions(
     Returns (predictions, truth), both (n_split, T_r, cells, channels)
     float64, with T_r = t_count - history_len.
     """
-    idx = ds.split_indices(split)
-    if idx.size == 0:
-        raise MetricError(f"split {split!r} is empty")
-    length = params.arch.history_len
-    t_r = ds.t_count - length
-    if t_r < 1:
-        raise MetricError("time axis too short for any rollout step")
-    histories = ds.data[idx, :length].astype(np.float64)
-    preds = rollout_batch(params, histories, t_r)
-    truth = ds.data[idx, length:].astype(np.float64)
-    return preds, truth
+    histories, truth = split_frames(ds, split, params.arch.history_len)
+    return rollout_batch(params, histories, truth.shape[1]), truth
 
 
 def nrmse_from_rollouts(preds: np.ndarray, truth: np.ndarray) -> float:

@@ -14,12 +14,15 @@ task, in this order of priority: each seed's pilot, that seed's scoring
 chunks, each cell's selection, and each distinct selection's training and
 evaluation. Selections whose sampler needs no pilot are queued at once, so
 they and their trainings run while the pilots train; a seed's pilot-based
-selections are queued when its last scoring chunk returns. ``gits select``
+selections are queued when its last scoring chunk returns. Trainings of one
+number of starts that wait for a worker run as one stacked task, whose
+trainings step together (:func:`gits.surrogate.train_stack`). ``gits select``
 and ``gits train`` queue one cell's tasks the same way
 (:func:`select_starts`). The tasks are plain functions: the scheduler
 times each one and records its exception (:class:`gits.parallel.Outcome`),
 which gives each seed's pilot and scoring seconds, each cell's selection
-seconds, and each distinct selection's training and evaluation seconds.
+seconds, and the training and evaluation seconds of each stack of distinct
+selections.
 Cell failures, a failed pilot included, are recorded and the sweep
 continues; the exit status reports them.
 
@@ -132,7 +135,7 @@ class CellResult:
     selected: list[int] | None = None
     report: RolloutReport | None = None
     selection_time_s: float = 0.0  # the seed's pilot + scoring, plus this cell's selection
-    train_time_s: float = 0.0  # training and test evaluation, shared per (seed, starts)
+    train_time_s: float = 0.0  # training and test evaluation, shared per stacked task
     error: str | None = None
 
     @property
@@ -163,12 +166,20 @@ def _model_arch(cfg: ExperimentConfig, ds: TrajectoryDataset) -> SurrogateArch:
                                       kernel_radius=cfg.kernel_radius, clamp=cfg.clamp)
 
 
+def downstream_training(
+    cfg: ExperimentConfig, ds: TrajectoryDataset, starts, seed: int
+) -> surrogate.Training:
+    """The downstream training on ``starts``, initialised and run under the cell's train seed."""
+    train_cfg = replace(cfg.train, seed=stage_seed(seed, "train"))
+    return surrogate.Training(surrogate.init_params(_model_arch(cfg, ds), train_cfg.seed),
+                              starts, train_cfg)
+
+
 def train_downstream(
     cfg: ExperimentConfig, ds: TrajectoryDataset, starts, seed: int
 ) -> tuple[SurrogateParams, list[EpochStats]]:
     """Train the downstream surrogate on ``starts`` under the cell's train seed."""
-    train_cfg = replace(cfg.train, seed=stage_seed(seed, "train"))
-    params0 = surrogate.init_params(_model_arch(cfg, ds), train_cfg.seed)
+    params0, starts, train_cfg = downstream_training(cfg, ds, starts, seed)
     return surrogate.train(params0, starts, ds, train_cfg)
 
 
@@ -219,12 +230,32 @@ def _select_task(run: _Run, cell) -> SelectionResult:
     return selector.run_sampler(sampler, run.candidates, run.cfg.objective, budget, pilot)
 
 
-def _train_and_evaluate(run: _Run, key) -> RolloutReport:
-    """Train on one distinct selection and evaluate it on the test split;
-    ``key`` is ``(seed, sorted starts)``."""
-    seed, starts = key
-    params, _ = train_downstream(run.cfg, run.ds, list(starts), seed)
-    return diagnostics.rollout_report(params, run.ds, split="test")
+def _train_and_evaluate(run: _Run, keys) -> list:
+    """Train on each of a stack of distinct selections and evaluate it on the
+    test split; each key is ``(seed, sorted starts)``. The trainings step
+    together (:func:`gits.surrogate.train_stack`), and a training that
+    diverged is its key's entry instead of a report."""
+    trained = surrogate.train_stack(
+        [downstream_training(run.cfg, run.ds, list(starts), seed) for seed, starts in keys],
+        run.ds)
+    return [result if isinstance(result, Exception)
+            else diagnostics.rollout_report(result[0], run.ds, split="test")
+            for result in trained]
+
+
+def _stack_key(cfg: ExperimentConfig, candidates: CandidateSet, key):
+    """The stack key of the training of ``key`` (``(seed, sorted starts)``):
+    its number of starts, which fixes its pair count, or ``key`` itself,
+    which no other training shares.
+
+    A stack holds its worker until its last training ends, so it can delay
+    the scoring chunks that a pilot queues for every worker. A training that
+    runs more one-step updates per trajectory than a pilot (epochs_max x
+    starts against pilot_epochs x |C|) holds its worker past the pilot's end
+    on its own, and stacks; a shorter one runs alone.
+    """
+    starts = len(key[1])
+    return starts if cfg.train.epochs_max * starts > cfg.pilot_epochs * candidates.size else key
 
 
 def _training_key(cell: CellResult) -> tuple[int, tuple[int, ...]]:
@@ -370,8 +401,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     chunks, the selections and the trainings, in that order of priority
     (:func:`_select_cells`). The selections that need no pilot are queued
     at once, so they and their trainings run while the pilots train. Each
-    selection's return queues its training if no cell queued it yet. The
-    cells come back in grid order, whatever order the tasks ran in.
+    selection's return queues its training if no cell queued it yet, keyed
+    by its number of starts: the trainings of one key that wait for a worker
+    run as one stacked task, and report that task's seconds. The cells come
+    back in grid order, whatever order the tasks ran in.
     """
     ds = load_or_generate_dataset(cfg)
     candidates = pilot_scoring.build_candidates(ds.t_count, cfg.history_len)
@@ -392,7 +425,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             if key not in trained:
                 trained[key] = None
                 scheduler.submit(TRAINING, _train_and_evaluate, key,
-                                 then=functools.partial(trained.__setitem__, key))
+                                 then=functools.partial(trained.__setitem__, key),
+                                 stack=_stack_key(cfg, candidates, key))
 
     scheduler, pilot_times = _select_cells(cfg, ds, candidates, list(cells), selected)
     scheduler.run()

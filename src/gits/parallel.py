@@ -18,6 +18,20 @@ waits for) is not stuck behind tasks queued before it (trainings).
 ``gits select`` and ``gits train`` run one cell's pilot, scoring chunks
 and selection on a pool of their own (:func:`gits.harness.select_starts`).
 
+Tasks submitted with a stack key run stacked when they wait for a worker:
+the free worker that takes one takes other ready tasks of its key, and
+``fn`` gets all their items in one call and returns one value per item.
+The ready tasks of a key are shared out among the free workers and the
+workers busy with tasks of the same or a later priority, which will come
+back for more; a worker busy with more urgent work (a pilot, a scoring
+chunk) gets no share. So a task runs alone whenever a worker is free for
+it, and trainings stack while pilots and scoring hold the other workers.
+The grid's trainings of one pair count share a key, and a stack of them
+steps its minibatches in one surrogate call
+(:func:`gits.surrogate.train_stack`). Each slice of a stack computes what
+it computes alone, so how the tasks were stacked does not change the
+outputs.
+
 Every task, wherever it runs, passes through :func:`_call`, which holds
 the one failure and timing policy: an exception a task raises becomes the
 outcome's error text (:func:`error_text`), and the outcome carries the
@@ -84,9 +98,11 @@ def shared_zeros(shape) -> np.ndarray:
                          count=count).reshape(shape)
 
 
-def error_text(exc: Exception) -> str:
-    """How a failure is recorded: type, message, short traceback."""
-    return f"{type(exc).__name__}: {exc}\n" + traceback.format_exc(limit=3)
+def error_text(exc: BaseException) -> str:
+    """How a failure is recorded: type, message, and the short traceback of
+    where it was raised, if it was raised."""
+    trace = traceback.format_exception(exc, limit=3) if exc.__traceback__ is not None else []
+    return f"{type(exc).__name__}: {exc}\n" + "".join(trace)
 
 
 class Outcome(NamedTuple):
@@ -112,13 +128,45 @@ def _call(fn, shared, item) -> Outcome:
     return Outcome(value, error, start, time.perf_counter())
 
 
+def _call_stack(fn, shared, items: list) -> list[Outcome]:
+    """Run the stacked tasks ``fn(shared, items)`` as :func:`_call` runs one.
+
+    Each task's outcome has the call's span and its own entry of the
+    returned list as its value, or as its error if that entry is an
+    exception; an exception the call raises is every task's error.
+    """
+    whole = _call(fn, shared, items)
+    if whole.error is not None:
+        return [whole] * len(items)
+    return [whole._replace(value=None, error=error_text(value)) if isinstance(value, Exception)
+            else whole._replace(value=value) for value in whole.value]
+
+
+class _Call(NamedTuple):
+    """One call of a task's ``fn``: one task, or a stack of them."""
+
+    priority: int
+    number: int  # the submission number of its first task
+    fn: Any
+    item: Any  # the task's item, or the list of the stacked tasks' items
+    thens: list  # each task's callback
+    stacked: bool
+
+
+def _outcomes(fn, shared, item, stacked: bool) -> list[Outcome]:
+    """The outcome of each task of one call: one task, or a stack of them."""
+    if stacked:
+        return _call_stack(fn, shared, item)
+    return [_call(fn, shared, item)]
+
+
 def _install(shared) -> None:
     global _shared
     _shared = shared
 
 
-def _run(fn, item) -> Outcome:
-    return _call(fn, _shared, item)
+def _run(fn, item, stacked: bool) -> list[Outcome]:
+    return _outcomes(fn, _shared, item, stacked)
 
 
 class Scheduler:
@@ -132,18 +180,50 @@ class Scheduler:
     def __init__(self, shared, workers: int):
         self.shared = shared
         self.workers = workers
-        self._ready: list = []  # heap of (priority, submission number, fn, item, then)
+        self._ready: list = []  # heap of (priority, submission number, fn, item, then, stack)
         self._submitted = itertools.count()
 
-    def submit(self, priority: int, fn, item, then=None) -> None:
+    def submit(self, priority: int, fn, item, then=None, stack=None) -> None:
         """Queue ``fn(shared, item)``; ``then(outcome)`` runs here when it returns.
 
         A lower ``priority`` runs first; within one, the first submitted.
+        Tasks of one ``fn`` and one ``stack`` key (not None) run stacked:
+        the worker that takes one takes ready tasks of that key with it,
+        as :meth:`_take` shares them out, and runs them as one call
+        ``fn(shared, [item, ...])``. With a free worker for each, every task
+        runs alone. Such an ``fn`` returns a list with one value per item,
+        where an exception is that item's failure, and each task's ``then``
+        gets its own :class:`Outcome`.
         """
-        heapq.heappush(self._ready, (priority, next(self._submitted), fn, item, then))
+        heapq.heappush(self._ready, (priority, next(self._submitted), fn, item, then, stack))
 
-    def _pop(self):
-        return heapq.heappop(self._ready)[1:]
+    def _take(self, free: int, busy: list[int]) -> list[_Call]:
+        """The calls that ``free`` free workers take next.
+
+        That is the ready task of the lowest priority alone or, if it has a
+        stack key, with the other ready tasks of its function and key. Those
+        n tasks are shared out, in submission order, among the free workers
+        and the busy ones whose task has this priority or a later one
+        (``busy`` holds the priority of each task in flight): each free
+        worker's share is one call, and a busy worker's share stays queued
+        for the next worker that frees up. A worker busy with more urgent
+        work gets no share, as more urgent work may follow it.
+        """
+        first = heapq.heappop(self._ready)
+        priority, number, fn, item, then, stack = first
+        if stack is None:
+            return [_Call(priority, number, fn, item, [then], False)]
+        tasks = sorted([first] + [e for e in self._ready if e[2] is fn and e[5] == stack],
+                       key=lambda entry: entry[1])
+        self._ready = [e for e in self._ready if not (e[2] is fn and e[5] == stack)]
+        heapq.heapify(self._ready)
+        later = sum(p >= priority for p in busy)
+        shares = np.array_split(np.arange(len(tasks)), min(len(tasks), free + later))
+        for share in shares[free:]:
+            for i in share:
+                heapq.heappush(self._ready, tasks[i])
+        return [_Call(priority, tasks[share[0]][1], fn, [tasks[i][3] for i in share],
+                      [tasks[i][4] for i in share], True) for share in shares[:free]]
 
     def run(self) -> None:
         """Run the tasks until none is ready or in flight.
@@ -154,21 +234,24 @@ class Scheduler:
         """
         if self.workers == 1:
             while self._ready:
-                _, fn, item, then = self._pop()
-                outcome = _call(fn, self.shared, item)
-                if then is not None:
-                    then(outcome)
+                for call in self._take(1, []):
+                    self._returned(call, _outcomes(call.fn, self.shared, call.item,
+                                                   call.stacked))
             return
         with ProcessPoolExecutor(self.workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_install, initargs=(self.shared,)) as pool:
-            running = {}  # future -> (submission number, then)
+            running = {}  # future -> call
             while self._ready or running:
                 while self._ready and len(running) < self.workers:
-                    number, fn, item, then = self._pop()
-                    running[pool.submit(_run, fn, item)] = (number, then)
+                    busy = [call.priority for call in running.values()]
+                    for call in self._take(self.workers - len(running), busy):
+                        running[pool.submit(_run, call.fn, call.item, call.stacked)] = call
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in sorted(done, key=lambda f: running[f][0]):
-                    _, then = running.pop(future)
-                    outcome = future.result()
-                    if then is not None:
-                        then(outcome)
+                for future in sorted(done, key=lambda f: running[f].number):
+                    self._returned(running.pop(future), future.result())
+
+    @staticmethod
+    def _returned(call: _Call, outcomes: list[Outcome]) -> None:
+        for then, outcome in zip(call.thens, outcomes):
+            if then is not None:
+                then(outcome)

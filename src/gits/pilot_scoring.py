@@ -11,9 +11,9 @@ chosen once from the scoring seed and shared by all candidates.
 Each surrogate call scores a stack of candidates that share one effective
 horizon, and returns each one's loss and gradient bit for bit as a call of
 that candidate alone would. At most :func:`stack_size` candidates go in a
-stack, fewer as the columns X*B of a step grow: on one CPU, a candidate of
-the long_axis_select bench shape (X*B = 256, H = 4) took 0.41–0.52 ms in a
-stack of 8 against 0.88–0.98 ms alone.
+stack, fewer as the columns X*B of a step grow: on one CPU of a 2-core VM,
+a candidate of the long_axis_select bench shape (X*B = 256, H = 4) took
+0.12–0.14 ms in a stack of 8 against 0.31–0.35 ms alone.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import contextlib
 import contextvars
@@ -158,15 +158,17 @@ def init_params(arch: SurrogateArch, seed: int) -> SurrogateParams:
 # frames 0..L-1 hold its history and step t writes its prediction into
 # frame L + t in place. Frames t..t+L-1 of a slice are the step's
 # (L*C, X*B) input. Each convolution gathers every slice's (Cin*K, X*B)
-# window matrix with one flat index and is one stacked GEMM, W @ windows,
-# of the shared weights against every slice. Its backward pass is two more
-# stacked GEMMs, g_out @ windows.T for each slice's weight gradient and
-# W.T @ g_out for the windows, and an overlap-add of the window gradient
-# back onto the input rows. The batch is the fastest axis, so each tap of
-# the overlap-add is one contiguous block of X*B values per slice. Every
-# op runs once over the whole stack, and slice g computes exactly what a
-# call of that one rollout (G = 1) computes: the stack only shares the
-# per-op overhead, which dominates when X*B is small.
+# window matrix with one (K, X) index along the cell axis, so each index
+# copies the B contiguous values of one cell, and is one stacked GEMM,
+# W @ windows, against every slice. The weights are shared by the stack,
+# or carry its axis, one set per slice (a stack of trainings). The backward
+# pass is two more stacked GEMMs, g_out @ windows.T for each slice's weight
+# gradient and W.T @ g_out for the windows, and an overlap-add of the
+# window gradient back onto the input rows. The batch is the fastest axis,
+# so each tap of the overlap-add is one contiguous block of X*B values per
+# slice. Every op runs once over the whole stack, and slice g computes
+# exactly what a call of that one rollout (G = 1) computes: the stack only
+# shares the per-op overhead, which dominates when X*B is small.
 #
 # The window matrices, activations and gradient buffers of a rollout's
 # steps are written in place into buffers of a _Workspace, each asked for
@@ -234,27 +236,30 @@ def _pad_index(x_len: int, r: int, padding: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _window_index(x_len: int, r: int, padding: str, b_sz: int) -> np.ndarray:
-    """Flat (K, X*B) gather index: entry (j, x*B + b) is pad[x + j]*B + b."""
-    k = 2 * r + 1
-    taps = _pad_index(x_len, r, padding)[np.arange(k)[:, None] + np.arange(x_len)]
-    idx = (taps[:, :, None] * b_sz + np.arange(b_sz)).reshape(k, x_len * b_sz)
+def _window_index(x_len: int, r: int, padding: str) -> np.ndarray:
+    """(K, X) gather index along the cell axis: entry (j, x) is pad[x + j]."""
+    idx = _pad_index(x_len, r, padding)[np.arange(2 * r + 1)[:, None] + np.arange(x_len)]
     idx.flags.writeable = False
     return idx
 
 
 def _windows(z: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    """(G, Cin, X*B) rows -> (G, Cin*K, X*B) windows in ``out``, rows ordered (channel, tap).
+    """(..., X, B) rows -> (..., K, X, B) windows in ``out``.
 
+    Tap j of cell x is row cell pad[x + j], and each index copies the B
+    batch values of one cell, which are contiguous.
     Every index is in range, so ``mode="wrap"`` never wraps; unlike the
     default mode it lets ``take`` write into ``out`` without a bounce buffer.
     """
-    z.take(idx, axis=2, out=out.reshape(*z.shape[:2], *idx.shape), mode="wrap")
+    z.take(idx, axis=z.ndim - 2, out=out, mode="wrap")
 
 
 def _windows_adjoint(w: np.ndarray, g: np.ndarray, pad: np.ndarray, b_sz: int,
                      ws: _Workspace, name: str) -> np.ndarray:
     """Adjoint of :func:`_windows` applied to ``w.T @ g`` (G, Cout, X*B): (G, Cin, X*B).
+
+    ``w`` is (Cout, Cin*K), shared by the stack, or (G, Cout, Cin*K), one
+    set per slice.
 
     The K taps of the window gradient are overlap-added into the padded
     rows ``{name}.g_pad`` (G, Cin, X + 2r, B) of ``ws``; then each of the 2r
@@ -269,18 +274,19 @@ def _windows_adjoint(w: np.ndarray, g: np.ndarray, pad: np.ndarray, b_sz: int,
     x_len = cols // b_sz
     r = (pad.size - x_len) // 2
     k = 2 * r + 1
-    c_in = w.shape[1] // k
+    c_in = w.shape[-1] // k
     g_pad = ws.get(f"{name}.g_pad", (stack, c_in, x_len + k - 1, b_sz))
     g_pad.fill(0.0)
-    if w.shape[0] == 1:
+    if w.shape[-2] == 1:
         scratch = ws.get(f"{name}.scratch", (stack, c_in, x_len, b_sz))
-        w_taps = w.reshape(c_in, k, 1, 1)
+        w_taps = w.reshape(*w.shape[:-2], c_in, k, 1, 1)
         g_cells = g.reshape(stack, 1, x_len, b_sz)
         for j in range(k):
-            g_pad[:, :, j : j + x_len] += np.multiply(w_taps[:, j], g_cells, out=scratch)
+            g_pad[:, :, j : j + x_len] += np.multiply(w_taps[..., j, :, :], g_cells, out=scratch)
     else:
         scratch = ws.get(f"{name}.scratch", (stack, c_in * k, cols))
-        g_win = np.matmul(w.T, g, out=scratch).reshape(stack, c_in, k, x_len, b_sz)
+        g_win = np.matmul(np.swapaxes(w, -1, -2), g, out=scratch).reshape(stack, c_in, k, x_len,
+                                                                           b_sz)
         for j in range(k):
             g_pad[:, :, j : j + x_len] += g_win[:, :, j]
     for p in (*range(r), *range(x_len + r, x_len + 2 * r)):
@@ -295,31 +301,6 @@ class _Tape(NamedTuple):
     h: np.ndarray  # (slots, G, hidden, X*B)
     win2: np.ndarray  # (slots, G, hidden*K, X*B)
     mask: np.ndarray  # (slots, G, C, X*B) bool: the output is inside the clamp
-
-
-def _step(views: _Views, arch: SurrogateArch, buf: np.ndarray, t: int, idx,
-          win1, h, win2, raw, mask=None):
-    """Write step t's prediction into frame L + t of ``buf`` (G, L + H, C, X, B).
-
-    ``win1``, ``h``, ``win2`` and ``raw`` receive the step's window matrices,
-    hidden activations and unclamped output; ``mask``, when given, receives
-    where the output is inside the clamp.
-    """
-    length = arch.history_len
-    stack = buf.shape[0]
-    cols = idx.shape[1]
-    _windows(buf[:, t : t + length].reshape(stack, arch.in_channels, cols), idx, win1)
-    np.matmul(views.w1, win1, out=h)
-    h += views.b1[:, None]
-    np.tanh(h, out=h)
-    _windows(h, idx, win2)
-    np.matmul(views.w2, win2, out=raw)
-    raw += views.b2[:, None]
-    raw += buf[:, t + length - 1].reshape(stack, arch.channels, cols)
-    np.clip(raw, -arch.clamp, arch.clamp,
-            out=buf[:, t + length].reshape(stack, arch.channels, cols))
-    if mask is not None:
-        np.less(np.abs(raw, out=raw), arch.clamp, out=mask)
 
 
 def _step_backward(g_pred, tape: _Tape, t: int, views: _Views, arch: SurrogateArch, pad,
@@ -354,28 +335,40 @@ def _advance(views: _Views, arch: SurrogateArch, buf: np.ndarray, ws: _Workspace
              taped: bool = False) -> _Tape | None:
     """Fill frames L.. of every slice of ``buf`` (G, L + H, C, X, B) by autoregressive steps.
 
-    With ``taped``, each step keeps its activations in its own slot and the
-    tape is returned for the backward pass; otherwise all steps share one.
+    Step t writes its prediction into frame L + t. With ``taped``, each step
+    keeps its window matrices, hidden activations and clamp mask in its own
+    slot and the tape is returned for the backward pass; otherwise all steps
+    share one slot.
     """
     stack, frames, channels, x_len, b_sz = buf.shape
-    steps = frames - arch.history_len
-    k = arch.kernel_size
+    length, hidden, k = arch.history_len, arch.hidden, arch.kernel_size
     cols = x_len * b_sz
-    idx = _window_index(x_len, arch.kernel_radius, arch.padding, b_sz)
-    slots = steps if taped else 1
+    idx = _window_index(x_len, arch.kernel_radius, arch.padding)
+    slots = frames - length if taped else 1
     win1 = ws.get("win1", (slots, stack, arch.in_channels * k, cols))
-    h = ws.get("h", (slots, stack, arch.hidden, cols))
-    win2 = ws.get("win2", (slots, stack, arch.hidden * k, cols))
+    h = ws.get("h", (slots, stack, hidden, cols))
+    win2 = ws.get("win2", (slots, stack, hidden * k, cols))
+    mask = ws.get("mask", (slots, stack, channels, cols), bool) if taped else None
     raw = ws.get("raw", (stack, channels, cols))
-    if not taped:
-        win1, h, win2 = win1[0], h[0], win2[0]
-        for t in range(steps):
-            _step(views, arch, buf, t, idx, win1, h, win2, raw)
-        return None
-    mask = ws.get("mask", (slots, stack, channels, cols), bool)
-    for t in range(steps):
-        _step(views, arch, buf, t, idx, win1[t], h[t], win2[t], raw, mask[t])
-    return _Tape(win1, h, win2, mask)
+    # the same slots with the cell and batch axes apart, as the gathers write them
+    win1_cells = win1.reshape(slots, stack, length, channels, k, x_len, b_sz)
+    h_cells = h.reshape(slots, stack, hidden, x_len, b_sz)
+    win2_cells = win2.reshape(slots, stack, hidden, k, x_len, b_sz)
+    raw_cells = raw.reshape(stack, channels, x_len, b_sz)
+    for t in range(frames - length):
+        s = t if taped else 0
+        _windows(buf[:, t : t + length], idx, win1_cells[s])
+        np.matmul(views.w1, win1[s], out=h[s])
+        h[s] += views.b1[..., None]
+        np.tanh(h[s], out=h[s])
+        _windows(h_cells[s], idx, win2_cells[s])
+        np.matmul(views.w2, win2[s], out=raw)
+        raw += views.b2[..., None]
+        raw_cells += buf[:, t + length - 1]  # the residual: the last input frame
+        np.clip(raw_cells, -arch.clamp, arch.clamp, out=buf[:, t + length])
+        if taped:
+            np.less(np.abs(raw, out=raw), arch.clamp, out=mask[s])
+    return _Tape(win1, h, win2, mask) if taped else None
 
 
 @_step_workspace()
@@ -400,11 +393,21 @@ def rollout_batch(params: SurrogateParams, histories: np.ndarray, steps: int) ->
         raise ValueError("histories is an empty batch")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    return _rollout(params.theta, arch, histories, steps)[0]
+
+
+def _rollout(theta: np.ndarray, arch: SurrogateArch, histories: np.ndarray,
+             steps: int) -> np.ndarray:
+    """Roll the histories (B, L, cells, channels) out with each row of ``theta`` (G, P).
+
+    Returns (G, B, steps, cells, channels), a view into a frame buffer of its
+    own; a 1-D ``theta`` is one row. Not checked; call it in a workspace scope.
+    """
     b_sz, length, x_len, _ = histories.shape
-    buf = np.empty((1, length + steps, arch.channels, x_len, b_sz))
-    buf[0, :length] = histories.transpose(1, 3, 2, 0)
-    _advance(_unpack(params.theta, arch), arch, buf, _workspace())
-    return buf[0, length:].transpose(3, 0, 2, 1)
+    buf = np.empty((len(np.atleast_2d(theta)), length + steps, arch.channels, x_len, b_sz))
+    buf[:, :length] = histories.transpose(1, 3, 2, 0)
+    _advance(_unpack(theta, arch), arch, buf, _workspace())
+    return buf[:, length:].transpose(0, 4, 1, 3, 2)
 
 
 # ----------------------------------------------------------------------
@@ -481,9 +484,11 @@ def _stack_loss_grad(theta: np.ndarray, arch: SurrogateArch, ds: TrajectoryDatas
 
     Rollout g runs the B (trajectory, start) pairs ``(ns[g], ks[g])`` (both
     (G, B) int arrays, not checked) for ``h_eff`` steps, and each of its
-    per-frame NRMSE^2 terms weighs 1 / (``n_total`` * ``h_eff``). Adds
-    rollout g's gradient into row g of ``grad`` (G, P) and returns the (G,)
-    losses. Row g is bit for bit what the call with rollout g alone gives.
+    per-frame NRMSE^2 terms weighs 1 / (``n_total`` * ``h_eff``). Every
+    rollout runs the parameters ``theta`` (P,), or rollout g its row g of
+    ``theta`` (G, P). Adds rollout g's gradient into row g of ``grad``
+    (G, P) and returns the (G,) losses. Row g is bit for bit what the call
+    with rollout g alone gives.
     """
     data = ds.data  # float32; gathered frames are upcast when written to float64
     length = arch.history_len
@@ -557,7 +562,14 @@ class EpochStats(NamedTuple):
     val_nrmse: float | None
 
 
-@_step_workspace()
+class Training(NamedTuple):
+    """One training of :func:`train_stack`: initial parameters, starts and protocol."""
+
+    params_init: SurrogateParams
+    starts: Iterable[int]
+    cfg: TrainConfig
+
+
 def train(
     params_init: SurrogateParams,
     starts,
@@ -570,69 +582,155 @@ def train(
     validation rollout error (full post-history horizon) is evaluated after
     every epoch >= min_epochs. The parameters returned are those of the
     epoch :func:`kept_epoch` names: the best-validation epoch, or the last.
-    Deterministic under cfg.seed. Every minibatch and validation rollout
-    reuses one workspace, released on return.
+    Deterministic under cfg.seed. This is :func:`train_stack` of the one
+    training; a non-finite loss or parameter raises
+    :class:`TrainingDivergedError`.
     """
-    from .diagnostics import rollout_nrmse  # local import: diagnostics imports surrogate
+    [result] = train_stack([Training(params_init, starts, cfg)], ds)
+    if isinstance(result, TrainingDivergedError):
+        raise result
+    return result
 
-    arch = params_init.arch
-    start_list = sorted(set(int(k) for k in starts))
-    if not start_list:
-        raise ValueError("starts must be nonempty")
 
+# Stacking trainings shares each op's overhead, which dominates while a
+# minibatch step has few columns (X*B); past about this many columns per call
+# (slices x X*B) a larger stack saves nothing and only holds more buffers.
+TRAIN_STACK_COLUMNS = 16384
+
+
+class _Slice:
+    """The state of one training of a stack that is still training."""
+
+    def __init__(self, index: int, pairs: np.ndarray, cfg: TrainConfig):
+        self.index = index  # its position in the stack
+        self.pairs = pairs
+        self.cfg = cfg
+        self.rng = np.random.default_rng(cfg.seed)
+        self.order = None  # this epoch's permutation of the pairs
+        self.loss = 0.0  # this epoch's summed minibatch losses
+        self.history: list[EpochStats] = []
+        self.best_theta = None
+
+
+@_step_workspace()
+def train_stack(trainings, ds: TrajectoryDataset) -> list:
+    """Run a stack of :class:`Training` s in lockstep: one surrogate call per minibatch for all.
+
+    The trainings must share the architecture, the batch size and their
+    number of (trajectory, start) pairs, so that their minibatches have one
+    shape. Everything else is each one's own: initial parameters, starts,
+    seed and so minibatch order, learning rate, gradient clip, Adam state,
+    epochs and early stopping. Validation after an epoch is one rollout of
+    every slice that validates. A training leaves the stack when it stops,
+    and each one's entry of the returned list is what :func:`train` returns
+    for it alone, bit for bit: ``(params, history)``, or the
+    :class:`TrainingDivergedError` that :func:`train` raises. An exception
+    raised here (bad starts, an empty validation split) is every training's.
+    Every minibatch and validation rollout reuses one workspace, released on
+    return.
+    """
+    from .diagnostics import nrmse_from_rollouts, split_frames  # diagnostics imports surrogate
+
+    arch = trainings[0].params_init.arch
     train_idx = ds.split_indices("train")
-    # (n, k) for every training trajectory n and start k, n outermost
-    pairs = _validate_pairs(np.column_stack([np.repeat(train_idx, len(start_list)),
-                                             np.tile(start_list, len(train_idx))]),
-                            ds, arch.history_len)
-    history: list[EpochStats] = []
-    if cfg.epochs_max == 0:
-        return params_init, history
-
-    rng = np.random.default_rng(cfg.seed)
-    theta = params_init.theta.copy()
+    live: list[_Slice] = []  # the slices still training, in stack order
+    results: list = []
+    for index, (params_init, starts, cfg) in enumerate(trainings):
+        start_list = sorted(set(int(k) for k in starts))
+        if not start_list:
+            raise ValueError("starts must be nonempty")
+        # (n, k) for every training trajectory n and start k, n outermost
+        pairs = _validate_pairs(np.column_stack([np.repeat(train_idx, len(start_list)),
+                                                 np.tile(start_list, len(train_idx))]),
+                                ds, arch.history_len)
+        live.append(_Slice(index, pairs, cfg))
+        results.append((params_init, []))  # what a training of no epochs returns
+    if len({(t.params_init.arch, t.cfg.batch_size, len(sl.pairs))
+            for t, sl in zip(trainings, live)}) > 1:
+        raise ValueError("stacked trainings must share the architecture, the batch size "
+                         "and the number of pairs")
+    most = max(1, TRAIN_STACK_COLUMNS // (ds.spatial_size * min(trainings[0].cfg.batch_size,
+                                                                len(live[0].pairs))))
+    if len(trainings) > most:
+        return [result for lo in range(0, len(trainings), most)
+                for result in train_stack(trainings[lo : lo + most], ds)]
+    live = [sl for sl in live if sl.cfg.epochs_max > 0]
+    if not live:
+        return results
+    theta = np.array([trainings[sl.index].params_init.theta for sl in live])
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    lr = np.array([[sl.cfg.lr] for sl in live])
     step_count = 0
+    val_frames = None  # the validation split's histories and truth, read once
 
-    best_theta = None
-    for epoch in range(1, cfg.epochs_max + 1):
-        order = rng.permutation(len(pairs))
-        epoch_loss = 0.0
-        for lo in range(0, len(order), cfg.batch_size):
-            chunk = pairs[order[lo : lo + cfg.batch_size]]
+    def leave(keep, arrays, error=None):
+        """Drop the slices where ``keep`` is False, and their rows of each of
+        ``arrays``; with an ``error``, each dropped one diverged with it."""
+        for i in np.flatnonzero(~keep) if error else ():
+            results[live[i].index] = TrainingDivergedError(error)
+        live[:] = [sl for sl, kept in zip(live, keep) if kept]
+        return [a[keep] for a in arrays]
+
+    epoch = 0
+    while live:
+        epoch += 1
+        for sl in live:
+            sl.order = sl.rng.permutation(len(sl.pairs))
+            sl.loss = 0.0
+        for lo in range(0, len(live[0].pairs), live[0].cfg.batch_size):
+            chunks = np.array([sl.pairs[sl.order[lo : lo + sl.cfg.batch_size]] for sl in live])
             # every pair is checked above and rolls out one step: the one
             # group rollout_loss_grad would form
-            grad = np.zeros(theta.size)
-            loss = float(_stack_loss_grad(theta, arch, ds, chunk[None, :, 0], chunk[None, :, 1],
-                                          1, len(chunk), grad[None])[0])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm > cfg.grad_clip:
-                grad = grad * (cfg.grad_clip / gnorm)
+            grad = np.zeros_like(theta)
+            losses = _stack_loss_grad(theta, arch, ds, chunks[..., 0], chunks[..., 1], 1,
+                                      chunks.shape[1], grad)
+            finite = np.isfinite(losses)
+            if not finite.all():
+                theta, m, v, lr, grad, losses = leave(finite, (theta, m, v, lr, grad, losses),
+                                                      f"non-finite loss at epoch {epoch}")
+                if not live:
+                    break
+            for i, sl in enumerate(live):
+                gnorm = float(np.linalg.norm(grad[i]))
+                if gnorm > sl.cfg.grad_clip:
+                    grad[i] *= sl.cfg.grad_clip / gnorm
             step_count += 1
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad**2
             m_hat = m / (1.0 - ADAM_BETA1**step_count)
             v_hat = v / (1.0 - ADAM_BETA2**step_count)
-            theta = theta - cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            if not np.all(np.isfinite(theta)):
-                raise TrainingDivergedError(f"non-finite parameters at epoch {epoch}")
-            epoch_loss += loss * len(chunk)
-        epoch_loss /= len(pairs)
+            theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            finite = np.isfinite(theta).all(axis=1)
+            if not finite.all():
+                theta, m, v, lr, losses = leave(finite, (theta, m, v, lr, losses),
+                                                f"non-finite parameters at epoch {epoch}")
+            for sl, loss in zip(live, losses.tolist()):
+                sl.loss += loss * chunks.shape[1]
 
-        val = None
-        if cfg.early_stop and epoch >= cfg.min_epochs:
-            val = rollout_nrmse(SurrogateParams(theta=theta, arch=arch), ds, split="val")
-        history.append(EpochStats(epoch, epoch_loss, val))
-        best_epoch = kept_epoch(history)
-        if val is not None and best_epoch == epoch:
-            best_theta = theta.copy()
-        if best_theta is not None and epoch - best_epoch >= cfg.patience:
-            break
-
-    return SurrogateParams(theta=theta if best_theta is None else best_theta, arch=arch), history
+        validating = [i for i, sl in enumerate(live)
+                      if sl.cfg.early_stop and epoch >= sl.cfg.min_epochs]
+        vals = {}
+        if validating:
+            if val_frames is None:
+                val_frames = split_frames(ds, "val", arch.history_len)
+            histories, truth = val_frames
+            preds = _rollout(theta[validating], arch, histories, truth.shape[1])
+            vals = {i: nrmse_from_rollouts(p, truth) for i, p in zip(validating, preds)}
+        going = np.ones(len(live), bool)
+        for i, sl in enumerate(live):
+            val = vals.get(i)
+            sl.history.append(EpochStats(epoch, sl.loss / len(sl.pairs), val))
+            best_epoch = kept_epoch(sl.history)
+            if val is not None and best_epoch == epoch:
+                sl.best_theta = theta[i].copy()
+            if epoch == sl.cfg.epochs_max or (
+                    sl.best_theta is not None and epoch - best_epoch >= sl.cfg.patience):
+                kept = theta[i].copy() if sl.best_theta is None else sl.best_theta
+                results[sl.index] = (SurrogateParams(theta=kept, arch=arch), sl.history)
+                going[i] = False
+        theta, m, v, lr = leave(going, (theta, m, v, lr))
+    return results
 
 
 def kept_epoch(history: list[EpochStats]) -> int:

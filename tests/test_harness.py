@@ -172,7 +172,8 @@ def test_pilot_is_shared_per_seed_and_matches_the_single_cell_path(monkeypatch):
 
 def test_one_two_and_three_workers_write_identical_results(monkeypatch, tmp_path):
     # seed 1's pilot fails and its trainings diverge, so the error texts are compared too
-    train_pilot, train_downstream = pilot_scoring.train_pilot, harness.train_downstream
+    # (with one worker, a seed-1 training steps in one stack with seed 0's)
+    train_pilot, downstream_training = pilot_scoring.train_pilot, harness.downstream_training
 
     def pilot_failing_on_seed_1(ds, candidates, cfg, arch):
         if cfg.seed == harness.stage_seed(1, "pilot"):
@@ -182,11 +183,14 @@ def test_one_two_and_three_workers_write_identical_results(monkeypatch, tmp_path
     def training_diverging_on_seed_1(cfg, ds, starts, seed):
         if seed == 1:
             cfg = replace(cfg, train=replace(cfg.train, lr=1e308, grad_clip=1e308))
-        return train_downstream(cfg, ds, starts, seed)
+        return downstream_training(cfg, ds, starts, seed)
 
     monkeypatch.setattr(pilot_scoring, "train_pilot", pilot_failing_on_seed_1)
-    monkeypatch.setattr(harness, "train_downstream", training_diverging_on_seed_1)
-    cfg = small_experiment(samplers=SAMPLERS, ratios=(0.1, 0.3), seeds=(0, 1))
+    monkeypatch.setattr(harness, "downstream_training", training_diverging_on_seed_1)
+    # 6 epochs: the trainings of K = 3 stack (6 x 3 > 1 x 10), those of K = 1 do not
+    cfg = small_experiment(samplers=SAMPLERS, ratios=(0.1, 0.3), seeds=(0, 1),
+                           train=TrainConfig(epochs_max=6, batch_size=16, min_epochs=1,
+                                             early_stop=False))
     for workers in (1, 2, 3):
         _use_workers(monkeypatch, workers)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -209,7 +213,7 @@ def test_training_that_needs_no_pilot_starts_while_the_pilot_trains(monkeypatch,
     # handshake with a bounded wait. With the pilot and the uniform cell's
     # training on separate workers of one pool, the wait ends at once.
     started = tmp_path / "training_started"
-    train_pilot, train_downstream = pilot_scoring.train_pilot, harness.train_downstream
+    train_pilot, downstream_training = pilot_scoring.train_pilot, harness.downstream_training
 
     def pilot_waiting_for_a_training(*args, **kwargs):
         deadline = time.monotonic() + 30.0
@@ -221,10 +225,10 @@ def test_training_that_needs_no_pilot_starts_while_the_pilot_trains(monkeypatch,
 
     def announced_training(*args, **kwargs):
         started.touch()
-        return train_downstream(*args, **kwargs)
+        return downstream_training(*args, **kwargs)
 
     monkeypatch.setattr(pilot_scoring, "train_pilot", pilot_waiting_for_a_training)
-    monkeypatch.setattr(harness, "train_downstream", announced_training)
+    monkeypatch.setattr(harness, "downstream_training", announced_training)
     _use_workers(monkeypatch, 2)
     result = run_experiment(small_experiment(samplers=("gits", "uniform")))
     assert [c.error for c in result.cells] == [None, None]
@@ -233,7 +237,7 @@ def test_training_that_needs_no_pilot_starts_while_the_pilot_trains(monkeypatch,
 
 def test_each_distinct_selection_is_trained_once(monkeypatch):
     _use_workers(monkeypatch, 1)
-    trainings = _count_calls(monkeypatch, harness, "train_downstream")
+    trainings = _count_calls(monkeypatch, harness, "downstream_training")
     cfg = small_experiment(samplers=("grad_only", "loss_only", "uniform"), ratios=(0.1, 0.3),
                            seeds=(0, 1))
     result = run_experiment(cfg)
@@ -249,9 +253,48 @@ def test_each_distinct_selection_is_trained_once(monkeypatch):
             assert grad_cell.train_time_s == loss_cell.train_time_s
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("epochs", [4, 2])
+def test_trainings_waiting_for_a_worker_step_in_one_stack(monkeypatch, workers, epochs):
+    # no pilot: every selection returns before any training starts, and the
+    # selections of one ratio have one pair count. |C| = 10 and K = 3: with
+    # 4 epochs a training runs more updates than a one-epoch pilot (12 > 10)
+    # and stacks; with 2 it runs alone.
+    _use_workers(monkeypatch, workers)
+    sizes = []
+    train_stack = surrogate.train_stack
+
+    def recorded(trainings, ds):
+        sizes.append(len(trainings))
+        return train_stack(trainings, ds)
+
+    monkeypatch.setattr(surrogate, "train_stack", recorded)
+    cfg = small_experiment(samplers=("uniform", "coverage_only"), seeds=(0, 1, 2),
+                           train=TrainConfig(epochs_max=epochs, batch_size=16, min_epochs=1,
+                                             early_stop=False))
+    result = run_experiment(cfg)
+    assert result.failed == 0
+    distinct = {(c.seed, tuple(sorted(c.selected))) for c in result.cells}
+    assert len(distinct) > 1
+    if workers == 2:
+        assert sizes == []  # the trainings ran in the workers
+    elif epochs == 4:
+        # one stack, so every cell reports its training time
+        assert sizes == [len(distinct)]
+        assert len({c.train_time_s for c in result.cells}) == 1
+    else:
+        assert sizes == [1] * len(distinct)
+    # a stacked training's report is the single training's
+    ds = harness.load_or_generate_dataset(cfg)
+    for cell in result.cells:
+        params, _ = harness.train_downstream(cfg, ds, cell.selected, cell.seed)
+        assert cell.report == rollout_report(params, ds, split="test"), (cell.sampler, cell.seed)
+
+
 def test_cell_failing_in_a_worker_records_the_same_error(monkeypatch):
+    # 4 epochs: with one worker the trainings diverge inside one stack
     cfg = small_experiment(samplers=("uniform", "coverage_only", "gits"), seeds=(0, 1),
-                           train=TrainConfig(epochs_max=2, batch_size=16, min_epochs=1,
+                           train=TrainConfig(epochs_max=4, batch_size=16, min_epochs=1,
                                              early_stop=False, lr=1e308, grad_clip=1e308))
     errors = {}
     for workers in (1, 2):

@@ -184,3 +184,105 @@ def test_pilot_gradients_do_not_depend_on_the_cpu_count(monkeypatch, solver, his
     for cpus in (2, 3):
         assert np.array_equal(runs[cpus][0], losses), cpus
         assert np.array_equal(runs[cpus][1], grads), cpus
+
+
+def _stacked(shared, items):
+    """Each item's value, the call's size and pid; item 3 fails alone, item 99 fails the call."""
+    if 99 in items:
+        raise LookupError("stack with 99")
+    return [ArithmeticError(f"task {item}") if item == 3 else (item, len(items), os.getpid())
+            for item in items]
+
+
+def run_stacked(items, stack_of=lambda item: "key", workers=None) -> list:
+    items = list(items)
+    outcomes = [None] * len(items)
+    scheduler = parallel.Scheduler(None, workers or parallel.worker_count(len(items)))
+    for i, item in enumerate(items):
+        scheduler.submit(0, _stacked, item, then=functools.partial(outcomes.__setitem__, i),
+                         stack=stack_of(item))
+    scheduler.run()
+    return outcomes
+
+
+@pytest.mark.parametrize("cpus, sizes", [(1, [5]), (2, [3, 2]), (3, [2, 2, 1]), (5, [1] * 5)])
+def test_ready_stacked_tasks_split_into_one_call_per_free_worker(monkeypatch, cpus, sizes):
+    use_workers(monkeypatch, cpus)
+    outcomes = run_stacked([0, 1, 2, 4, 5])
+    assert [o.error for o in outcomes] == [None] * 5
+    assert [o.value[0] for o in outcomes] == [0, 1, 2, 4, 5]
+    # in submission order: the first calls take the first tasks
+    got = [o.value[1] for o in outcomes]
+    assert got == [size for size in sizes for _ in range(size)]
+    pids = {o.value[2] for o in outcomes}
+    if cpus == 1:
+        assert pids == {os.getpid()}  # one call, in this process
+    else:
+        assert os.getpid() not in pids
+    # the tasks of one call share its span
+    spans = {(o.start, o.end) for o in outcomes}
+    assert len(spans) == len(sizes)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_stacked_tasks_get_their_own_value_or_error(monkeypatch, cpus):
+    use_workers(monkeypatch, cpus)
+    outcomes = run_stacked(range(6))
+    assert [o.value[0] if o.value else None for o in outcomes] == [0, 1, 2, None, 4, 5]
+    assert [o.error is None for o in outcomes] == [True, True, True, False, True, True]
+    assert outcomes[3].error == "ArithmeticError: task 3\n"  # returned, not raised
+    # an exception the call raises is the error of every task in that call
+    outcomes = run_stacked([0, 1, 99], workers=1)
+    assert {o.error.splitlines()[0] for o in outcomes} == {"LookupError: stack with 99"}
+    assert [o.value for o in outcomes] == [None] * 3
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_tasks_of_other_keys_or_none_do_not_stack(monkeypatch, cpus):
+    use_workers(monkeypatch, cpus)
+    outcomes = run_stacked([0, 1, 2, 4, 5], stack_of=lambda item: item % 2)
+    assert [o.value[0] for o in outcomes] == [0, 1, 2, 4, 5]
+    if cpus == 1:
+        assert [o.value[1] for o in outcomes] == [3, 2, 3, 3, 2]  # the evens, the odds
+    assert max(o.value[1] for o in outcomes) <= 3
+    out = run_each(_tag, "shared", range(3))  # tasks without a key run alone
+    assert [v for _, v, _ in out] == [0, 1, 4]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_stacked_task_callback_exception_raises_here(monkeypatch, cpus):
+    use_workers(monkeypatch, cpus)
+    scheduler = parallel.Scheduler(None, parallel.worker_count(3))
+    returned = []
+
+    def then(outcome):
+        returned.append(outcome.value[0])
+        if outcome.value[0] == 1:
+            raise LookupError("callback 1")
+
+    for item in range(3):
+        scheduler.submit(0, _stacked, item, then=then, stack="key")
+    with pytest.raises(LookupError, match="callback 1"):
+        scheduler.run()
+    assert 1 in returned
+
+
+def test_workers_busy_with_the_same_priority_keep_their_share_queued():
+    # trainings (priority 3) ready while other workers are in flight
+    def queued(count):
+        scheduler = parallel.Scheduler(None, 3)
+        for item in range(count):
+            scheduler.submit(3, _stacked, item, stack="key")
+        return scheduler
+
+    scheduler = queued(5)
+    # two free workers and one busy with a training: three shares of 2, 2, 1
+    assert [call.item for call in scheduler._take(2, [3])] == [[0, 1], [2, 3]]
+    assert [entry[3] for entry in scheduler._ready] == [4]
+    # a worker busy with a pilot (priority 0) gets no share
+    scheduler = queued(4)
+    assert [call.item for call in scheduler._take(1, [0])] == [[0, 1, 2, 3]]
+    assert scheduler._ready == []
+    scheduler = queued(4)
+    assert [call.item for call in scheduler._take(1, [3, 0])] == [[0, 1]]
+    assert sorted(entry[3] for entry in scheduler._ready) == [2, 3]

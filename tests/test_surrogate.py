@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gits import surrogate
+from gits import parallel, surrogate
 from gits.pde_data import SolverConfig, generate_dataset
 from gits.pilot_scoring import default_arch
 from gits.surrogate import (
@@ -24,6 +24,7 @@ from gits.surrogate import (
     rollout_loss_grad,
     save_params,
     train,
+    train_stack,
 )
 
 TINY_ARCH = SurrogateArch(history_len=3, hidden=3, kernel_radius=1)
@@ -251,6 +252,40 @@ def test_one_row_adjoint_equals_the_matmul_path(padding):
     assert np.array_equal(one_row, two_rows)
 
 
+def flat_window_index(x_len, r, padding, b_sz):
+    """The flat (K, X*B) index over (X*B) columns: entry (j, x*B + b) is pad[x + j]*B + b."""
+    k = 2 * r + 1
+    taps = surrogate._pad_index(x_len, r, padding)[np.arange(k)[:, None] + np.arange(x_len)]
+    return (taps[:, :, None] * b_sz + np.arange(b_sz)).reshape(k, x_len * b_sz)
+
+
+def flat_windows(rows, idx):
+    """(G, Cin, X*B) rows -> (G, Cin*K, X*B) windows, gathered with the flat index."""
+    return rows.take(idx, axis=2).reshape(rows.shape[0], -1, idx.shape[1])
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("padding", surrogate.PADDINGS)
+def test_window_gather_by_cell_equals_the_flat_gather(padding, r):
+    rng = np.random.default_rng(r)
+    k, length, channels, hidden, frames = 2 * r + 1, 2, 2, 3, 5
+    for x_len in (1, 2, 5, 64):
+        idx = surrogate._window_index(x_len, r, padding)
+        assert idx.shape == (k, x_len)
+        for b_sz in (1, 6, 64):
+            flat_idx = flat_window_index(x_len, r, padding, b_sz)
+            for stack in (1, 3):
+                buf = rng.normal(size=(stack, frames, channels, x_len, b_sz))
+                h = rng.normal(size=(stack, hidden, x_len, b_sz))
+                # a frame slice of the buffer, not contiguous, and contiguous rows
+                for src in (buf[:, 1 : 1 + length], h):
+                    rows = np.ascontiguousarray(src).reshape(stack, -1, x_len * b_sz)
+                    out = np.empty((*src.shape[:-2], k, x_len, b_sz))
+                    surrogate._windows(src, idx, out)
+                    got = out.reshape(stack, -1, x_len * b_sz)
+                    assert np.array_equal(got, flat_windows(rows, flat_idx)), (x_len, b_sz, stack)
+
+
 # ----------------------------------------------------------------------
 # training
 # ----------------------------------------------------------------------
@@ -326,6 +361,68 @@ def test_train_divergence_is_reported(tiny_ds):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError, match="epoch"):
             train(p0, [4, 5, 6], tiny_ds, cfg)
+
+
+@pytest.mark.parametrize("columns", [surrogate.TRAIN_STACK_COLUMNS, 2 * 16 * 8])
+def test_train_stack_equals_single_trainings(tiny_ds, monkeypatch, columns):
+    # four slices of three starts each: two stop early at different epochs,
+    # one runs all its epochs and one diverges. 16 cells x 8 pairs are the
+    # columns of one slice's step, so the second case steps two stacks of 2.
+    monkeypatch.setattr(surrogate, "TRAIN_STACK_COLUMNS", columns)
+    trainings = [
+        surrogate.Training(init_params(TINY_ARCH, 2), [4, 6, 8],
+                           TrainConfig(epochs_max=40, min_epochs=2, patience=2, batch_size=8,
+                                       seed=2, lr=1e-2, grad_clip=1e-3)),
+        surrogate.Training(init_params(TINY_ARCH, 5), [3, 7, 9],
+                           TrainConfig(epochs_max=8, min_epochs=2, patience=2, batch_size=8,
+                                       seed=4, lr=1e-2, grad_clip=1e-3, early_stop=False)),
+        surrogate.Training(init_params(TINY_ARCH, 0), [4, 5, 6],
+                           TrainConfig(epochs_max=5, lr=1e308, grad_clip=1e308, batch_size=8,
+                                       early_stop=False, seed=0)),
+        surrogate.Training(init_params(TINY_ARCH, 1), [3, 4, 5],
+                           TrainConfig(epochs_max=40, min_epochs=2, patience=2, batch_size=8,
+                                       seed=1, lr=1e-2)),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = train_stack(trainings, tiny_ds)
+        singles = []
+        for params_init, starts, cfg in trainings:
+            try:
+                singles.append(train(params_init, starts, tiny_ds, cfg))
+            except TrainingDivergedError as exc:
+                singles.append(exc)
+    assert len(stacked) == len(singles) == 4
+    assert all(isinstance(r[2], TrainingDivergedError) for r in (stacked, singles))
+    # the first line of the error text the grid records for each
+    assert ({parallel.error_text(r[2]).splitlines()[0] for r in (stacked, singles)}
+            == {"TrainingDivergedError: non-finite loss at epoch 1"})
+    epochs = []
+    for g in (0, 1, 3):
+        (params, history), (ref_params, ref_history) = stacked[g], singles[g]
+        assert np.array_equal(params.theta, ref_params.theta), g
+        assert history == ref_history, g
+        epochs.append(len(history))
+    assert epochs[0] != epochs[2] and max(epochs[0], epochs[2]) < 40  # both stopped early
+    assert epochs[1] == 8
+
+
+def test_train_stack_of_no_epochs_returns_each_init(tiny_ds):
+    trainings = [surrogate.Training(init_params(TINY_ARCH, seed), starts, TrainConfig(epochs_max=0))
+                 for seed, starts in ((0, [4, 5]), (1, [6, 8]))]
+    results = train_stack(trainings, tiny_ds)
+    assert [(p is t.params_init, h) for (p, h), t in zip(results, trainings)] == [(True, [])] * 2
+
+
+@pytest.mark.parametrize("other", [
+    surrogate.Training(init_params(TINY_ARCH, 1), [4, 5, 6], TrainConfig()),  # more pairs
+    surrogate.Training(init_params(TINY_ARCH, 1), [4, 5], TrainConfig(batch_size=32)),
+    surrogate.Training(init_params(SurrogateArch(history_len=3, hidden=2, kernel_radius=1), 1),
+                       [4, 5], TrainConfig()),
+])
+def test_train_stack_rejects_trainings_of_different_shapes(tiny_ds, other):
+    first = surrogate.Training(init_params(TINY_ARCH, 0), [4, 5], TrainConfig())
+    with pytest.raises(ValueError, match="stacked trainings must share"):
+        train_stack([first, other], tiny_ds)
 
 
 # ----------------------------------------------------------------------
