@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .pde_data import TrajectoryDataset, read_header, write_pair
+from .pde_data import TrajectoryDataset, read_header, read_payload, write_pair
 
 NRMSE_EPS = 1e-12
 ADAM_BETA1 = 0.9
@@ -761,12 +761,8 @@ def load_params(path) -> tuple[SurrogateParams, dict]:
     stem, header = read_header(path, ".f64", CHECKPOINT_FORMAT_VERSION, CheckpointFormatError,
                                "header")
     arch = _arch_from_header(header.get("arch"))
-    blob = stem.with_suffix(".f64").read_bytes()
-    if len(blob) != 8 * arch.param_count():
-        raise CheckpointFormatError(
-            f"payload length mismatch: got {len(blob)} bytes, "
-            f"header implies {8 * arch.param_count()}"
-        )
+    blob = read_payload(stem, ".f64", header, 8 * arch.param_count(), CheckpointFormatError,
+                        "header")
     try:
         params = SurrogateParams(theta=np.frombuffer(blob, dtype="<f8").copy(), arch=arch)
     except ValueError as exc:

@@ -716,6 +716,22 @@ def test_cli_run_on_truncated_dataset_exits_with_format_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_on_a_dataset_with_a_flipped_byte_exits_with_format_error(tmp_path, capsys):
+    cfg_path = _write_small_config(tmp_path)
+    assert cli.main(["generate", "--config", str(cfg_path), "--output", str(tmp_path / "ds")]) == 0
+    blob = bytearray((tmp_path / "ds.f32").read_bytes())
+    blob[-1] ^= 0x80
+    (tmp_path / "ds.f32").write_bytes(bytes(blob))
+    text = cfg_path.read_text().replace("[dataset]\n", f"[dataset]\npath = {tmp_path / 'ds'}\n")
+    cfg_path.write_text(text)
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith("format error: payload checksum mismatch")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_evaluate_on_truncated_checkpoint_exits_with_format_error(tmp_path, capsys):
     cfg_path = _write_small_config(tmp_path)
     assert cli.main(["train", "--config", str(cfg_path), "--sampler", "uniform",
@@ -908,6 +924,16 @@ def test_cli_writers_report_the_pair_by_its_stem(tmp_path, capsys):
                      "--output", str(tmp_path / "ckpt.json")]) == 0
     assert capsys.readouterr().out.endswith(f"-> {tmp_path / 'ckpt'}.json/.f64\n")
     assert sorted(p.name for p in tmp_path.glob("ckpt*")) == ["ckpt.f64", "ckpt.json"]
+
+
+def test_cli_generate_names_a_dotted_stem_by_its_full_name(tmp_path, capsys):
+    cfg_path = _write_small_config(tmp_path)
+    for stem in ("ds_0.1", "ds_0.2"):
+        assert cli.main(["generate", "--config", str(cfg_path),
+                         "--output", str(tmp_path / stem)]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {tmp_path / stem}.json/.f32 ")
+    assert sorted(p.name for p in tmp_path.glob("ds_*")) == [
+        "ds_0.1.f32", "ds_0.1.json", "ds_0.2.f32", "ds_0.2.json"]
 
 
 def test_cli_outputs_create_their_directories(tmp_path, capsys):

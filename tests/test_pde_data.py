@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,56 @@ def test_truncated_payload_rejected(tmp_path, small_ds):
         read_dataset(tmp_path / "ds")
 
 
+def _assert_same_dataset(a, b):
+    assert np.array_equal(a.data, b.data)
+    assert (a.split, a.meta) == (b.split, b.meta)
+    assert np.array_equal(a.norm_mean, b.norm_mean) and np.array_equal(a.norm_std, b.norm_std)
+
+
+@pytest.mark.parametrize("old_seed, old_n_traj", [(2, 20), (3, 10)])
+def test_a_pair_written_over_another_leaves_exactly_the_new_one(tmp_path, old_seed, old_n_traj):
+    new = generate_dataset(SolverConfig(spatial_size=8, t_count=6, seed=2), 10)
+    old = generate_dataset(SolverConfig(spatial_size=8, t_count=6, seed=old_seed), old_n_traj)
+    write_dataset(old, tmp_path / "ds")
+    inodes = [(tmp_path / name).stat().st_ino for name in ("ds.json", "ds.f32")]
+    write_dataset(new, tmp_path / "ds")
+    _assert_same_dataset(read_dataset(tmp_path / "ds"), new)
+    write_dataset(new, tmp_path / "fresh")
+    for suffix in (".json", ".f32"):
+        assert (tmp_path / f"ds{suffix}").read_bytes() == (tmp_path / f"fresh{suffix}").read_bytes()
+    assert (tmp_path / "ds.f32").stat().st_size == 4 * 10 * 6 * 8
+    # overwritten in place, not replaced by a new file
+    assert [(tmp_path / name).stat().st_ino for name in ("ds.json", "ds.f32")] == inodes
+
+
+def test_dotted_stems_name_their_own_pairs(tmp_path):
+    first = generate_dataset(SolverConfig(spatial_size=8, t_count=6, seed=2), 10)
+    second = generate_dataset(SolverConfig(spatial_size=8, t_count=6, seed=3), 10)
+    assert write_dataset(first, tmp_path / "ds_0.1") == tmp_path / "ds_0.1"
+    write_dataset(second, tmp_path / "ds_0.2")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ds_0.1.f32", "ds_0.1.json", "ds_0.2.f32", "ds_0.2.json"]
+    _assert_same_dataset(read_dataset(tmp_path / "ds_0.1"), first)
+    _assert_same_dataset(read_dataset(tmp_path / "ds_0.2.json"), second)
+
+
+def test_flipped_payload_byte_fails_the_checksum(tmp_path, small_ds):
+    write_dataset(small_ds, tmp_path / "ds")
+    blob = bytearray((tmp_path / "ds.f32").read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    (tmp_path / "ds.f32").write_bytes(bytes(blob))
+    with pytest.raises(DatasetFormatError, match="checksum"):
+        read_dataset(tmp_path / "ds")
+
+
+def test_manifest_without_a_checksum_loads_unchecked(tmp_path, small_ds):
+    write_dataset(small_ds, tmp_path / "ds")
+    manifest = json.loads((tmp_path / "ds.json").read_text())
+    assert manifest.pop("payload_crc32") == zlib.crc32((tmp_path / "ds.f32").read_bytes())
+    (tmp_path / "ds.json").write_text(json.dumps(manifest))
+    _assert_same_dataset(read_dataset(tmp_path / "ds"), small_ds)
+
+
 def test_zero_t_count_manifest_rejected(tmp_path, small_ds):
     write_dataset(small_ds, tmp_path / "ds")
     manifest = json.loads((tmp_path / "ds.json").read_text())
@@ -422,8 +473,10 @@ _mutations = st.one_of(
     st.tuples(st.just("meta"), st.fixed_dictionaries(
         {"boundary": st.sampled_from(BOUNDARIES + ("dirichlet",)) | _json_values}
     ) | _json_values),
+    st.tuples(st.just("payload_crc32"), _json_values),
     st.tuples(st.just("delete"), st.sampled_from(
-        ["format_version", "n_traj", "channels", "split", "normalization", "meta"])),
+        ["format_version", "n_traj", "channels", "split", "normalization", "meta",
+         "payload_crc32"])),
 )
 
 

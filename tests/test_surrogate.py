@@ -1,6 +1,7 @@
 import json
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -590,6 +591,49 @@ def test_checkpoint_round_trip(tmp_path):
     assert header["seed"] == 17 and header["epoch"] == 3
 
 
+def test_smaller_checkpoint_overwrites_a_larger_one_in_place(tmp_path):
+    small = init_params(TINY_ARCH, 17)
+    save_params(init_params(SurrogateArch(history_len=4, hidden=8), 3), tmp_path / "ckpt")
+    inode = (tmp_path / "ckpt.f64").stat().st_ino
+    save_params(small, tmp_path / "ckpt", seed=17, epoch=2)
+    back, header = load_params(tmp_path / "ckpt")
+    assert np.array_equal(back.theta, small.theta) and back.arch == small.arch
+    assert (header["seed"], header["epoch"]) == (17, 2)
+    save_params(small, tmp_path / "fresh", seed=17, epoch=2)
+    for suffix in (".json", ".f64"):
+        assert (tmp_path / f"ckpt{suffix}").read_bytes() == (tmp_path / f"fresh{suffix}").read_bytes()
+    assert (tmp_path / "ckpt.f64").stat().st_size == 8 * TINY_ARCH.param_count()
+    assert (tmp_path / "ckpt.f64").stat().st_ino == inode
+
+
+def test_dotted_checkpoint_stems_name_their_own_pairs(tmp_path):
+    first, second = init_params(TINY_ARCH, 1), init_params(TINY_ARCH, 2)
+    assert save_params(first, tmp_path / "ckpt_0.1") == tmp_path / "ckpt_0.1"
+    save_params(second, tmp_path / "ckpt_0.2")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ckpt_0.1.f64", "ckpt_0.1.json", "ckpt_0.2.f64", "ckpt_0.2.json"]
+    assert np.array_equal(load_params(tmp_path / "ckpt_0.1")[0].theta, first.theta)
+    assert np.array_equal(load_params(tmp_path / "ckpt_0.2.f64")[0].theta, second.theta)
+
+
+def test_flipped_checkpoint_byte_fails_the_checksum(tmp_path):
+    save_params(init_params(TINY_ARCH, 17), tmp_path / "ckpt")
+    blob = bytearray((tmp_path / "ckpt.f64").read_bytes())
+    blob[0] ^= 0x01
+    (tmp_path / "ckpt.f64").write_bytes(bytes(blob))
+    with pytest.raises(CheckpointFormatError, match="checksum"):
+        load_params(tmp_path / "ckpt")
+
+
+def test_checkpoint_header_without_a_checksum_loads_unchecked(tmp_path):
+    params = init_params(TINY_ARCH, 17)
+    save_params(params, tmp_path / "ckpt")
+    header = json.loads((tmp_path / "ckpt.json").read_text())
+    assert header.pop("payload_crc32") == zlib.crc32((tmp_path / "ckpt.f64").read_bytes())
+    (tmp_path / "ckpt.json").write_text(json.dumps(header))
+    assert np.array_equal(load_params(tmp_path / "ckpt")[0].theta, params.theta)
+
+
 def test_checkpoint_with_non_finite_clamp_rejected(tmp_path):
     save_params(init_params(TINY_ARCH, 17), tmp_path / "ckpt")
     header_path = tmp_path / "ckpt.json"
@@ -658,7 +702,9 @@ _mutations = st.one_of(
     st.tuples(st.just("delete_arch_field"), _arch_keys),
     st.tuples(st.just("arch"), _json_values),
     st.tuples(st.just("format_version"), st.integers(0, 2) | _json_values),
-    st.tuples(st.just("delete"), st.sampled_from(["format_version", "arch", "seed", "epoch"])),
+    st.tuples(st.just("payload_crc32"), _json_values),
+    st.tuples(st.just("delete"), st.sampled_from(
+        ["format_version", "arch", "seed", "epoch", "payload_crc32"])),
 )
 
 
@@ -690,7 +736,7 @@ def test_checkpoint_fuzz_raises_only_checkpoint_format_error(mutations):
                 header["arch"].pop(arg, None)
             elif op == "delete":
                 header.pop(arg, None)
-            elif op in ("arch", "format_version"):
+            elif op in ("arch", "format_version", "payload_crc32"):
                 header[op] = arg
         if header is not None:
             header_text = json.dumps(header)
