@@ -14,8 +14,9 @@ its own:
 Exit codes: 0 success, 1 cell/suite failures present, 2 configuration error
 (an INI section or key that CONFIG_KEYS does not declare, a value its field
 rejects, a negative seed, a non-finite dt or coefficient range, a time axis
-too short for any candidate start, or a checkpoint whose history_len,
-channels or padding the evaluated dataset does not fit), 3 missing or
+too short for any candidate start, a checkpoint whose history_len,
+channels or padding the evaluated dataset does not fit, or an output path
+that cannot be written, found before any work), 3 missing or
 malformed input file (a dataset or checkpoint pair that is not there, or
 that its reader rejects).
 """
@@ -200,9 +201,34 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
+def _check_output(path, directory: bool = False) -> None:
+    """Raise a config error, before any work, where ``path`` cannot be written.
+
+    ``path`` must not be an existing directory (with ``directory``, an
+    existing file), and its nearest existing ancestor must be a directory.
+    """
+    p = Path(path)
+    if p.exists() and p.is_dir() != directory:
+        raise HarnessConfigError(f"output {str(path)!r} is {'not ' if directory else ''}"
+                                 "a directory")
+    parent = p.parent
+    while not parent.exists():
+        parent = parent.parent
+    if not parent.is_dir():
+        raise HarnessConfigError(f"output {str(path)!r}: {str(parent)!r} is not a directory")
+
+
+def _check_pair_output(path, payload_suffix: str) -> None:
+    """:func:`_check_output` of both files of the pair that ``path`` names."""
+    stem = pde_data._pair_stem(path, payload_suffix)
+    for suffix in (".json", payload_suffix):
+        _check_output(pde_data._pair_file(stem, suffix))
+
+
 def _cmd_print_defaults(args) -> int:
     text = default_config_text()
     if args.output:
+        _check_output(args.output)
         Path(args.output).parent.mkdir(parents=True, exist_ok=True)
         Path(args.output).write_text(text)
     else:
@@ -212,6 +238,7 @@ def _cmd_print_defaults(args) -> int:
 
 def _cmd_generate(args) -> int:
     cfg = load_config(args.config)
+    _check_pair_output(args.output, ".f32")
     ds = pde_data.generate_dataset(cfg.solver, cfg.n_traj)
     stem = pde_data.write_dataset(ds, args.output)
     print(f"wrote {stem}.json/.f32 "
@@ -229,6 +256,7 @@ def _prepare_cell(cfg, sampler, ratio, seed):
 
 def _cmd_select(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
+    _check_output(args.output)
     _, selection, sel_time = _prepare_cell(cfg, args.sampler, args.ratio, args.seed)
     selector.write_selection_json(
         selection, args.output, sel_time,
@@ -241,6 +269,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
+    _check_pair_output(args.output, ".f64")
     ds, selection, _ = _prepare_cell(cfg, args.sampler, args.ratio, args.seed)
     params, history = harness.train_downstream(cfg, ds, selection.selected, args.seed)
     stem = surrogate.save_params(params, args.output,
@@ -252,6 +281,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
+    if args.output:
+        _check_output(args.output)
     ds = harness.load_or_generate_dataset(cfg)
     params, _ = surrogate.load_params(args.params)
     arch = params.arch
@@ -275,6 +306,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
+    _check_output(cfg.output_dir, directory=True)
     result = harness.run_experiment(cfg)
     csv_path, json_path = harness.write_results(result, cfg.output_dir)
     print(harness.format_compare_table(harness.compare_report(result.cells)))

@@ -385,8 +385,11 @@ def _pair_stem(path, payload_suffix: str) -> Path:
     """The stem of a ``<stem>.json`` + ``<stem><payload_suffix>`` pair.
 
     A path ending in either suffix names its pair; any other path is the stem.
+    A path with an empty name (``.``, ``/``) raises :class:`ConfigurationError`.
     """
     p = Path(path)
+    if not p.name:
+        raise ConfigurationError(f"pair path {str(path)!r} has an empty file name")
     return p.with_suffix("") if p.suffix in (".json", payload_suffix) else p
 
 

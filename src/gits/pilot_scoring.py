@@ -29,7 +29,7 @@ from .surrogate import (
     SurrogateParams,
     TrainConfig,
     _stack_loss_grad,
-    _step_workspace,
+    _Workspace,
     effective_horizon,
     init_params,
     train,
@@ -146,7 +146,6 @@ def score_chunks(size: int) -> list[np.ndarray]:
     return np.array_split(np.arange(size), parallel.worker_count(size))
 
 
-@_step_workspace()
 def _chunk_gradients(pilot: SurrogateParams, ds: TrajectoryDataset, traj: np.ndarray,
                      horizon: int, indices: np.ndarray, positions, losses: np.ndarray,
                      grads: np.ndarray) -> None:
@@ -158,10 +157,11 @@ def _chunk_gradients(pilot: SurrogateParams, ds: TrajectoryDataset, traj: np.nda
     are scored in stacks of at most :func:`stack_size` that share one
     effective horizon, one surrogate call per stack. No candidate's
     arithmetic depends on the chunks or the stacks: each row equals
-    ``rollout_loss_grad`` of that candidate's pairs, bit for bit. Every
-    call reuses one workspace, released on return.
+    ``rollout_loss_grad`` of that candidate's pairs, bit for bit. The chunk
+    makes one workspace and passes it to every call.
     """
     positions = np.asarray(positions)
+    ws = _Workspace()
     h_eff = effective_horizon(horizon, ds.t_count, indices[positions])
     most = stack_size(ds.spatial_size * traj.size)
     # runs of one effective horizon, each cut into stacks of at most `most`
@@ -173,7 +173,7 @@ def _chunk_gradients(pilot: SurrogateParams, ds: TrajectoryDataset, traj: np.nda
             g = np.zeros((stack.size, pilot.param_count))
             losses[stack] = _stack_loss_grad(pilot.theta, pilot.arch, ds,
                                              np.broadcast_to(traj, ks.shape), ks,
-                                             int(h_eff[part[0]]), traj.size, g)
+                                             int(h_eff[part[0]]), traj.size, g, ws)
             grads[stack] = g
 
 

@@ -26,8 +26,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-import contextlib
-import contextvars
 import functools
 import math
 
@@ -172,9 +170,9 @@ def init_params(arch: SurrogateArch, seed: int) -> SurrogateParams:
 #
 # The window matrices, activations and gradient buffers of a rollout's
 # steps are written in place into buffers of a _Workspace, each asked for
-# by name where it is used. Inside _step_workspace() one workspace serves
-# every call, so a loop of calls writes into the same pages again instead
-# of having fresh ones mapped and faulted in on every call.
+# by name where it is used. Each loop of calls makes one workspace and
+# passes it to every call, so the calls write into the same pages again
+# instead of having fresh ones mapped and faulted in on every call.
 
 class _Workspace:
     """Named flat buffers; ``get`` hands out a view of the first elements of one.
@@ -192,36 +190,6 @@ class _Workspace:
         if buf is None or buf.size < size:
             buf = self.buffers[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
-
-
-_active_workspace = contextvars.ContextVar("surrogate_workspace", default=None)
-
-
-@contextlib.contextmanager
-def _step_workspace():
-    """Scope in which every surrogate call reuses one workspace.
-
-    Every entry into the step opens one: :func:`train` and a scoring chunk
-    (``pilot_scoring._chunk_gradients``) around their loops,
-    :func:`rollout_batch` and :func:`rollout_loss_grad` around one call. A
-    scope opened inside another uses the outer one's workspace; the
-    outermost scope drops its buffers when it exits.
-    """
-    if _active_workspace.get() is not None:
-        yield
-        return
-    ws = _Workspace()
-    token = _active_workspace.set(ws)
-    try:
-        yield
-    finally:
-        _active_workspace.reset(token)
-        ws.buffers.clear()
-
-
-def _workspace() -> _Workspace:
-    """The workspace of the active :func:`_step_workspace` scope."""
-    return _active_workspace.get()
 
 
 @functools.lru_cache(maxsize=8)
@@ -371,7 +339,6 @@ def _advance(views: _Views, arch: SurrogateArch, buf: np.ndarray, ws: _Workspace
     return _Tape(win1, h, win2, mask) if taped else None
 
 
-@_step_workspace()
 def rollout_batch(params: SurrogateParams, histories: np.ndarray, steps: int) -> np.ndarray:
     """Vectorized rollout over a batch of histories (B, L, cells, channels).
 
@@ -393,20 +360,21 @@ def rollout_batch(params: SurrogateParams, histories: np.ndarray, steps: int) ->
         raise ValueError("histories is an empty batch")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    return _rollout(params.theta, arch, histories, steps)[0]
+    return _rollout(params.theta, arch, histories, steps, _Workspace())[0]
 
 
-def _rollout(theta: np.ndarray, arch: SurrogateArch, histories: np.ndarray,
-             steps: int) -> np.ndarray:
+def _rollout(theta: np.ndarray, arch: SurrogateArch, histories: np.ndarray, steps: int,
+             ws: _Workspace) -> np.ndarray:
     """Roll the histories (B, L, cells, channels) out with each row of ``theta`` (G, P).
 
     Returns (G, B, steps, cells, channels), a view into a frame buffer of its
-    own; a 1-D ``theta`` is one row. Not checked; call it in a workspace scope.
+    own; a 1-D ``theta`` is one row. The steps' buffers are taken from
+    ``ws``. Not checked.
     """
     b_sz, length, x_len, _ = histories.shape
     buf = np.empty((len(np.atleast_2d(theta)), length + steps, arch.channels, x_len, b_sz))
     buf[:, :length] = histories.transpose(1, 3, 2, 0)
-    _advance(_unpack(theta, arch), arch, buf, _workspace())
+    _advance(_unpack(theta, arch), arch, buf, ws)
     return buf[:, length:].transpose(0, 4, 1, 3, 2)
 
 
@@ -468,18 +436,18 @@ def rollout_loss_grad(
     # group adds into the same gradient, and all share one workspace
     h_pair = effective_horizon(horizon, ds.t_count, pairs[:, 1])
     _, first = np.unique(h_pair, return_index=True)
-    with _step_workspace():
-        for h_eff in h_pair[np.sort(first)].tolist():
-            ns, ks = pairs[h_pair == h_eff].T
-            losses = _stack_loss_grad(params.theta, arch, ds, ns[None], ks[None], h_eff,
-                                      len(pairs), grad[None])
-            loss += float(losses[0])
+    ws = _Workspace()
+    for h_eff in h_pair[np.sort(first)].tolist():
+        ns, ks = pairs[h_pair == h_eff].T
+        losses = _stack_loss_grad(params.theta, arch, ds, ns[None], ks[None], h_eff, len(pairs),
+                                  grad[None], ws)
+        loss += float(losses[0])
     return loss, grad
 
 
 def _stack_loss_grad(theta: np.ndarray, arch: SurrogateArch, ds: TrajectoryDataset,
                      ns: np.ndarray, ks: np.ndarray, h_eff: int, n_total: int,
-                     grad: np.ndarray) -> np.ndarray:
+                     grad: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Short-rollout losses of G stacked rollouts and their exact gradients.
 
     Rollout g runs the B (trajectory, start) pairs ``(ns[g], ks[g])`` (both
@@ -488,7 +456,7 @@ def _stack_loss_grad(theta: np.ndarray, arch: SurrogateArch, ds: TrajectoryDatas
     rollout runs the parameters ``theta`` (P,), or rollout g its row g of
     ``theta`` (G, P). Adds rollout g's gradient into row g of ``grad``
     (G, P) and returns the (G,) losses. Row g is bit for bit what the call
-    with rollout g alone gives.
+    with rollout g alone gives. The steps' buffers are taken from ``ws``.
     """
     data = ds.data  # float32; gathered frames are upcast when written to float64
     length = arch.history_len
@@ -497,7 +465,6 @@ def _stack_loss_grad(theta: np.ndarray, arch: SurrogateArch, ds: TrajectoryDatas
     pad = _pad_index(x_len, arch.kernel_radius, arch.padding)
     views = _unpack(theta, arch)
     grads = _unpack(grad, arch)
-    ws = _workspace()
 
     hist = data[ns[..., None], ks[..., None] + np.arange(1 - length, 1)]  # (G, B, L, X, C)
     future = data[ns[..., None], ks[..., None] + np.arange(1, h_eff + 1)]  # (G, B, H, X, C)
@@ -612,7 +579,6 @@ class _Slice:
         self.best_theta = None
 
 
-@_step_workspace()
 def train_stack(trainings, ds: TrajectoryDataset) -> list:
     """Run a stack of :class:`Training` s in lockstep: one surrogate call per minibatch for all.
 
@@ -626,8 +592,8 @@ def train_stack(trainings, ds: TrajectoryDataset) -> list:
     for it alone, bit for bit: ``(params, history)``, or the
     :class:`TrainingDivergedError` that :func:`train` raises. An exception
     raised here (bad starts, an empty validation split) is every training's.
-    Every minibatch and validation rollout reuses one workspace, released on
-    return.
+    A stack makes one workspace and passes it to every minibatch and
+    validation rollout; it is released on return.
     """
     from .diagnostics import nrmse_from_rollouts, split_frames  # diagnostics imports surrogate
 
@@ -663,6 +629,7 @@ def train_stack(trainings, ds: TrajectoryDataset) -> list:
     lr = np.array([[sl.cfg.lr] for sl in live])
     step_count = 0
     val_frames = None  # the validation split's histories and truth, read once
+    ws = _Workspace()
 
     def leave(keep, arrays, error=None):
         """Drop the slices where ``keep`` is False, and their rows of each of
@@ -684,7 +651,7 @@ def train_stack(trainings, ds: TrajectoryDataset) -> list:
             # group rollout_loss_grad would form
             grad = np.zeros_like(theta)
             losses = _stack_loss_grad(theta, arch, ds, chunks[..., 0], chunks[..., 1], 1,
-                                      chunks.shape[1], grad)
+                                      chunks.shape[1], grad, ws)
             finite = np.isfinite(losses)
             if not finite.all():
                 theta, m, v, lr, grad, losses = leave(finite, (theta, m, v, lr, grad, losses),
@@ -715,7 +682,7 @@ def train_stack(trainings, ds: TrajectoryDataset) -> list:
             if val_frames is None:
                 val_frames = split_frames(ds, "val", arch.history_len)
             histories, truth = val_frames
-            preds = _rollout(theta[validating], arch, histories, truth.shape[1])
+            preds = _rollout(theta[validating], arch, histories, truth.shape[1], ws)
             vals = {i: nrmse_from_rollouts(p, truth) for i, p in zip(validating, preds)}
         going = np.ones(len(live), bool)
         for i, sl in enumerate(live):

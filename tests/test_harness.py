@@ -639,6 +639,56 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
     assert pilots == []
 
 
+def _assert_config_error(argv, capsys, before):
+    """``argv`` exits 2 with one ``config error:`` line and leaves no new file."""
+    assert cli.main(argv) == cli.EXIT_CONFIG, argv
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, (argv, err)
+    assert sorted(Path.cwd().rglob("*")) == before, argv
+
+
+def test_cli_empty_pair_stem_is_a_config_error(tmp_path, monkeypatch, capsys):
+    cfg = _write_small_config(tmp_path)
+    (tmp_path / "dot.ini").write_text(cfg.read_text().replace("[dataset]\n",
+                                                              "[dataset]\npath = .\n"))
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    for argv in (["generate", "--config", str(cfg), "--output", "."],
+                 ["generate", "--config", str(cfg), "--output", "/"],
+                 ["train", "--config", str(cfg), "--sampler", "uniform", "--output", "."],
+                 ["evaluate", "--config", str(cfg), "--params", "."],
+                 ["select", "--config", "dot.ini", "--sampler", "uniform",
+                  "--output", "sel.json"],
+                 ["run", "--config", "dot.ini"]):
+        _assert_config_error(argv, capsys, before)
+
+
+def test_cli_unwritable_output_is_a_config_error_before_any_work(tmp_path, monkeypatch, capsys):
+    cfg = _write_small_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    arch = surrogate.SurrogateArch(history_len=3, hidden=3, kernel_radius=1)
+    surrogate.save_params(surrogate.init_params(arch, 0), tmp_path / "ckpt")
+    monkeypatch.chdir(tmp_path)
+    _use_workers(monkeypatch, 1)  # a pilot would run here, so the count would see it
+    pilots = _count_calls(monkeypatch, pilot_scoring, "train_pilot")
+    evaluations = _count_calls(monkeypatch, cli.diagnostics, "rollout_report")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    for argv in (["run", "--config", str(cfg), "--output", str(taken)],
+                 ["select", "--config", str(cfg), "--sampler", "gits", "--output", str(folder)],
+                 ["select", "--config", str(cfg), "--sampler", "gits",
+                  "--output", str(taken / "sel.json")],
+                 ["evaluate", "--config", str(cfg), "--params", "ckpt", "--output", str(folder)],
+                 ["print-defaults", "--output", str(folder)]):
+        _assert_config_error(argv, capsys, before)
+    assert taken.read_text() == "kept\n"
+    assert pilots == [] and evaluations == []
+
+
 def _write_small_config(tmp_path, samplers="uniform,gits"):
     path = tmp_path / "small.ini"
     path.write_text(

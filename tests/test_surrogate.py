@@ -1,6 +1,7 @@
 import json
 import sys
 import tempfile
+import weakref
 import zlib
 from pathlib import Path
 
@@ -436,30 +437,60 @@ def training_pairs(ds, count, seed=0):
                             rng.integers(4, ds.t_count - 1, count)])
 
 
+def stack_call(params, ds, ns, ks, h_eff, ws):
+    """``_stack_loss_grad`` of the (G, B) pairs ``(ns, ks)`` in ``ws``, each
+    rollout weighted as a call of its B pairs alone: (losses, grads)."""
+    grads = np.zeros((len(ns), params.param_count))
+    losses = surrogate._stack_loss_grad(params.theta, params.arch, ds, ns, ks, h_eff,
+                                        ns.shape[1], grads, ws)
+    return losses, grads
+
+
+def minibatch(pairs):
+    """A training minibatch as ``train_stack`` steps it: one rollout of one step."""
+    return pairs[:, 0][None], pairs[:, 1][None], 1
+
+
+def scoring_stack(ds, starts, traj, horizon=10):
+    """Candidates ``starts`` of one effective horizon as a scoring chunk stacks them."""
+    ks = np.repeat(np.asarray(starts)[:, None], traj.size, axis=1)
+    return (np.broadcast_to(traj, ks.shape), ks,
+            int(effective_horizon(horizon, ds.t_count, starts[0])))
+
+
 def test_workspace_calls_equal_calls_without_one(grid_ds):
     # the shapes of a training run and of a scoring chunk, interleaved so
     # that every buffer is reused at a smaller and then a larger size
     ds = grid_ds
     params = init_params(default_arch(ds), 3)
     pairs = training_pairs(ds, 84)
+    traj = np.arange(8)
     last = ds.t_count - 2
-    scoring = [(n, k) for n, k in enumerate((last, last - 3, 40, last - 6, last, 4, last - 3, 60))]
-    assert len({int(effective_horizon(10, ds.t_count, k)) for _, k in scoring}) == 4
     val = ds.data[ds.split_indices("val"), :4]
-    calls = [
-        lambda: rollout_loss_grad(params, pairs[:64], 1, ds),
-        lambda: rollout_loss_grad(params, pairs[64:], 1, ds),  # the short last minibatch
-        lambda: rollout_loss_grad(params, scoring, 10, ds),
-        lambda: rollout_batch(params, val, ds.t_count - 4),
-        lambda: rollout_loss_grad(params, pairs[:64], 1, ds),
+    steps = ds.t_count - 4
+    stacks = [
+        minibatch(pairs[:64]),
+        minibatch(pairs[64:]),  # the short last minibatch
+        scoring_stack(ds, [last], traj),
+        scoring_stack(ds, [40, 4, 60], traj),
+        scoring_stack(ds, [last - 3], traj),
+        None,  # a validation rollout
+        minibatch(pairs[:64]),
     ]
-    expected = [call() for call in calls]
-    with surrogate._step_workspace():
-        got = [call() for call in calls]
-    for (loss, grad), (ref_loss, ref_grad) in zip(got[:3] + got[4:], expected[:3] + expected[4:]):
-        assert loss == ref_loss
-        assert np.array_equal(grad, ref_grad)
-    assert np.array_equal(got[3], expected[3])
+    assert [h for *_, h in filter(None, stacks)] == [1, 1, 1, 10, 4, 1]
+    ws = surrogate._Workspace()
+    got = [surrogate._rollout(params.theta, params.arch, val, steps, ws)[0] if stack is None
+           else stack_call(params, ds, *stack, ws) for stack in stacks]
+    for stack, result in zip(stacks, got):
+        if stack is None:
+            assert np.array_equal(result, rollout_batch(params, val, steps))
+            continue
+        ns, ks, h_eff = stack
+        for g, (loss, grad) in enumerate(zip(*result)):
+            ref_loss, ref_grad = rollout_loss_grad(params, np.column_stack([ns[g], ks[g]]),
+                                                   h_eff, ds)
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
 
 
 def test_workspace_results_survive_later_calls(grid_ds):
@@ -467,41 +498,88 @@ def test_workspace_results_survive_later_calls(grid_ds):
     params = init_params(default_arch(ds), 4)
     other = init_params(default_arch(ds), 5)
     pairs = training_pairs(ds, 64)
-    scoring = [(n, 30) for n in range(8)]
+    traj = np.arange(8)
+    ws = surrogate._Workspace()
 
     def later_calls():
-        rollout_batch(other, ds.data[3:6, :4], 20)
-        rollout_loss_grad(other, pairs[::-1], 1, ds)
-        rollout_loss_grad(other, scoring, 10, ds)
+        surrogate._rollout(other.theta, other.arch, ds.data[3:6, :4], 20, ws)
+        stack_call(other, ds, *minibatch(pairs[::-1]), ws)
+        stack_call(other, ds, *scoring_stack(ds, [30] * 3, traj), ws)
 
-    with surrogate._step_workspace():
-        later_calls()  # every buffer is at its largest size from here on
-        preds = rollout_batch(params, ds.data[:3, :4], 20)
-        _, grad = rollout_loss_grad(params, pairs, 1, ds)
-        kept_preds, kept_grad = preds.copy(), grad.copy()
-        later_calls()
-        assert np.array_equal(preds, kept_preds)
-        assert np.array_equal(grad, kept_grad)
+    later_calls()  # every buffer is at its largest size from here on
+    preds = surrogate._rollout(params.theta, params.arch, ds.data[:3, :4], 20, ws)
+    _, grad = stack_call(params, ds, *minibatch(pairs), ws)
+    kept_preds, kept_grad = preds.copy(), grad.copy()
+    later_calls()
+    assert np.array_equal(preds, kept_preds)
+    assert np.array_equal(grad, kept_grad)
+
+
+def spy_workspaces(monkeypatch, module):
+    """Make ``module._Workspace`` record a weak reference to each workspace it makes."""
+    made = []
+
+    class Spy(surrogate._Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(module, "_Workspace", Spy)
+    return made
+
+
+def spy_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` to record the workspace (the last argument) of each
+    call with its buffer count on entry."""
+    handed_out = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        ws = args[-1]
+        handed_out.append((id(ws), len(ws.buffers)))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return handed_out
 
 
 def test_train_uses_one_workspace_and_releases_it(tiny_ds, monkeypatch):
-    handed_out = []
-    workspace = surrogate._workspace
-
-    def spy():
-        ws = workspace()
-        handed_out.append((ws, len(ws.buffers)))
-        return ws
-
-    monkeypatch.setattr(surrogate, "_workspace", spy)
+    made = spy_workspaces(monkeypatch, surrogate)
+    steps = spy_calls(monkeypatch, surrogate, "_stack_loss_grad")
+    rollouts = spy_calls(monkeypatch, surrogate, "_rollout")
     cfg = TrainConfig(epochs_max=4, min_epochs=1, batch_size=16, seed=1)
     train(init_params(TINY_ARCH, 2), [4, 6, 8], tiny_ds, cfg)
-    # minibatches and validation rollouts all ran in one workspace, which
-    # held buffers from the second call on and holds none after the return
-    assert len({id(ws) for ws, _ in handed_out}) == 1
-    assert all(held > 0 for _, held in handed_out[1:])
-    assert handed_out[0][0].buffers == {}
-    assert surrogate._active_workspace.get() is None
+    # minibatches and validation rollouts all ran in the one workspace made,
+    # which held buffers from the second call on and is freed on return
+    assert len(steps) > 4 and len(rollouts) == 4
+    assert len(made) == 1
+    assert len({ws for ws, _ in steps + rollouts}) == 1
+    assert steps[0][1] == 0
+    assert all(held > 0 for _, held in steps[1:] + rollouts)
+    assert made[0]() is None
+
+
+def test_chunk_gradients_uses_one_workspace(grid_ds, monkeypatch):
+    from gits import pilot_scoring
+
+    made = spy_workspaces(monkeypatch, pilot_scoring)
+    calls = spy_calls(monkeypatch, pilot_scoring, "_stack_loss_grad")
+    params = init_params(default_arch(grid_ds), 6)
+    traj = np.arange(8)
+    indices = np.arange(4, grid_ds.t_count - 1)
+    stack = pilot_scoring.stack_size(grid_ds.spatial_size * traj.size)
+    losses = np.zeros(indices.size)
+    grads = np.zeros((indices.size, params.param_count))
+    # two full stacks of the whole horizon, then three candidates, each with
+    # a horizon of its own: five calls
+    whole = np.flatnonzero(effective_horizon(10, grid_ds.t_count, indices) == 10)
+    positions = np.arange(whole[-1] - 2 * stack + 1, whole[-1] + 4)
+    pilot_scoring._chunk_gradients(params, grid_ds, traj, 10, indices, positions, losses, grads)
+    assert len(calls) == 5
+    assert len(made) == 1
+    assert len({ws for ws, _ in calls}) == 1
+    assert all(held > 0 for _, held in calls[1:])
+    assert made[0]() is None
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -510,15 +588,15 @@ def test_training_shape_calls_fault_in_no_pages_in_a_workspace(grid_ds):
     import resource
 
     params = init_params(default_arch(grid_ds), 6)
-    pairs = training_pairs(grid_ds, 64)
+    batch = minibatch(training_pairs(grid_ds, 64))
+    ws = surrogate._Workspace()
     calls = 50
-    with surrogate._step_workspace():
-        for _ in range(3):
-            rollout_loss_grad(params, pairs, 1, grid_ds)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(calls):
-            rollout_loss_grad(params, pairs, 1, grid_ds)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    for _ in range(3):
+        stack_call(params, grid_ds, *batch, ws)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        stack_call(params, grid_ds, *batch, ws)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / calls < 20
 
 
@@ -531,21 +609,17 @@ def test_scoring_chunk_calls_fault_in_no_pages_in_a_workspace(grid_ds):
 
     params = init_params(default_arch(grid_ds), 6)
     traj = np.arange(8)
-    indices = np.arange(4, grid_ds.t_count - 1)
-    stack = pilot_scoring.stack_size(grid_ds.spatial_size * traj.size)
-    assert stack > 1
-    losses = np.zeros(indices.size)
-    grads = np.zeros((indices.size, params.param_count))
-    positions = np.arange(20, 20 + stack)  # one full-horizon stack per chunk
-    chunk = (params, grid_ds, traj, 10, indices, positions, losses, grads)
+    most = pilot_scoring.stack_size(grid_ds.spatial_size * traj.size)
+    assert most > 1
+    stack = scoring_stack(grid_ds, np.arange(24, 24 + most), traj)  # one full-horizon stack
+    ws = surrogate._Workspace()
     calls = 50
-    with surrogate._step_workspace():
-        for _ in range(3):
-            pilot_scoring._chunk_gradients(*chunk)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(calls):
-            pilot_scoring._chunk_gradients(*chunk)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    for _ in range(3):
+        stack_call(params, grid_ds, *stack, ws)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        stack_call(params, grid_ds, *stack, ws)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / calls < 20
 
 
