@@ -48,8 +48,6 @@ from .diagnostics import (
     GeometryReport,
     RolloutReport,
     auxiliary_metrics,
-    rollout_nrmse,
-    score_utility_alignment,
     spearman,
     subset_geometry,
 )

@@ -18,8 +18,7 @@ conventions, with every convention declared here so it is auditable:
                the declared bands: low = modes 0-4, mid = 5-12, high = rest
 
 Selection diagnostics: subset overlap / bin-entropy / bin-coverage
-geometry, and Spearman score-utility alignment from single-start probe
-updates against the validation rollout error.
+geometry, and the Spearman rank correlation with average-rank ties.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .pde_data import TrajectoryDataset
-from .pilot_scoring import CandidateScores, CandidateSet
+from .pilot_scoring import CandidateSet
 from .surrogate import SurrogateParams, rollout_batch
 
 DEFAULT_BINS = 10
@@ -116,11 +115,6 @@ def nrmse_from_rollouts(preds: np.ndarray, truth: np.ndarray) -> float:
     if np.any(den == 0.0):
         raise MetricError("all-zero ground truth trajectory; nRMSE undefined")
     return float(np.mean(np.sqrt(num / den)))
-
-
-def rollout_nrmse(params: SurrogateParams, ds: TrajectoryDataset, split: str = "test") -> float:
-    preds, truth = rollout_predictions(params, ds, split=split)
-    return nrmse_from_rollouts(preds, truth)
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +212,7 @@ def subset_geometry(
 
 
 # ----------------------------------------------------------------------
-# rank correlation and score-utility alignment
+# rank correlation
 # ----------------------------------------------------------------------
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -255,41 +249,3 @@ def spearman(x, y) -> float:
         return float("nan")
     return float(np.sum(rx * ry) / denom)
 
-
-def score_utility_alignment(
-    pilot: SurrogateParams,
-    scores: CandidateScores,
-    grads: np.ndarray,
-    candidates: CandidateSet,
-    ds: TrajectoryDataset,
-    probe_lr: float = 1e-3,
-) -> float:
-    """Spearman correlation between candidate scores and probe-update utility.
-
-    ``grads`` holds each candidate's loss gradient at the pilot parameters,
-    one row per candidate, as the scoring chunks write them
-    (``pilot_scoring._chunk_gradients``).
-    Utility of candidate k is the validation rollout-error improvement from
-    one normalized-gradient step: val(pilot) - val(pilot - probe_lr * g_k/||g_k||).
-    Candidates with an exactly zero gradient get utility 0 (no update).
-    """
-    if candidates.size < 3:
-        raise ValueError("need at least 3 candidates for a rank correlation")
-    if not np.array_equal(scores.indices, candidates.indices):
-        raise ValueError("scores are not aligned to the candidate set")
-    if np.shape(grads) != (candidates.size, pilot.param_count):
-        raise ValueError(
-            f"grads has shape {np.shape(grads)}, "
-            f"expected {(candidates.size, pilot.param_count)}"
-        )
-    base = rollout_nrmse(pilot, ds, split="val")
-    utilities = np.zeros(candidates.size)
-    for i in range(candidates.size):
-        norm = float(np.linalg.norm(grads[i]))
-        if norm == 0.0:
-            continue
-        probed = SurrogateParams(
-            theta=pilot.theta - probe_lr * grads[i] / norm, arch=pilot.arch
-        )
-        utilities[i] = base - rollout_nrmse(probed, ds, split="val")
-    return spearman(scores.scores, utilities)

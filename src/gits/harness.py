@@ -14,8 +14,9 @@ task, in this order of priority: each seed's pilot, that seed's scoring
 chunks, each cell's selection, and each distinct selection's training and
 evaluation. Selections whose sampler needs no pilot are queued at once, so
 they and their trainings run while the pilots train; a seed's pilot-based
-selections are queued when its last scoring chunk returns. Trainings of one
-number of starts that wait for a worker run as one stacked task, whose
+selections are queued when its last scoring chunk returns, or get the
+error text of its failed pilot or chunk (:func:`_select_cells`). Trainings
+of one number of starts that wait for a worker run as one stacked task, whose
 trainings step together (:func:`gits.surrogate.train_stack`). ``gits select``
 and ``gits train`` queue one cell's tasks the same way
 (:func:`select_starts`). The tasks are plain functions: the scheduler
@@ -195,7 +196,7 @@ class _Run(NamedTuple):
     ds: TrajectoryDataset
     candidates: CandidateSet
     # pilot seed -> (scoring trajectories, losses, grads), filled in by
-    # _queue_pilot; the chunks write their rows into the two shared arrays,
+    # _select_cells; the chunks write their rows into the two shared arrays,
     # and the seed's pilot-based selections read them
     scoring: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
@@ -262,46 +263,6 @@ def _training_key(cell: CellResult) -> tuple[int, tuple[int, ...]]:
     return cell.seed, tuple(sorted(cell.selected))
 
 
-def _queue_pilot(scheduler: parallel.Scheduler, seed: int, done) -> None:
-    """Queue the seed's pilot on ``scheduler``, whose shared object is a :class:`_Run`.
-
-    The pilot's return queues the seed's scoring chunks, which write every
-    candidate's loss and gradient into the seed's shared arrays in
-    ``_Run.scoring``. The last chunk's return calls ``done`` with the seed's
-    ``{"pilot_s", "scoring_s"}`` seconds, or with the error text of the
-    failed pilot or chunk. Call it before the scheduler runs: it allocates
-    the seed's shared score arrays, which the workers inherit when they fork.
-    """
-    run = scheduler.shared
-    size, param_count = run.candidates.size, _model_arch(run.cfg, run.ds).param_count()
-    run.scoring[seed] = (
-        pilot_scoring.scoring_trajectories(run.ds, run.cfg.batch_traj, stage_seed(seed, "scoring")),
-        parallel.shared_zeros((size,)), parallel.shared_zeros((size, param_count)))
-    chunks = pilot_scoring.score_chunks(size)
-    outcomes = [None] * len(chunks)
-
-    def chunk_returned(pilot_s, index, outcome) -> None:
-        outcomes[index] = outcome
-        if None in outcomes:
-            return
-        errors = [o.error for o in outcomes if o.error is not None]
-        if errors:
-            done(errors[0])
-            return
-        done({"pilot_s": pilot_s,
-              "scoring_s": max(o.end for o in outcomes) - min(o.start for o in outcomes)})
-
-    def pilot_returned(outcome) -> None:
-        if outcome.error is not None:
-            done(outcome.error)
-            return
-        for index, positions in enumerate(chunks):
-            scheduler.submit(SCORING, _score_task, (seed, outcome.value, positions),
-                             then=functools.partial(chunk_returned, outcome.seconds, index))
-
-    scheduler.submit(PILOT, _pilot_task, seed, then=pilot_returned)
-
-
 def _select_cells(
     cfg: ExperimentConfig,
     ds: TrajectoryDataset,
@@ -313,9 +274,12 @@ def _select_cells(
 
     Returns the scheduler, not yet run, and the per-seed pilot times, which
     fill in as it runs. A cell whose sampler needs no pilot is queued at
-    once; the others when their seed's pilot and scoring chunks have
-    returned (:func:`_queue_pilot`, once per seed). Each selection's return
-    calls ``selected(cell, outcome, seconds)`` with its
+    once. For the others, each seed's shared score arrays in
+    ``_Run.scoring`` are allocated here, so the workers inherit them when
+    they fork, and its pilot is queued. The pilot's return queues the
+    seed's scoring chunks, and the last chunk's return records the seed's
+    ``{"pilot_s", "scoring_s"}`` and queues its cells. Each selection's
+    return calls ``selected(cell, outcome, seconds)`` with its
     :class:`gits.parallel.Outcome` and the cell's selection time: the
     selection task's seconds plus, for a pilot-based sampler, its seed's
     ``pilot_s + scoring_s``. If the seed's pilot or a chunk failed, its
@@ -330,8 +294,9 @@ def _select_cells(
         else:
             pilot_based.setdefault(seed, []).append(cell)
     chunks = pilot_scoring.score_chunks(candidates.size)
+    run = _Run(cfg, ds, candidates, {})
     # the pool is sized by every task known before a pilot-based cell is selected
-    scheduler = parallel.Scheduler(_Run(cfg, ds, candidates, {}), parallel.worker_count(
+    scheduler = parallel.Scheduler(run, parallel.worker_count(
         len(pilot_free) + len(pilot_based) * (1 + len(chunks))))
     pilot_times: dict[int, dict[str, float]] = {}
 
@@ -339,19 +304,42 @@ def _select_cells(
         scheduler.submit(SELECTION, _select_task, cell,
                          then=lambda outcome: selected(cell, outcome, pilot_s + outcome.seconds))
 
-    def scored(seed, times) -> None:
-        if isinstance(times, str):  # the error text of the seed's pilot or a chunk
-            for cell in pilot_based[seed]:
-                selected(cell, parallel.Outcome(None, times, 0.0, 0.0), 0.0)
-            return
-        pilot_times[seed] = times
+    def failed(seed, error) -> None:
         for cell in pilot_based[seed]:
-            queue(cell, times["pilot_s"] + times["scoring_s"])
+            selected(cell, parallel.Outcome(None, error, 0.0, 0.0), 0.0)
+
+    def chunk_returned(seed, pilot_s, outcomes, index, outcome) -> None:
+        outcomes[index] = outcome
+        if None in outcomes:
+            return
+        errors = [o.error for o in outcomes if o.error is not None]
+        if errors:
+            failed(seed, errors[0])
+            return
+        scoring_s = max(o.end for o in outcomes) - min(o.start for o in outcomes)
+        pilot_times[seed] = {"pilot_s": pilot_s, "scoring_s": scoring_s}
+        for cell in pilot_based[seed]:
+            queue(cell, pilot_s + scoring_s)
+
+    def pilot_returned(seed, outcome) -> None:
+        if outcome.error is not None:
+            failed(seed, outcome.error)
+            return
+        outcomes = [None] * len(chunks)
+        for index, positions in enumerate(chunks):
+            scheduler.submit(SCORING, _score_task, (seed, outcome.value, positions),
+                             then=functools.partial(chunk_returned, seed, outcome.seconds,
+                                                    outcomes, index))
 
     for cell in pilot_free:
         queue(cell, 0.0)
+    param_count = _model_arch(cfg, ds).param_count()
     for seed in pilot_based:
-        _queue_pilot(scheduler, seed, functools.partial(scored, seed))
+        run.scoring[seed] = (
+            pilot_scoring.scoring_trajectories(ds, cfg.batch_traj, stage_seed(seed, "scoring")),
+            parallel.shared_zeros((candidates.size,)),
+            parallel.shared_zeros((candidates.size, param_count)))
+        scheduler.submit(PILOT, _pilot_task, seed, then=functools.partial(pilot_returned, seed))
     return scheduler, pilot_times
 
 

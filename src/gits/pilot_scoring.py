@@ -84,8 +84,11 @@ class CandidateScores:
         scores = np.asarray(self.scores, dtype=np.float64)
         if scores.shape != (len(self.indices),):
             raise ValueError("scores and indices lengths differ")
-        if not np.all(np.isfinite(scores)) or np.any(scores < 0.0):
-            raise ValueError("scores must be finite and non-negative")
+        bad = np.flatnonzero(~(np.isfinite(scores) & (scores >= 0.0)))
+        if bad.size:
+            pos = int(bad[0])
+            raise ValueError(f"scores must be finite and non-negative: candidate position "
+                             f"{pos} (start index {int(self.indices[pos])}) has {scores[pos]}")
         object.__setattr__(self, "scores", scores)
 
 

@@ -106,6 +106,20 @@ def _score_vector(scores, candidates: CandidateSet) -> np.ndarray:
     return vec
 
 
+def _check_finite(name: str, values: np.ndarray, candidates: CandidateSet) -> None:
+    """Raise ValueError naming the first candidate whose value, or row of
+    ``values``, is not finite, with its first non-finite entry."""
+    rows = values.reshape(values.shape[0], -1)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        pos = int(bad[0])
+        value = rows[pos][~np.isfinite(rows[pos])][0]
+        raise ValueError(
+            f"{name} at candidate position {pos} (start index "
+            f"{int(candidates.indices[pos])}) is not finite: {value}"
+        )
+
+
 def _check_budget(budget: int, n: int):
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -148,13 +162,7 @@ def greedy_select(
     """
     _check_budget(budget, candidates.size)
     s = _score_vector(scores, candidates)
-    bad = np.flatnonzero(~np.isfinite(s))
-    if bad.size:
-        pos = int(bad[0])
-        raise ValueError(
-            f"score at candidate position {pos} (start index "
-            f"{int(candidates.indices[pos])}) is not finite: {s[pos]}"
-        )
+    _check_finite("score", s, candidates)
     if obj.normalize_scores and s.max() > 0.0:
         s = s / s.max()
 
@@ -270,11 +278,15 @@ def sample_uniform(candidates: CandidateSet, budget: int) -> SelectionResult:
 def grad_match_from_gradients(
     grads: np.ndarray, candidates: CandidateSet, budget: int
 ) -> SelectionResult:
-    """Greedily match the mean full-candidate gradient with a K-subset mean."""
+    """Greedily match the mean full-candidate gradient with a K-subset mean.
+
+    A gradient row that is not finite raises ValueError naming its position.
+    """
     n = candidates.size
     _check_budget(budget, n)
     if grads.shape[0] != n:
         raise ValueError("gradient matrix row count does not match the candidate set")
+    _check_finite("gradient", grads, candidates)
     g_bar = grads.mean(axis=0)
     chosen = np.zeros(n, dtype=bool)
     running_sum = np.zeros(grads.shape[1])

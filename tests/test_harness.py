@@ -13,7 +13,7 @@ import pytest
 
 import gits
 from gits import cli, harness, parallel, pilot_scoring, selector, surrogate
-from gits.diagnostics import RolloutReport, rollout_nrmse, rollout_report
+from gits.diagnostics import RolloutReport, rollout_report
 from gits.harness import (
     RESULT_COLUMNS,
     CellResult,
@@ -367,6 +367,65 @@ def test_non_finite_pilot_score_fails_the_gits_cell_only(monkeypatch):
         assert cells["gits"].selection_time_s > 0.0, workers
         assert cells["uniform"].ok and result.failed == 1, workers
         errors[workers] = cells["gits"].error
+    assert errors[1] == errors[2]
+
+
+def test_non_finite_gradient_row_is_named_by_every_cell_that_reads_it(monkeypatch):
+    # a NaN in one gradient row of the scoring chunks; the losses stay finite,
+    # so the samplers that read only the losses, or nothing, still select
+    chunk_gradients = pilot_scoring._chunk_gradients
+
+    def nan_in_row_4(pilot, ds, traj, horizon, indices, positions, losses, grads):
+        chunk_gradients(pilot, ds, traj, horizon, indices, positions, losses, grads)
+        if 4 in positions:
+            grads[4, 1] = np.nan
+
+    monkeypatch.setattr(pilot_scoring, "_chunk_gradients", nan_in_row_4)
+    errors = {}
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        result = run_experiment(small_experiment(samplers=SAMPLERS))
+        failed = {c.sampler: c.error.splitlines()[0] for c in result.cells if not c.ok}
+        assert failed == {
+            "gits": "ValueError: scores must be finite and non-negative: "
+                    "candidate position 4 (start index 7) has nan",
+            "grad_only": "ValueError: scores must be finite and non-negative: "
+                         "candidate position 4 (start index 7) has nan",
+            "grad_match": "ValueError: gradient at candidate position 4 (start index 7) "
+                          "is not finite: nan",
+        }, workers
+        errors[workers] = [c.error for c in result.cells]
+    assert errors[1] == errors[2]
+
+
+def test_failed_scoring_chunk_fails_only_its_seeds_pilot_based_cells(monkeypatch, tmp_path):
+    cfg = small_experiment(samplers=("gits", "uniform", "loss_only", "grad_match"), seeds=(0, 1))
+    ds = harness.load_or_generate_dataset(cfg)
+    traj_0, traj_1 = (
+        pilot_scoring.scoring_trajectories(ds, cfg.batch_traj, harness.stage_seed(seed, "scoring"))
+        for seed in cfg.seeds)
+    assert not np.array_equal(traj_0, traj_1)  # so a chunk knows its seed by them
+    chunk_gradients = pilot_scoring._chunk_gradients
+
+    def failing_on_seed_1(pilot, ds, traj, horizon, indices, positions, losses, grads):
+        if np.array_equal(traj, traj_1) and 0 in positions:  # seed 1's first chunk
+            raise FloatingPointError("chunk diverged")
+        chunk_gradients(pilot, ds, traj, horizon, indices, positions, losses, grads)
+
+    monkeypatch.setattr(pilot_scoring, "_chunk_gradients", failing_on_seed_1)
+    errors = {}
+    for workers in (1, 2):  # one chunk per seed, then two
+        _use_workers(monkeypatch, workers)
+        result = run_experiment(cfg)
+        dependent = [c for c in result.cells if c.seed == 1 and c.sampler != "uniform"]
+        assert len(dependent) == 3 and len({c.error for c in dependent}) == 1, workers
+        assert dependent[0].error.splitlines()[0] == "FloatingPointError: chunk diverged"
+        assert all(c.selection_time_s == 0.0 for c in dependent), workers
+        assert all(c.ok for c in result.cells if c not in dependent), workers
+        assert result.failed == 3 and sorted(result.pilot_times) == [0], workers
+        _, json_path = write_results(result, tmp_path / f"w{workers}")
+        assert list(json.loads(json_path.read_text())["pilot"]) == ["0"], workers
+        errors[workers] = [c.error for c in result.cells]
     assert errors[1] == errors[2]
 
 
@@ -879,7 +938,7 @@ def test_cli_checkpoint_epoch_is_the_epoch_of_its_parameters(tmp_path, monkeypat
     kept = surrogate.kept_epoch(history)
     assert header["epoch"] == kept < history[-1].epoch
     ds = harness.load_or_generate_dataset(cli.load_config(str(cfg_path)))
-    assert rollout_nrmse(params, ds, split="val") == history[kept - 1].val_nrmse
+    assert rollout_report(params, ds, split="val").nrmse == history[kept - 1].val_nrmse
 
 
 @pytest.mark.parametrize("command", ["run", "select", "train"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gits import harness, parallel, pilot_scoring
+from gits import harness, pilot_scoring
 from gits.pde_data import SolverConfig, TrajectoryDataset, generate_dataset
 from gits.pilot_scoring import (
     CandidateScores,
@@ -49,13 +49,15 @@ def chunk_gradients(pilot, cands, ds, horizon, batch_traj, seed):
 
 def pilot_gradients(cfg, ds, cands, seed):
     """The seed's (losses, grads) as a grid computes them: its pilot and scoring
-    chunks on a pool of one worker per chunk (``harness._queue_pilot``)."""
-    scheduler = parallel.Scheduler(harness._Run(cfg, ds, cands, {}),
-                                   parallel.worker_count(cands.size))
-    done = []
-    harness._queue_pilot(scheduler, seed, done.append)
+    chunks, then one grad_match selection that reads them, on the pool of
+    ``harness._select_cells``."""
+    returned = []
+    scheduler, _ = harness._select_cells(
+        cfg, ds, cands, [(1.0, "grad_match", seed)],
+        lambda cell, outcome, seconds: returned.append(outcome))
     scheduler.run()
-    assert not isinstance(done[0], str), done[0]
+    [outcome] = returned
+    assert outcome.error is None, outcome.error
     _, losses, grads = scheduler.shared.scoring[seed]
     return losses, grads
 
@@ -279,8 +281,14 @@ def test_stacked_scoring_equals_per_candidate_calls(monkeypatch, kind, radius, b
 
 
 def test_candidate_scores_validation():
-    with pytest.raises(ValueError):
-        CandidateScores(indices=np.arange(3), scores=np.array([1.0, -0.5, 0.2]), kind="grad_norm")
+    with pytest.raises(ValueError, match=r"^scores must be finite and non-negative: "
+                       r"candidate position 1 \(start index 5\) has -0.5$"):
+        CandidateScores(indices=np.arange(4, 7), scores=np.array([1.0, -0.5, 0.2]),
+                        kind="grad_norm")
+    with pytest.raises(ValueError, match=r"finite and non-negative: candidate position 2 "
+                       r"\(start index 6\) has inf$"):
+        CandidateScores(indices=np.arange(4, 8), scores=np.array([1.0, 0.5, np.inf, np.nan]),
+                        kind="grad_norm")
     with pytest.raises(ValueError):
         CandidateScores(indices=np.arange(3), scores=np.ones(2), kind="grad_norm")
     with pytest.raises(ValueError):

@@ -379,6 +379,19 @@ def test_non_finite_scores_rejected_with_their_position():
         run_sampler("gits", CANDS, default_obj(), 5, scores)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_grad_match_rejects_a_non_finite_gradient_row_with_its_position(bad):
+    cands = build_candidates(20, 4)  # |C| = 15
+    grads = np.random.default_rng(5).normal(size=(cands.size, 6))
+    grads[9, 2] = bad
+    grads[12, 0] = np.nan
+    with pytest.raises(ValueError, match=rf"^gradient at candidate position 9 \(start index 13\) "
+                       rf"is not finite: {bad}$"):
+        grad_match_from_gradients(grads, cands, 4)
+    with pytest.raises(ValueError, match=r"position 9 \(start index 13\)"):
+        run_sampler("grad_match", cands, default_obj(cands, budget=4), 4, grads)
+
+
 def test_objective_weights_must_be_finite_and_non_negative():
     cov = derive_coverage_config(CANDS.t_count, 10)
     for lambda_cov, c_win in ((np.nan, 0.5), (1.0, np.inf), (-np.inf, 0.5)):

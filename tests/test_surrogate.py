@@ -322,9 +322,9 @@ def test_train_early_stop_returns_best_validation_params(tiny_ds):
     cfg = TrainConfig(epochs_max=30, min_epochs=2, patience=3, batch_size=16, seed=21)
     p0 = init_params(TINY_ARCH, 10)
     params, history = train(p0, [4, 6, 8], tiny_ds, cfg)
-    from gits.diagnostics import rollout_nrmse
+    from gits.diagnostics import rollout_report
 
-    returned = rollout_nrmse(params, tiny_ds, split="val")
+    returned = rollout_report(params, tiny_ds, split="val").nrmse
     evaluated = [h.val_nrmse for h in history if h.val_nrmse is not None]
     assert evaluated, "early stopping must have evaluated at least one epoch"
     assert returned == min(evaluated)
