@@ -25,6 +25,7 @@ import numpy as np
 from . import parallel
 from .pde_data import TrajectoryDataset
 from .surrogate import (
+    STACK_COLUMNS,
     SurrogateArch,
     SurrogateParams,
     TrainConfig,
@@ -131,15 +132,13 @@ def scoring_trajectories(ds: TrajectoryDataset, batch_traj: int, seed: int) -> n
     return np.sort(train_idx[perm[:take]])
 
 
-STACK_COLUMNS = 2048  # columns per step up to which stacking candidates saves time
-
-
 def stack_size(columns: int) -> int:
     """Candidates scored per surrogate call when each step has ``columns`` (X*B) columns.
 
     8 at X*B = 256 and 4 at 512 (the bench's scoring shapes), 1 from 2048
     on (the default grid, B = 32), where a stack of 2 saved about 5% and
-    held a second copy of every step buffer.
+    held a second copy of every step buffer. ``STACK_COLUMNS`` lives in
+    :mod:`gits.surrogate`, whose validation rollouts stack to the same bound.
     """
     return max(1, STACK_COLUMNS // columns)
 

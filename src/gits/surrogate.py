@@ -155,14 +155,15 @@ def init_params(arch: SurrogateArch, seed: int) -> SurrogateParams:
 # one frame buffer shaped (G, L + H, C, X, B): slice g holds rollout g,
 # frames 0..L-1 hold its history and step t writes its prediction into
 # frame L + t in place. Frames t..t+L-1 of a slice are the step's
-# (L*C, X*B) input. Each convolution gathers every slice's (Cin*K, X*B)
-# window matrix with one (K, X) index along the cell axis, so each index
-# copies the B contiguous values of one cell, and is one stacked GEMM,
-# W @ windows, against every slice. The weights are shared by the stack,
-# or carry its axis, one set per slice (a stack of trainings). The backward
-# pass is two more stacked GEMMs, g_out @ windows.T for each slice's weight
-# gradient and W.T @ g_out for the windows, and an overlap-add of the
-# window gradient back onto the input rows. The batch is the fastest axis,
+# (L*C, X*B) input. Each convolution builds every slice's (Cin*K, X*B)
+# window matrix in two copies, the X + 2r padded cells of each row and then
+# a strided view of those rows whose tap stride is the cell stride, and is
+# one stacked GEMM, W @ windows, against every slice. The weights are shared
+# by the stack, or carry its axis, one set per slice (a stack of trainings,
+# or of the epochs a stack validates). The backward pass is two more
+# stacked GEMMs, g_out @ windows.T for each slice's weight gradient and
+# W.T @ g_out for the windows, and an overlap-add of the window gradient
+# back onto the input rows. The batch is the fastest axis,
 # so each tap of the overlap-add is one contiguous block of X*B values per
 # slice. Every op runs once over the whole stack, and slice g computes
 # exactly what a call of that one rollout (G = 1) computes: the stack only
@@ -203,23 +204,23 @@ def _pad_index(x_len: int, r: int, padding: str) -> np.ndarray:
     return idx
 
 
-@functools.lru_cache(maxsize=16)
-def _window_index(x_len: int, r: int, padding: str) -> np.ndarray:
-    """(K, X) gather index along the cell axis: entry (j, x) is pad[x + j]."""
-    idx = _pad_index(x_len, r, padding)[np.arange(2 * r + 1)[:, None] + np.arange(x_len)]
-    idx.flags.writeable = False
-    return idx
+def _windows(z: np.ndarray, pad: np.ndarray, out: np.ndarray, ws: _Workspace) -> None:
+    """(..., X, B) rows -> (..., K, X, B) windows in ``out``; ``pad`` is :func:`_pad_index`.
 
-
-def _windows(z: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    """(..., X, B) rows -> (..., K, X, B) windows in ``out``.
-
-    Tap j of cell x is row cell pad[x + j], and each index copies the B
-    batch values of one cell, which are contiguous.
+    Tap j of cell x is row cell pad[x + j]. The X + 2r padded cells of each
+    row are copied once into the padded rows ``rows`` (..., X + 2r, B) of
+    ``ws``, and ``out`` is then one copy from a strided view of those rows
+    whose tap stride is the cell stride: tap j of cell x is padded cell
+    x + j. ``np.ndarray`` over the buffer makes that view in a fraction of
+    the time ``as_strided`` takes.
     Every index is in range, so ``mode="wrap"`` never wraps; unlike the
-    default mode it lets ``take`` write into ``out`` without a bounce buffer.
+    default mode it lets ``take`` write into the rows without a bounce buffer.
     """
-    z.take(idx, axis=z.ndim - 2, out=out, mode="wrap")
+    rows = ws.get("rows", (*z.shape[:-2], pad.size, z.shape[-1]))
+    z.take(pad, axis=z.ndim - 2, out=rows, mode="wrap")
+    *lead, cell, batch = rows.strides
+    np.copyto(out, np.ndarray(out.shape, rows.dtype, buffer=rows,
+                              strides=(*lead, cell, cell, batch)))
 
 
 def _windows_adjoint(w: np.ndarray, g: np.ndarray, pad: np.ndarray, b_sz: int,
@@ -311,7 +312,7 @@ def _advance(views: _Views, arch: SurrogateArch, buf: np.ndarray, ws: _Workspace
     stack, frames, channels, x_len, b_sz = buf.shape
     length, hidden, k = arch.history_len, arch.hidden, arch.kernel_size
     cols = x_len * b_sz
-    idx = _window_index(x_len, arch.kernel_radius, arch.padding)
+    pad = _pad_index(x_len, arch.kernel_radius, arch.padding)
     slots = frames - length if taped else 1
     win1 = ws.get("win1", (slots, stack, arch.in_channels * k, cols))
     h = ws.get("h", (slots, stack, hidden, cols))
@@ -325,11 +326,11 @@ def _advance(views: _Views, arch: SurrogateArch, buf: np.ndarray, ws: _Workspace
     raw_cells = raw.reshape(stack, channels, x_len, b_sz)
     for t in range(frames - length):
         s = t if taped else 0
-        _windows(buf[:, t : t + length], idx, win1_cells[s])
+        _windows(buf[:, t : t + length], pad, win1_cells[s], ws)
         np.matmul(views.w1, win1[s], out=h[s])
         h[s] += views.b1[..., None]
         np.tanh(h[s], out=h[s])
-        _windows(h_cells[s], idx, win2_cells[s])
+        _windows(h_cells[s], pad, win2_cells[s], ws)
         np.matmul(views.w2, win2[s], out=raw)
         raw += views.b2[..., None]
         raw_cells += buf[:, t + length - 1]  # the residual: the last input frame
@@ -546,9 +547,11 @@ def train(
     """Mini-batch training on the one-step loss over the selected starts.
 
     Uses training-split trajectories only. With early stopping enabled,
-    validation rollout error (full post-history horizon) is evaluated after
-    every epoch >= min_epochs. The parameters returned are those of the
-    epoch :func:`kept_epoch` names: the best-validation epoch, or the last.
+    validation rollout error (full post-history horizon) is evaluated for
+    every epoch >= min_epochs up to the stop, in blocks that end where the
+    training could stop (see :func:`train_stack`). The parameters returned
+    are those of the epoch :func:`kept_epoch` names: the best-validation
+    epoch, or the last.
     Deterministic under cfg.seed. This is :func:`train_stack` of the one
     training; a non-finite loss or parameter raises
     :class:`TrainingDivergedError`.
@@ -563,10 +566,19 @@ def train(
 # minibatch step has few columns (X*B); past about this many columns per call
 # (slices x X*B) a larger stack saves nothing and only holds more buffers.
 TRAIN_STACK_COLUMNS = 16384
+# The same bound for stacked rollouts of few columns: candidates scored in one
+# call, and the validation rollouts of a stack of trainings (rows x X*B).
+STACK_COLUMNS = 2048
 
 
 class _Slice:
-    """The state of one training of a stack that is still training."""
+    """The state of one training of a stack that is still training.
+
+    A slice validates only at its ``due`` epoch, the first at which it could
+    stop. Until then each epoch waits in ``pending`` as (epoch, mean train
+    loss, a copy of theta), the copy ``None`` for an epoch that does not
+    validate.
+    """
 
     def __init__(self, index: int, pairs: np.ndarray, cfg: TrainConfig):
         self.index = index  # its position in the stack
@@ -577,6 +589,24 @@ class _Slice:
         self.loss = 0.0  # this epoch's summed minibatch losses
         self.history: list[EpochStats] = []
         self.best_theta = None
+        self.pending: list[tuple[int, float, np.ndarray | None]] = []
+        self.due = self.next_due(0)
+
+    def next_due(self, epoch: int) -> int:
+        """The first epoch after ``epoch``, the last in the history, at which the slice could stop.
+
+        It stops at ``epochs_max``, or ``patience`` epochs after its kept
+        epoch, which is no earlier than the kept epoch so far if that one's
+        validation value is finite, else the first epoch still to validate.
+        """
+        cfg = self.cfg
+        if not cfg.early_stop:
+            return cfg.epochs_max
+        best = kept_epoch(self.history)
+        val = self.history[best - 1].val_nrmse if best else None
+        if val is None or not val < np.inf:
+            best = max(epoch + 1, cfg.min_epochs)
+        return min(cfg.epochs_max, best + cfg.patience)
 
 
 def train_stack(trainings, ds: TrajectoryDataset) -> list:
@@ -586,8 +616,13 @@ def train_stack(trainings, ds: TrajectoryDataset) -> list:
     number of (trajectory, start) pairs, so that their minibatches have one
     shape. Everything else is each one's own: initial parameters, starts,
     seed and so minibatch order, learning rate, gradient clip, Adam state,
-    epochs and early stopping. Validation after an epoch is one rollout of
-    every slice that validates. A training leaves the stack when it stops,
+    epochs and early stopping. A slice validates each epoch >= min_epochs
+    only when it could stop: no earlier than ``patience`` epochs after its
+    best epoch so far, or at ``epochs_max``. Then every epoch it has not yet
+    validated goes, with those of every other slice that could stop, into
+    one rollout of stacked parameters (at most :data:`STACK_COLUMNS` columns
+    a step), and the epochs enter its history in order under the rules of a
+    validation after every epoch. A training leaves the stack when it stops,
     and each one's entry of the returned list is what :func:`train` returns
     for it alone, bit for bit: ``(params, history)``, or the
     :class:`TrainingDivergedError` that :func:`train` raises. An exception
@@ -675,27 +710,44 @@ def train_stack(trainings, ds: TrajectoryDataset) -> list:
             for sl, loss in zip(live, losses.tolist()):
                 sl.loss += loss * chunks.shape[1]
 
-        validating = [i for i, sl in enumerate(live)
-                      if sl.cfg.early_stop and epoch >= sl.cfg.min_epochs]
-        vals = {}
-        if validating:
-            if val_frames is None:
-                val_frames = split_frames(ds, "val", arch.history_len)
-            histories, truth = val_frames
-            preds = _rollout(theta[validating], arch, histories, truth.shape[1], ws)
-            vals = {i: nrmse_from_rollouts(p, truth) for i, p in zip(validating, preds)}
-        going = np.ones(len(live), bool)
         for i, sl in enumerate(live):
-            val = vals.get(i)
-            sl.history.append(EpochStats(epoch, sl.loss / len(sl.pairs), val))
-            best_epoch = kept_epoch(sl.history)
-            if val is not None and best_epoch == epoch:
-                sl.best_theta = theta[i].copy()
-            if epoch == sl.cfg.epochs_max or (
-                    sl.best_theta is not None and epoch - best_epoch >= sl.cfg.patience):
-                kept = theta[i].copy() if sl.best_theta is None else sl.best_theta
-                results[sl.index] = (SurrogateParams(theta=kept, arch=arch), sl.history)
-                going[i] = False
+            validates = sl.cfg.early_stop and epoch >= sl.cfg.min_epochs
+            if validates and val_frames is None:
+                val_frames = split_frames(ds, "val", arch.history_len)
+            sl.pending.append((epoch, sl.loss / len(sl.pairs),
+                               theta[i].copy() if validates else None))
+        due = [i for i, sl in enumerate(live) if sl.due == epoch]
+        # every pending epoch of the due slices that validates, in stacked rollouts
+        waiting = [(live[i].index, e, th) for i in due for e, _, th in live[i].pending
+                   if th is not None]
+        vals = {}
+        if waiting:
+            histories, truth = val_frames
+            most = max(1, STACK_COLUMNS // (ds.spatial_size * len(histories)))
+            for lo in range(0, len(waiting), most):
+                rows = waiting[lo : lo + most]
+                thetas = np.array([th for *_, th in rows])
+                # a comprehension holds the predictions only while it runs, so
+                # the next call's frame buffer is not allocated beside them
+                vals.update({(index, e): nrmse_from_rollouts(p, truth) for (index, e, _), p
+                             in zip(rows, _rollout(thetas, arch, histories, truth.shape[1], ws))})
+        going = np.ones(len(live), bool)
+        for i in due:
+            sl = live[i]
+            for e, loss, th in sl.pending:
+                val = vals.get((sl.index, e))
+                sl.history.append(EpochStats(e, loss, val))
+                best_epoch = kept_epoch(sl.history)
+                if val is not None and best_epoch == e:
+                    sl.best_theta = th
+                if e == sl.cfg.epochs_max or (
+                        sl.best_theta is not None and e - best_epoch >= sl.cfg.patience):
+                    kept = theta[i].copy() if sl.best_theta is None else sl.best_theta
+                    results[sl.index] = (SurrogateParams(theta=kept, arch=arch), sl.history)
+                    going[i] = False
+                    break
+            sl.pending = []
+            sl.due = sl.next_due(epoch)
         theta, m, v, lr = leave(going, (theta, m, v, lr))
     return results
 

@@ -3,6 +3,7 @@ import sys
 import tempfile
 import weakref
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -270,10 +271,10 @@ def flat_windows(rows, idx):
 @pytest.mark.parametrize("padding", surrogate.PADDINGS)
 def test_window_gather_by_cell_equals_the_flat_gather(padding, r):
     rng = np.random.default_rng(r)
-    k, length, channels, hidden, frames = 2 * r + 1, 2, 2, 3, 5
+    length, channels, hidden, frames = 2, 2, 3, 5
+    ws = surrogate._Workspace()  # one workspace, its padded rows reused at every shape
     for x_len in (1, 2, 5, 64):
-        idx = surrogate._window_index(x_len, r, padding)
-        assert idx.shape == (k, x_len)
+        pad = surrogate._pad_index(x_len, r, padding)
         for b_sz in (1, 6, 64):
             flat_idx = flat_window_index(x_len, r, padding, b_sz)
             for stack in (1, 3):
@@ -282,8 +283,8 @@ def test_window_gather_by_cell_equals_the_flat_gather(padding, r):
                 # a frame slice of the buffer, not contiguous, and contiguous rows
                 for src in (buf[:, 1 : 1 + length], h):
                     rows = np.ascontiguousarray(src).reshape(stack, -1, x_len * b_sz)
-                    out = np.empty((*src.shape[:-2], k, x_len, b_sz))
-                    surrogate._windows(src, idx, out)
+                    out = np.empty((*src.shape[:-2], 2 * r + 1, x_len, b_sz))
+                    surrogate._windows(src, pad, out, ws)
                     got = out.reshape(stack, -1, x_len * b_sz)
                     assert np.array_equal(got, flat_windows(rows, flat_idx)), (x_len, b_sz, stack)
 
@@ -406,6 +407,173 @@ def test_train_stack_equals_single_trainings(tiny_ds, monkeypatch, columns):
         epochs.append(len(history))
     assert epochs[0] != epochs[2] and max(epochs[0], epochs[2]) < 40  # both stopped early
     assert epochs[1] == 8
+
+
+def train_validating_every_epoch(params_init, starts, ds, cfg):
+    """Oracle: one training with a validation rollout after every epoch >= min_epochs.
+
+    The schedule ``train_stack`` ran before it deferred validation to the
+    epochs at which a training can stop, on the same step and the same Adam
+    arithmetic. Returns ``(params, history)``, or the
+    :class:`TrainingDivergedError` that ``train_stack`` gives.
+    """
+    from gits.diagnostics import nrmse_from_rollouts, split_frames
+
+    if cfg.epochs_max == 0:
+        return params_init, []
+    arch = params_init.arch
+    train_idx = ds.split_indices("train")
+    start_list = sorted(set(int(k) for k in starts))
+    pairs = np.column_stack([np.repeat(train_idx, len(start_list)),
+                             np.tile(start_list, len(train_idx))])
+    rng = np.random.default_rng(cfg.seed)
+    theta = params_init.theta[None].copy()
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    ws = surrogate._Workspace()
+    history, best_theta, step_count = [], None, 0
+    for epoch in range(1, cfg.epochs_max + 1):
+        order = rng.permutation(len(pairs))
+        total = 0.0
+        for lo in range(0, len(pairs), cfg.batch_size):
+            chunk = pairs[order[lo : lo + cfg.batch_size]]
+            grad = np.zeros_like(theta)
+            [loss] = surrogate._stack_loss_grad(theta, arch, ds, chunk[None, :, 0],
+                                                chunk[None, :, 1], 1, len(chunk), grad, ws)
+            if not np.isfinite(loss):
+                return TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            gnorm = float(np.linalg.norm(grad[0]))
+            if gnorm > cfg.grad_clip:
+                grad[0] *= cfg.grad_clip / gnorm
+            step_count += 1
+            m = surrogate.ADAM_BETA1 * m + (1.0 - surrogate.ADAM_BETA1) * grad
+            v = surrogate.ADAM_BETA2 * v + (1.0 - surrogate.ADAM_BETA2) * grad**2
+            m_hat = m / (1.0 - surrogate.ADAM_BETA1**step_count)
+            v_hat = v / (1.0 - surrogate.ADAM_BETA2**step_count)
+            theta = theta - cfg.lr * m_hat / (np.sqrt(v_hat) + surrogate.ADAM_EPS)
+            if not np.isfinite(theta).all():
+                return TrainingDivergedError(f"non-finite parameters at epoch {epoch}")
+            total += float(loss) * len(chunk)
+        val = None
+        if cfg.early_stop and epoch >= cfg.min_epochs:
+            histories, truth = split_frames(ds, "val", arch.history_len)
+            preds = surrogate._rollout(theta, arch, histories, truth.shape[1], ws)
+            val = nrmse_from_rollouts(preds[0], truth)
+        history.append(surrogate.EpochStats(epoch, total / len(pairs), val))
+        best_epoch = surrogate.kept_epoch(history)
+        if val is not None and best_epoch == epoch:
+            best_theta = theta[0].copy()
+        if best_theta is not None and epoch - best_epoch >= cfg.patience:
+            break
+    kept = theta[0] if best_theta is None else best_theta
+    return SurrogateParams(theta=kept, arch=arch), history
+
+
+def same_history(a, b):
+    """Equal ``EpochStats`` lists, where a NaN validation value equals a NaN."""
+    def key(h):
+        return h._replace(val_nrmse="nan") if h.val_nrmse != h.val_nrmse else h
+
+    return [key(h) for h in a] == [key(h) for h in b]
+
+
+def count_stack_rows(mp):
+    """Patch ``surrogate._stack_loss_grad`` to count the rollouts it steps: one
+    per slice and minibatch."""
+    rows = []
+    real = surrogate._stack_loss_grad
+
+    def spy(theta, arch, ds, ns, *args):
+        rows.append(len(ns))
+        return real(theta, arch, ds, ns, *args)
+
+    mp.setattr(surrogate, "_stack_loss_grad", spy)
+    return rows
+
+
+# one training of the stack: epochs_max, min_epochs, patience, early_stop and
+# lr, where lr 1e308 diverges in epoch 1 (batch 8) or 2 (batch 32)
+SCHEDULE_TRAINING = st.tuples(st.integers(0, 12), st.integers(0, 6), st.integers(1, 5),
+                              st.booleans(), st.sampled_from([1e-2, 3e-2, 1e308]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=st.lists(SCHEDULE_TRAINING, min_size=1, max_size=5),
+       batch_size=st.sampled_from([8, 32]), cap_rows=st.sampled_from([1, 2, 3, 64]),
+       one_per_stack=st.booleans(), seed=st.integers(0, 3))
+def test_deferred_validation_equals_validating_every_epoch(tiny_ds, specs, batch_size, cap_rows,
+                                                          one_per_stack, seed):
+    # cap_rows rows per validation rollout (16 cells, one val trajectory);
+    # one_per_stack steps each training as a stack of its own
+    trainings = [
+        surrogate.Training(init_params(TINY_ARCH, seed + g), [3 + (seed + g) % 4, 7, 9],
+                           TrainConfig(epochs_max=epochs_max, min_epochs=min_epochs,
+                                       patience=patience, early_stop=early_stop, lr=lr,
+                                       grad_clip=1e308 if lr > 1 else 1e-2,
+                                       batch_size=batch_size, seed=seed + g))
+        for g, (epochs_max, min_epochs, patience, early_stop, lr) in enumerate(specs)]
+    n_val = len(tiny_ds.split_indices("val"))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(surrogate, "STACK_COLUMNS", cap_rows * tiny_ds.spatial_size * n_val)
+        if one_per_stack:
+            mp.setattr(surrogate, "TRAIN_STACK_COLUMNS", 1)
+        rows = count_stack_rows(mp)
+        stacked = train_stack(trainings, tiny_ds)
+        stacked_rows = sum(rows)
+        rows.clear()
+        oracle = [train_validating_every_epoch(p, starts, tiny_ds, c)
+                  for p, starts, c in trainings]
+    # no slice trained a minibatch past its stop, and none stopped early
+    assert stacked_rows == len(rows)
+    for g, (got, want) in enumerate(zip(stacked, oracle)):
+        if isinstance(want, TrainingDivergedError):
+            assert isinstance(got, TrainingDivergedError) and str(got) == str(want), g
+            continue
+        (params, history), (ref_params, ref_history) = got, want
+        assert np.array_equal(params.theta, ref_params.theta), g
+        assert same_history(history, ref_history), g
+
+
+def test_deferred_validation_of_stops_and_divergence_in_a_block(tiny_ds, monkeypatch):
+    # slices that stop at different epochs, one that runs all its epochs and
+    # one that diverges in epoch 2, after epoch 1 waits for its validation
+    def cfg(**kw):
+        return TrainConfig(**{"min_epochs": 1, "patience": 3, "batch_size": 32, "lr": 3e-2,
+                              "grad_clip": 1e-2, **kw})
+
+    trainings = [surrogate.Training(init_params(TINY_ARCH, g), [3 + g, 7, 9], c) for g, c in
+                 enumerate([cfg(epochs_max=40, seed=0), cfg(epochs_max=40, seed=1, patience=2),
+                            cfg(epochs_max=7, seed=2, patience=7),
+                            cfg(epochs_max=9, lr=1e308, grad_clip=1e308, patience=5)])]
+    rows = count_stack_rows(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = train_stack(trainings, tiny_ds)
+        stacked_rows = sum(rows)
+        rows.clear()
+        oracle = [train_validating_every_epoch(p, starts, tiny_ds, c)
+                  for p, starts, c in trainings]
+    assert stacked_rows == len(rows)
+    assert str(stacked[3]) == str(oracle[3]) == "non-finite loss at epoch 2"
+    epochs = []
+    for g in range(3):
+        (params, history), (ref_params, ref_history) = stacked[g], oracle[g]
+        assert np.array_equal(params.theta, ref_params.theta), g
+        assert history == ref_history, g
+        epochs.append(len(history))
+    assert epochs[0] != epochs[1] and max(epochs[:2]) < 40  # both stopped early
+    assert epochs[2] == 7
+
+
+def test_bench_like_trainings_validate_in_one_rollout(tiny_ds, monkeypatch):
+    # patience >= epochs_max: no slice can stop before epochs_max, so epochs
+    # 5-10 of every slice validate in one stacked rollout
+    rollouts = spy_calls(monkeypatch, surrogate, "_rollout")
+    cfg = TrainConfig(epochs_max=10, min_epochs=5, patience=10, batch_size=8)
+    trainings = [surrogate.Training(init_params(TINY_ARCH, g), [3 + g, 7, 9], replace(cfg, seed=g))
+                 for g in range(3)]
+    results = train_stack(trainings, tiny_ds)
+    assert len(rollouts) == 1
+    assert all(len(history) == 10 for _, history in results)
 
 
 def test_train_stack_of_no_epochs_returns_each_init(tiny_ds):
@@ -549,9 +717,11 @@ def test_train_uses_one_workspace_and_releases_it(tiny_ds, monkeypatch):
     rollouts = spy_calls(monkeypatch, surrogate, "_rollout")
     cfg = TrainConfig(epochs_max=4, min_epochs=1, batch_size=16, seed=1)
     train(init_params(TINY_ARCH, 2), [4, 6, 8], tiny_ds, cfg)
-    # minibatches and validation rollouts all ran in the one workspace made,
-    # which held buffers from the second call on and is freed on return
-    assert len(steps) > 4 and len(rollouts) == 4
+    # patience 5 leaves epoch 4 the first possible stop, so epochs 1-4
+    # validate in one rollout; minibatches and that rollout all ran in the
+    # one workspace made, which held buffers from the second call on and is
+    # freed on return
+    assert len(steps) > 4 and len(rollouts) == 1
     assert len(made) == 1
     assert len({ws for ws, _ in steps + rollouts}) == 1
     assert steps[0][1] == 0
