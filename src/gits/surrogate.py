@@ -43,7 +43,7 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when a training's loss or parameters become non-finite."""
 
 
 class CheckpointFormatError(ValueError):
@@ -155,19 +155,28 @@ def init_params(arch: SurrogateArch, seed: int) -> SurrogateParams:
 # one frame buffer shaped (G, L + H, C, X, B): slice g holds rollout g,
 # frames 0..L-1 hold its history and step t writes its prediction into
 # frame L + t in place. Frames t..t+L-1 of a slice are the step's
-# (L*C, X*B) input. Each convolution builds every slice's (Cin*K, X*B)
-# window matrix in two copies, the X + 2r padded cells of each row and then
-# a strided view of those rows whose tap stride is the cell stride, and is
-# one stacked GEMM, W @ windows, against every slice. The weights are shared
-# by the stack, or carry its axis, one set per slice (a stack of trainings,
-# or of the epochs a stack validates). The backward pass is two more
-# stacked GEMMs, g_out @ windows.T for each slice's weight gradient and
-# W.T @ g_out for the windows, and an overlap-add of the window gradient
-# back onto the input rows. The batch is the fastest axis,
-# so each tap of the overlap-add is one contiguous block of X*B values per
-# slice. Every op runs once over the whole stack, and slice g computes
-# exactly what a call of that one rollout (G = 1) computes: the stack only
-# shares the per-op overhead, which dominates when X*B is small.
+# (L*C, X*B) input. The batch is the fastest axis, so a cell of a row is
+# one contiguous block of B values and a run of cells one of X*B.
+#
+# The input layer builds every slice's (L*C*K, X*B) window matrix in two
+# copies, the X + 2r padded cells of each row and then a strided view of
+# those rows whose tap stride is the cell stride, and is one stacked GEMM,
+# W1 @ windows, against every slice; the weight gradient needs those
+# windows again, so the tape keeps them. The output layer, hidden -> C
+# channels, never forms its (hidden*K, X*B) window matrix: its GEMM gives
+# the C*K per-tap products of the hidden rows, which are padded and summed
+# tap by tap. Its backward pass gathers the K windows of the zero-padded
+# output gradient once, (C*K, (X + 2r)*B), and that one gather serves both
+# the adjoint, a GEMM against the tap-flipped weights that writes hidden
+# padded rows, and the weight gradient, a GEMM against the padded hidden
+# rows. The input layer's adjoint (only needed when a rollout has more
+# than one step) goes through the same gather, GEMM and fold.
+#
+# The weights are shared by the stack, or carry its axis, one set per
+# slice (a stack of trainings, or of the epochs a stack validates). Every
+# op runs once over the whole stack, and slice g computes exactly what a
+# call of that one rollout (G = 1) computes: the stack only shares the
+# per-op overhead, which dominates when X*B is small.
 #
 # The window matrices, activations and gradient buffers of a rollout's
 # steps are written in place into buffers of a _Workspace, each asked for
@@ -204,71 +213,137 @@ def _pad_index(x_len: int, r: int, padding: str) -> np.ndarray:
     return idx
 
 
-def _windows(z: np.ndarray, pad: np.ndarray, out: np.ndarray, ws: _Workspace) -> None:
-    """(..., X, B) rows -> (..., K, X, B) windows in ``out``; ``pad`` is :func:`_pad_index`.
+def _taps(rows: np.ndarray, out: np.ndarray) -> None:
+    """Padded rows (..., X + K - 1, B) -> their K windows (..., K, X, B) in ``out``.
 
-    Tap j of cell x is row cell pad[x + j]. The X + 2r padded cells of each
-    row are copied once into the padded rows ``rows`` (..., X + 2r, B) of
-    ``ws``, and ``out`` is then one copy from a strided view of those rows
-    whose tap stride is the cell stride: tap j of cell x is padded cell
-    x + j. ``np.ndarray`` over the buffer makes that view in a fraction of
-    the time ``as_strided`` takes.
-    Every index is in range, so ``mode="wrap"`` never wraps; unlike the
-    default mode it lets ``take`` write into the rows without a bounce buffer.
+    Tap j of cell x is padded cell x + j. ``out`` is one copy from a strided
+    view of ``rows`` (contiguous) whose tap stride is the cell stride;
+    ``np.ndarray`` over the buffer makes that view in a fraction of the time
+    ``as_strided`` takes.
     """
-    rows = ws.get("rows", (*z.shape[:-2], pad.size, z.shape[-1]))
-    z.take(pad, axis=z.ndim - 2, out=rows, mode="wrap")
     *lead, cell, batch = rows.strides
     np.copyto(out, np.ndarray(out.shape, rows.dtype, buffer=rows,
                               strides=(*lead, cell, cell, batch)))
 
 
+def _windows(z: np.ndarray, pad: np.ndarray, out: np.ndarray, ws: _Workspace) -> None:
+    """(..., X, B) rows -> (..., K, X, B) windows in ``out``; ``pad`` is :func:`_pad_index`.
+
+    Tap j of cell x is row cell pad[x + j]: one ``take`` writes the padded
+    rows ``rows`` (..., X + 2r, B) of ``ws``, and then their taps are copied.
+    Every index is in range, so ``mode="wrap"`` never wraps; unlike the
+    default mode it lets ``take`` write into the rows without a bounce
+    buffer. The other padded-row takes of the step use it for that reason.
+    """
+    rows = ws.get("rows", (*z.shape[:-2], pad.size, z.shape[-1]))
+    z.take(pad, axis=z.ndim - 2, out=rows, mode="wrap")
+    _taps(rows, out)
+
+
+def _tap_major(w: np.ndarray, c_in: int, flip: bool = False) -> np.ndarray:
+    """(..., Cout, Cin*K) conv weights -> (..., Cin, Cout*K), column (o, j) holding tap j.
+
+    With ``flip``, column (o, j) holds tap K - 1 - j instead.
+    """
+    w = w.reshape(*w.shape[:-1], c_in, -1)
+    if flip:
+        w = w[..., ::-1]
+    w = np.swapaxes(w, -3, -2)
+    return w.reshape(*w.shape[:-3], c_in, -1)
+
+
+def _tap_conv(w_taps: np.ndarray, z: np.ndarray, pad: np.ndarray, out: np.ndarray,
+              ws: _Workspace) -> None:
+    """Convolution of the rows ``z`` (G, Cin, X, B) into ``out`` (G, Cout, X, B), without windows.
+
+    ``w_taps`` (Cout*K, Cin), shared by the stack, or (G, Cout*K, Cin), one
+    set per slice, holds tap j of output channel o in row (o, j): the
+    transpose of :func:`_tap_major`. One GEMM gives every cell's per-tap
+    products y (G, Cout*K, X*B) in ``ws``, one take writes y's padded rows
+    ``y_rows`` (G, Cout, K, X + 2r, B), and output cell x of channel o is
+    the sum over j of padded cell x + j of row (o, j): tap 0 is copied and
+    taps 1..K-1 are added in order. No bias is added.
+    """
+    stack, c_in, x_len, b_sz = z.shape
+    c_out = out.shape[1]
+    k = pad.size - x_len + 1
+    y = ws.get("y", (stack, c_out, k, x_len, b_sz))
+    np.matmul(w_taps, z.reshape(stack, c_in, -1), out=y.reshape(stack, c_out * k, -1))
+    y_rows = ws.get("y_rows", (stack, c_out, k, pad.size, b_sz))
+    y.take(pad, axis=3, out=y_rows, mode="wrap")
+    np.copyto(out, y_rows[:, :, 0, :x_len])
+    for j in range(1, k):
+        out += y_rows[:, :, j, j : j + x_len]
+
+
 def _windows_adjoint(w: np.ndarray, g: np.ndarray, pad: np.ndarray, b_sz: int,
-                     ws: _Workspace, name: str) -> np.ndarray:
+                     ws: _Workspace, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of :func:`_windows` applied to ``w.T @ g`` (G, Cout, X*B): (G, Cin, X*B).
 
     ``w`` is (Cout, Cin*K), shared by the stack, or (G, Cout, Cin*K), one
-    set per slice.
+    set per slice. Padded cell p of input channel c gets the sum over
+    (o, j) of w[o, (c, j)] * g[o, p - j], where g is zero outside its X
+    cells. So ``g`` is copied between 2r zero cells on each side into
+    ``{name}.g_rows`` (G, Cout, X + 4r, B) of ``ws``, and the K windows of
+    those rows over the X + 2r padded positions, tap j reading g at cell
+    p - 2r + j, go to ``{name}.g_win`` (G, Cout*K, (X + 2r)*B). One GEMM of
+    the tap-flipped weights (Cin, Cout*K) against them writes the padded
+    rows ``{name}.g_pad`` (G, Cin, (X + 2r)*B); then each of the 2r padded
+    edge cells is added onto the cell it was read from. The same code
+    serves both paddings.
 
-    The K taps of the window gradient are overlap-added into the padded
-    rows ``{name}.g_pad`` (G, Cin, X + 2r, B) of ``ws``; then each of the 2r
-    padded edge columns is added onto the cell it was read from. The result
-    is a view into those rows. With one row in ``w`` the product is an outer
-    product: tap j adds the broadcast products ``w[0, (c, j)] * g``, formed
-    in ``{name}.scratch`` (G, Cin, X, B), and the (G, Cin*K, X*B) product is
-    never written. Otherwise ``{name}.scratch`` receives that product. Both
-    paths add the same products in the same order.
+    Returns the input gradient, a view into those padded rows, and the
+    gradient windows, from which :func:`_tap_conv_weight_grad` takes the
+    weight gradient.
     """
-    stack, _, cols = g.shape
+    stack, c_out, cols = g.shape
     x_len = cols // b_sz
     r = (pad.size - x_len) // 2
     k = 2 * r + 1
     c_in = w.shape[-1] // k
-    g_pad = ws.get(f"{name}.g_pad", (stack, c_in, x_len + k - 1, b_sz))
-    g_pad.fill(0.0)
-    if w.shape[-2] == 1:
-        scratch = ws.get(f"{name}.scratch", (stack, c_in, x_len, b_sz))
-        w_taps = w.reshape(*w.shape[:-2], c_in, k, 1, 1)
-        g_cells = g.reshape(stack, 1, x_len, b_sz)
-        for j in range(k):
-            g_pad[:, :, j : j + x_len] += np.multiply(w_taps[..., j, :, :], g_cells, out=scratch)
-    else:
-        scratch = ws.get(f"{name}.scratch", (stack, c_in * k, cols))
-        g_win = np.matmul(np.swapaxes(w, -1, -2), g, out=scratch).reshape(stack, c_in, k, x_len,
-                                                                           b_sz)
-        for j in range(k):
-            g_pad[:, :, j : j + x_len] += g_win[:, :, j]
+    g_rows = ws.get(f"{name}.g_rows", (stack, c_out, x_len + 4 * r, b_sz))
+    g_rows[:, :, : 2 * r] = 0.0
+    g_rows[:, :, x_len + 2 * r :] = 0.0
+    g_rows[:, :, 2 * r : x_len + 2 * r] = g.reshape(stack, c_out, x_len, b_sz)
+    g_win = ws.get(f"{name}.g_win", (stack, c_out, k, pad.size, b_sz))
+    _taps(g_rows, g_win)
+    g_win = g_win.reshape(stack, c_out * k, -1)
+    g_pad = np.matmul(_tap_major(w, c_in, flip=True), g_win,
+                      out=ws.get(f"{name}.g_pad", (stack, c_in, pad.size * b_sz)))
+    g_cells = g_pad.reshape(stack, c_in, pad.size, b_sz)
     for p in (*range(r), *range(x_len + r, x_len + 2 * r)):
-        g_pad[:, :, r + pad[p]] += g_pad[:, :, p]
-    return g_pad.reshape(stack, c_in, -1)[:, :, r * b_sz : (r + x_len) * b_sz]
+        g_cells[:, :, r + pad[p]] += g_cells[:, :, p]
+    return g_pad[:, :, r * b_sz : (r + x_len) * b_sz], g_win
+
+
+def _tap_conv_weight_grad(z: np.ndarray, g_win: np.ndarray, pad: np.ndarray,
+                          ws: _Workspace) -> np.ndarray:
+    """Weight gradient (G, Cout, Cin*K) of a convolution of the rows ``z`` (G, Cin, X, B).
+
+    ``g_win`` (G, Cout*K, (X + 2r)*B) is the gradient windows
+    :func:`_windows_adjoint` returns for the output gradient. The padded
+    rows of ``z`` go to ``z_rows`` (G, Cin, X + 2r, B) of ``ws``, and entry
+    (c, (o, 2r - j)) of ``z_rows @ g_win.T`` is the gradient of weight
+    (o, (c, j)).
+    """
+    stack, c_in, x_len, b_sz = z.shape
+    k = pad.size - x_len + 1
+    z_rows = ws.get("z_rows", (stack, c_in, pad.size, b_sz))
+    z.take(pad, axis=2, out=z_rows, mode="wrap")
+    g_w = np.matmul(z_rows.reshape(stack, c_in, -1), g_win.transpose(0, 2, 1))
+    g_w = g_w.reshape(stack, c_in, -1, k)[..., ::-1]
+    return np.swapaxes(g_w, 1, 2).reshape(stack, -1, c_in * k)
 
 
 class _Tape(NamedTuple):
-    """Saved activations of a rollout's steps; slot t holds step t."""
+    """Saved activations of a rollout's steps; slot t holds step t.
+
+    The input layer's window matrices are kept for its weight gradient. The
+    output layer keeps none: its backward pass pads ``h`` again.
+    """
 
     win1: np.ndarray  # (slots, G, L*C*K, X*B)
     h: np.ndarray  # (slots, G, hidden, X*B)
-    win2: np.ndarray  # (slots, G, hidden*K, X*B)
     mask: np.ndarray  # (slots, G, C, X*B) bool: the output is inside the clamp
 
 
@@ -281,13 +356,13 @@ def _step_backward(g_pred, tape: _Tape, t: int, views: _Views, arch: SurrogateAr
     step's L input frames, shaped (G, L, C, X, B), a view into a buffer of
     ``ws`` that the next call overwrites.
     """
-    win1, h, win2, mask = tape.win1[t], tape.h[t], tape.win2[t], tape.mask[t]
+    win1, h, mask = tape.win1[t], tape.h[t], tape.mask[t]
     g_w1, g_b1, g_w2, g_b2 = grads
-    stack, _, x_len, b_sz = g_pred.shape
+    stack, channels, x_len, b_sz = g_pred.shape
     g_raw = np.multiply(g_pred.reshape(mask.shape), mask, out=ws.get("g_raw", mask.shape))
-    g_w2 += np.matmul(g_raw, win2.transpose(0, 2, 1))
     g_b2 += g_raw.sum(axis=2)
-    g_h = _windows_adjoint(views.w2, g_raw, pad, b_sz, ws, "adj2")
+    g_h, g_win = _windows_adjoint(views.w2, g_raw, pad, b_sz, ws, "adj2")
+    g_w2 += _tap_conv_weight_grad(h.reshape(stack, arch.hidden, x_len, b_sz), g_win, pad, ws)
     g_a1 = np.multiply(h, h, out=ws.get("g_a1", h.shape))
     np.subtract(1.0, g_a1, out=g_a1)
     g_a1 *= g_h
@@ -295,9 +370,9 @@ def _step_backward(g_pred, tape: _Tape, t: int, views: _Views, arch: SurrogateAr
     g_b1 += g_a1.sum(axis=2)
     if not input_grad:
         return None
-    g_z = _windows_adjoint(views.w1, g_a1, pad, b_sz, ws, "adj1")
-    g_z[:, -arch.channels :] += g_raw  # residual path: the last frame's rows
-    return g_z.reshape(stack, arch.history_len, arch.channels, x_len, -1)
+    g_z, _ = _windows_adjoint(views.w1, g_a1, pad, b_sz, ws, "adj1")
+    g_z[:, -channels:] += g_raw  # residual path: the last frame's rows
+    return g_z.reshape(stack, arch.history_len, channels, x_len, -1)
 
 
 def _advance(views: _Views, arch: SurrogateArch, buf: np.ndarray, ws: _Workspace,
@@ -305,9 +380,9 @@ def _advance(views: _Views, arch: SurrogateArch, buf: np.ndarray, ws: _Workspace
     """Fill frames L.. of every slice of ``buf`` (G, L + H, C, X, B) by autoregressive steps.
 
     Step t writes its prediction into frame L + t. With ``taped``, each step
-    keeps its window matrices, hidden activations and clamp mask in its own
+    keeps its input windows, hidden activations and clamp mask in its own
     slot and the tape is returned for the backward pass; otherwise all steps
-    share one slot.
+    share one slot. The output layer is a :func:`_tap_conv`.
     """
     stack, frames, channels, x_len, b_sz = buf.shape
     length, hidden, k = arch.history_len, arch.hidden, arch.kernel_size
@@ -316,13 +391,12 @@ def _advance(views: _Views, arch: SurrogateArch, buf: np.ndarray, ws: _Workspace
     slots = frames - length if taped else 1
     win1 = ws.get("win1", (slots, stack, arch.in_channels * k, cols))
     h = ws.get("h", (slots, stack, hidden, cols))
-    win2 = ws.get("win2", (slots, stack, hidden * k, cols))
     mask = ws.get("mask", (slots, stack, channels, cols), bool) if taped else None
     raw = ws.get("raw", (stack, channels, cols))
+    w2_taps = np.swapaxes(_tap_major(views.w2, hidden), -1, -2)  # (..., C*K, hidden)
     # the same slots with the cell and batch axes apart, as the gathers write them
     win1_cells = win1.reshape(slots, stack, length, channels, k, x_len, b_sz)
     h_cells = h.reshape(slots, stack, hidden, x_len, b_sz)
-    win2_cells = win2.reshape(slots, stack, hidden, k, x_len, b_sz)
     raw_cells = raw.reshape(stack, channels, x_len, b_sz)
     for t in range(frames - length):
         s = t if taped else 0
@@ -330,14 +404,13 @@ def _advance(views: _Views, arch: SurrogateArch, buf: np.ndarray, ws: _Workspace
         np.matmul(views.w1, win1[s], out=h[s])
         h[s] += views.b1[..., None]
         np.tanh(h[s], out=h[s])
-        _windows(h_cells[s], pad, win2_cells[s], ws)
-        np.matmul(views.w2, win2[s], out=raw)
+        _tap_conv(w2_taps, h_cells[s], pad, raw_cells, ws)
         raw += views.b2[..., None]
         raw_cells += buf[:, t + length - 1]  # the residual: the last input frame
         np.clip(raw_cells, -arch.clamp, arch.clamp, out=buf[:, t + length])
         if taped:
             np.less(np.abs(raw, out=raw), arch.clamp, out=mask[s])
-    return _Tape(win1, h, win2, mask) if taped else None
+    return _Tape(win1, h, mask) if taped else None
 
 
 def rollout_batch(params: SurrogateParams, histories: np.ndarray, steps: int) -> np.ndarray:
@@ -707,6 +780,8 @@ def train_stack(trainings, ds: TrajectoryDataset) -> list:
             if not finite.all():
                 theta, m, v, lr, losses = leave(finite, (theta, m, v, lr, losses),
                                                 f"non-finite parameters at epoch {epoch}")
+                if not live:
+                    break
             for sl, loss in zip(live, losses.tolist()):
                 sl.loss += loss * chunks.shape[1]
 

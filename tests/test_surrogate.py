@@ -239,22 +239,6 @@ def test_loss_reads_each_pairs_history_and_target_frames(tiny_ds):
     assert loss == pytest.approx(np.mean(expected), rel=1e-12)
 
 
-@pytest.mark.parametrize("padding", surrogate.PADDINGS)
-def test_one_row_adjoint_equals_the_matmul_path(padding):
-    # a zero second row sends the same products through np.matmul
-    rng = np.random.default_rng(8)
-    stack, c_in, r, x_len, b_sz = 3, 4, 2, 16, 5
-    k = 2 * r + 1
-    w = rng.normal(size=(1, c_in * k))
-    g = rng.normal(size=(stack, 1, x_len * b_sz))
-    pad = surrogate._pad_index(x_len, r, padding)
-    one_row = surrogate._windows_adjoint(w, g, pad, b_sz, surrogate._Workspace(), "adj")
-    two_rows = surrogate._windows_adjoint(np.vstack([w, np.zeros_like(w)]),
-                                          np.concatenate([g, np.zeros_like(g)], axis=1),
-                                          pad, b_sz, surrogate._Workspace(), "adj")
-    assert np.array_equal(one_row, two_rows)
-
-
 def flat_window_index(x_len, r, padding, b_sz):
     """The flat (K, X*B) index over (X*B) columns: entry (j, x*B + b) is pad[x + j]*B + b."""
     k = 2 * r + 1
@@ -366,6 +350,39 @@ def test_train_divergence_is_reported(tiny_ds):
             train(p0, [4, 5, 6], tiny_ds, cfg)
 
 
+def test_stack_whose_every_slice_gets_non_finite_parameters_raises_diverged(tiny_ds):
+    # the parameter guard empties the stack mid-epoch: no further minibatch runs
+    arch = SurrogateArch(history_len=3, hidden=1, kernel_radius=1)
+    cfg = TrainConfig(epochs_max=3, lr=1e308, grad_clip=1e308, batch_size=4, early_stop=False,
+                      seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError, match="^non-finite parameters at epoch 1$"):
+            train(init_params(arch, 0), range(3, 9), tiny_ds, cfg)
+
+
+def test_stacked_slice_with_a_non_finite_loss_leaves_the_stack(tiny_ds):
+    # w1 = 0 and b1 = 1 make every hidden value tanh(1); output taps 0 and 1
+    # then sum to +inf and -inf, so the prediction and the loss are NaN
+    k = TINY_ARCH.kernel_size
+    theta = np.zeros(TINY_ARCH.param_count())
+    views = surrogate._unpack(theta, TINY_ARCH)
+    views.b1[...] = 1.0
+    w2 = views.w2.reshape(TINY_ARCH.hidden, k)
+    w2[:, 0], w2[:, 1] = 1.7e308, -1.7e308
+    cfg = TrainConfig(epochs_max=6, min_epochs=2, patience=2, batch_size=8, seed=3, lr=1e-2)
+    trainings = [surrogate.Training(init_params(TINY_ARCH, 4), [4, 6, 8], cfg),
+                 surrogate.Training(SurrogateParams(theta, TINY_ARCH), [3, 5, 7], cfg)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = train_stack(trainings, tiny_ds)
+        with pytest.raises(TrainingDivergedError, match="^non-finite loss at epoch 1$"):
+            train(trainings[1].params_init, trainings[1].starts, tiny_ds, cfg)
+    assert str(stacked[1]) == "non-finite loss at epoch 1"
+    params, history = stacked[0]
+    ref_params, ref_history = train(trainings[0].params_init, trainings[0].starts, tiny_ds, cfg)
+    assert np.array_equal(params.theta, ref_params.theta)
+    assert history == ref_history
+
+
 @pytest.mark.parametrize("columns", [surrogate.TRAIN_STACK_COLUMNS, 2 * 16 * 8])
 def test_train_stack_equals_single_trainings(tiny_ds, monkeypatch, columns):
     # four slices of three starts each: two stop early at different epochs,
@@ -398,7 +415,7 @@ def test_train_stack_equals_single_trainings(tiny_ds, monkeypatch, columns):
     assert all(isinstance(r[2], TrainingDivergedError) for r in (stacked, singles))
     # the first line of the error text the grid records for each
     assert ({parallel.error_text(r[2]).splitlines()[0] for r in (stacked, singles)}
-            == {"TrainingDivergedError: non-finite loss at epoch 1"})
+            == {"TrainingDivergedError: non-finite parameters at epoch 1"})
     epochs = []
     for g in (0, 1, 3):
         (params, history), (ref_params, ref_history) = stacked[g], singles[g]
