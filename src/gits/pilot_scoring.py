@@ -13,8 +13,8 @@ horizon, and returns each one's loss and gradient bit for bit as a call of
 that candidate alone would. At most :func:`stack_size` candidates go in a
 stack, fewer as the columns X*B of a step grow: on one CPU of a 2-core
 Intel Xeon VM (OpenBLAS 1 thread), a candidate of the long_axis_select
-bench shape (X*B = 256, H = 4) took 0.25–0.26 ms in a stack of 8 against
-0.58–0.59 ms alone.
+bench shape (X*B = 256, H = 4) took 0.24 ms in a stack of 8 against
+0.49–0.51 ms alone.
 """
 
 from __future__ import annotations
@@ -137,9 +137,10 @@ def stack_size(columns: int) -> int:
     """Candidates scored per surrogate call when each step has ``columns`` (X*B) columns.
 
     8 at X*B = 256 and 4 at 512 (the bench's scoring shapes), 1 from 2048
-    on (the default grid, B = 32), where a stack of 2 saved nothing
-    measurable (4.6–4.7 ms a candidate either way at H = 10, one CPU of a
-    2-core Intel Xeon VM) and held a second copy of every step buffer.
+    on (the default grid, B = 32), where a stack of 2 saved nothing (at
+    H = 10 a candidate took 3.9–4.0 ms alone and 4.0–4.1 ms in a stack of
+    2, one CPU of a 2-core Intel Xeon VM) and held a second copy of every
+    step buffer.
     ``STACK_COLUMNS`` lives in :mod:`gits.surrogate`, whose validation
     rollouts stack to the same bound.
     """

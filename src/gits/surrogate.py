@@ -165,12 +165,14 @@ def init_params(arch: SurrogateArch, seed: int) -> SurrogateParams:
 # windows again, so the tape keeps them. The output layer, hidden -> C
 # channels, never forms its (hidden*K, X*B) window matrix: its GEMM gives
 # the C*K per-tap products of the hidden rows, which are padded and summed
-# tap by tap. Its backward pass gathers the K windows of the zero-padded
-# output gradient once, (C*K, (X + 2r)*B), and that one gather serves both
-# the adjoint, a GEMM against the tap-flipped weights that writes hidden
-# padded rows, and the weight gradient, a GEMM against the padded hidden
-# rows. The input layer's adjoint (only needed when a rollout has more
-# than one step) goes through the same gather, GEMM and fold.
+# tap by tap. The backward pass of either layer gathers the K windows of
+# its zero-padded output gradient once, over the X + 2r padded positions,
+# and folds the 2r edge positions onto the cells they were read from,
+# which leaves (Cout*K, X*B) windows. These serve both the input gradient,
+# one GEMM of the tap-flipped weights straight into the (Cin, X*B) rows,
+# and the output layer's weight gradient, one GEMM against the unpadded
+# hidden rows of the tape. The input layer's input gradient is needed only
+# when a rollout has more than one step.
 #
 # The weights are shared by the stack, or carry its axis, one set per
 # slice (a stack of trainings, or of the epochs a stack validates). Every
@@ -276,70 +278,57 @@ def _tap_conv(w_taps: np.ndarray, z: np.ndarray, pad: np.ndarray, out: np.ndarra
         out += y_rows[:, :, j, j : j + x_len]
 
 
-def _windows_adjoint(w: np.ndarray, g: np.ndarray, pad: np.ndarray, b_sz: int,
-                     ws: _Workspace, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint of :func:`_windows` applied to ``w.T @ g`` (G, Cout, X*B): (G, Cin, X*B).
+def _windows_adjoint(g: np.ndarray, pad: np.ndarray, b_sz: int, ws: _Workspace) -> np.ndarray:
+    """Folded gradient windows (G, Cout*K, X*B) of the output gradient ``g`` (G, Cout, X*B).
 
-    ``w`` is (Cout, Cin*K), shared by the stack, or (G, Cout, Cin*K), one
-    set per slice. Padded cell p of input channel c gets the sum over
-    (o, j) of w[o, (c, j)] * g[o, p - j], where g is zero outside its X
-    cells. So ``g`` is copied between 2r zero cells on each side into
-    ``{name}.g_rows`` (G, Cout, X + 4r, B) of ``ws``, and the K windows of
-    those rows over the X + 2r padded positions, tap j reading g at cell
-    p - 2r + j, go to ``{name}.g_win`` (G, Cout*K, (X + 2r)*B). One GEMM of
-    the tap-flipped weights (Cin, Cout*K) against them writes the padded
-    rows ``{name}.g_pad`` (G, Cin, (X + 2r)*B); then each of the 2r padded
-    edge cells is added onto the cell it was read from. The same code
-    serves both paddings.
+    For conv weights w (Cout, Cin*K), padded cell p of input channel c gets
+    the sum over (o, j) of w[o, (c, j)] * g[o, p - j], where g is zero
+    outside its X cells. So ``g`` is copied between 2r zero cells on each
+    side into ``g_rows`` (G, Cout, X + 4r, B) of ``ws``, and the K windows
+    of those rows over the X + 2r padded positions, tap j reading g at cell
+    p - 2r + j, go to ``g_win`` (G, Cout*K, X + 2r, B). Then each of the 2r
+    edge positions is added onto the position of the cell it was read from,
+    and the X interior positions are returned, a view into ``g_win``. The
+    same code serves both paddings.
 
-    Returns the input gradient, a view into those padded rows, and the
-    gradient windows, from which :func:`_tap_conv_weight_grad` takes the
-    weight gradient.
+    The input gradient is ``_tap_major(w, Cin, flip=True)`` times the
+    windows, for weights shared by the stack or (G, Cout, Cin*K), one set
+    per slice; :func:`_tap_conv_weight_grad` takes the weight gradient from
+    them.
     """
     stack, c_out, cols = g.shape
     x_len = cols // b_sz
     r = (pad.size - x_len) // 2
     k = 2 * r + 1
-    c_in = w.shape[-1] // k
-    g_rows = ws.get(f"{name}.g_rows", (stack, c_out, x_len + 4 * r, b_sz))
+    g_rows = ws.get("g_rows", (stack, c_out, x_len + 4 * r, b_sz))
     g_rows[:, :, : 2 * r] = 0.0
     g_rows[:, :, x_len + 2 * r :] = 0.0
     g_rows[:, :, 2 * r : x_len + 2 * r] = g.reshape(stack, c_out, x_len, b_sz)
-    g_win = ws.get(f"{name}.g_win", (stack, c_out, k, pad.size, b_sz))
-    _taps(g_rows, g_win)
-    g_win = g_win.reshape(stack, c_out * k, -1)
-    g_pad = np.matmul(_tap_major(w, c_in, flip=True), g_win,
-                      out=ws.get(f"{name}.g_pad", (stack, c_in, pad.size * b_sz)))
-    g_cells = g_pad.reshape(stack, c_in, pad.size, b_sz)
+    g_win = ws.get("g_win", (stack, c_out * k, pad.size, b_sz))
+    _taps(g_rows, g_win.reshape(stack, c_out, k, pad.size, b_sz))
     for p in (*range(r), *range(x_len + r, x_len + 2 * r)):
-        g_cells[:, :, r + pad[p]] += g_cells[:, :, p]
-    return g_pad[:, :, r * b_sz : (r + x_len) * b_sz], g_win
+        g_win[:, :, r + pad[p]] += g_win[:, :, p]
+    return g_win[:, :, r : r + x_len].reshape(stack, c_out * k, -1)
 
 
-def _tap_conv_weight_grad(z: np.ndarray, g_win: np.ndarray, pad: np.ndarray,
-                          ws: _Workspace) -> np.ndarray:
-    """Weight gradient (G, Cout, Cin*K) of a convolution of the rows ``z`` (G, Cin, X, B).
+def _tap_conv_weight_grad(z: np.ndarray, g_win: np.ndarray, k: int) -> np.ndarray:
+    """Weight gradient (G, Cout, Cin*K) of a K-tap convolution of the rows ``z`` (G, Cin, X*B).
 
-    ``g_win`` (G, Cout*K, (X + 2r)*B) is the gradient windows
-    :func:`_windows_adjoint` returns for the output gradient. The padded
-    rows of ``z`` go to ``z_rows`` (G, Cin, X + 2r, B) of ``ws``, and entry
-    (c, (o, 2r - j)) of ``z_rows @ g_win.T`` is the gradient of weight
-    (o, (c, j)).
+    ``g_win`` (G, Cout*K, X*B) is the folded gradient windows
+    :func:`_windows_adjoint` returns for the output gradient: entry
+    ((o, 2r - j), c) of ``g_win @ z.T`` is the gradient of weight (o, (c, j)).
     """
-    stack, c_in, x_len, b_sz = z.shape
-    k = pad.size - x_len + 1
-    z_rows = ws.get("z_rows", (stack, c_in, pad.size, b_sz))
-    z.take(pad, axis=2, out=z_rows, mode="wrap")
-    g_w = np.matmul(z_rows.reshape(stack, c_in, -1), g_win.transpose(0, 2, 1))
-    g_w = g_w.reshape(stack, c_in, -1, k)[..., ::-1]
-    return np.swapaxes(g_w, 1, 2).reshape(stack, -1, c_in * k)
+    stack, c_in, _ = z.shape
+    g_w = np.matmul(g_win, z.transpose(0, 2, 1))
+    g_w = g_w.reshape(stack, -1, k, c_in)[:, :, ::-1]
+    return np.swapaxes(g_w, 2, 3).reshape(stack, -1, c_in * k)
 
 
 class _Tape(NamedTuple):
     """Saved activations of a rollout's steps; slot t holds step t.
 
     The input layer's window matrices are kept for its weight gradient. The
-    output layer keeps none: its backward pass pads ``h`` again.
+    output layer keeps none: its weight gradient reads ``h`` unpadded.
     """
 
     win1: np.ndarray  # (slots, G, L*C*K, X*B)
@@ -361,8 +350,10 @@ def _step_backward(g_pred, tape: _Tape, t: int, views: _Views, arch: SurrogateAr
     stack, channels, x_len, b_sz = g_pred.shape
     g_raw = np.multiply(g_pred.reshape(mask.shape), mask, out=ws.get("g_raw", mask.shape))
     g_b2 += g_raw.sum(axis=2)
-    g_h, g_win = _windows_adjoint(views.w2, g_raw, pad, b_sz, ws, "adj2")
-    g_w2 += _tap_conv_weight_grad(h.reshape(stack, arch.hidden, x_len, b_sz), g_win, pad, ws)
+    g_win = _windows_adjoint(g_raw, pad, b_sz, ws)
+    g_h = np.matmul(_tap_major(views.w2, arch.hidden, flip=True), g_win,
+                    out=ws.get("g_h", h.shape))
+    g_w2 += _tap_conv_weight_grad(h, g_win, arch.kernel_size)
     g_a1 = np.multiply(h, h, out=ws.get("g_a1", h.shape))
     np.subtract(1.0, g_a1, out=g_a1)
     g_a1 *= g_h
@@ -370,7 +361,9 @@ def _step_backward(g_pred, tape: _Tape, t: int, views: _Views, arch: SurrogateAr
     g_b1 += g_a1.sum(axis=2)
     if not input_grad:
         return None
-    g_z, _ = _windows_adjoint(views.w1, g_a1, pad, b_sz, ws, "adj1")
+    g_z = np.matmul(_tap_major(views.w1, arch.in_channels, flip=True),
+                    _windows_adjoint(g_a1, pad, b_sz, ws),
+                    out=ws.get("g_z", (stack, arch.in_channels, x_len * b_sz)))
     g_z[:, -channels:] += g_raw  # residual path: the last frame's rows
     return g_z.reshape(stack, arch.history_len, channels, x_len, -1)
 
@@ -555,15 +548,15 @@ def _stack_loss_grad(theta: np.ndarray, arch: SurrogateArch, ds: TrajectoryDatas
     losses = np.sum((np.sum(diff**2, axis=(2, 3)) / denom).reshape(stack, -1), axis=1) / weight
     seeds = 2.0 * diff / denom[:, :, None, None, :] / weight
 
-    # reverse pass over the predicted frames; gradients w.r.t. the
-    # ground-truth history frames are dropped
-    g_frames = np.zeros_like(seeds)
+    # reverse pass over the predicted frames: step t's gradient w.r.t. the
+    # predicted frames among its inputs is added into theirs in ``seeds``,
+    # and gradients w.r.t. the ground-truth history frames are dropped
     for t in range(h_eff - 1, -1, -1):
-        g_in = _step_backward(seeds[:, t] + g_frames[:, t], tape, t, views, arch, pad, grads,
-                              ws, input_grad=t > 0)
+        g_in = _step_backward(seeds[:, t], tape, t, views, arch, pad, grads, ws,
+                              input_grad=t > 0)
         if t > 0:
             lo = max(length - t, 0)  # first input frame that is a prediction
-            g_frames[:, t + lo - length : t] += g_in[:, lo:]
+            seeds[:, t + lo - length : t] += g_in[:, lo:]
     return losses
 
 

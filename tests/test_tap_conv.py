@@ -6,7 +6,8 @@ gradient as a GEMM of the output gradient against that matrix, and the
 adjoint as ``W.T @ g`` overlap-added tap by tap into padded rows (an outer
 product for one output channel). The tap-by-tap kernels add the same
 products in a different order, so they agree to a pinned tolerance rather
-than bit for bit.
+than bit for bit. The backward kernels under test both read the folded
+gradient windows of ``surrogate._windows_adjoint``.
 """
 
 import numpy as np
@@ -80,6 +81,11 @@ def tap_conv(w, z, pad, ws):
     return out.reshape(stack, w.shape[-2], -1)
 
 
+def input_grad(w, windows, c_in):
+    """The adjoint: the tap-flipped weights (…, Cin, Cout*K) @ the folded windows."""
+    return np.matmul(surrogate._tap_major(w, c_in, flip=True), windows)
+
+
 def assert_close(got, ref, what):
     assert got.shape == ref.shape, what
     assert np.max(np.abs(got - ref)) <= TOL * np.max(np.abs(ref)), what
@@ -105,10 +111,12 @@ def test_tap_conv_and_its_adjoints_match_the_window_matrix(padding, r):
                         oracle_ws = surrogate._Workspace()
                         assert_close(tap_conv(w, z, pad, ws), oracle_conv(w, z, pad, oracle_ws),
                                      ("forward", shape))
-                        g_z, g_win = surrogate._windows_adjoint(w, g, pad, b_sz, ws, "adj")
-                        assert_close(g_z, oracle_windows_adjoint(w, g, pad, b_sz, oracle_ws,
-                                                                 "adj"), ("adjoint", shape))
-                        assert_close(surrogate._tap_conv_weight_grad(z, g_win, pad, ws),
+                        windows = surrogate._windows_adjoint(g, pad, b_sz, ws)
+                        assert_close(input_grad(w, windows, c_in),
+                                     oracle_windows_adjoint(w, g, pad, b_sz, oracle_ws, "adj"),
+                                     ("adjoint", shape))
+                        assert_close(surrogate._tap_conv_weight_grad(
+                                         z.reshape(stack, c_in, -1), windows, k),
                                      oracle_weight_grad(z, g, pad, oracle_ws),
                                      ("weight gradient", shape))
 
@@ -129,8 +137,9 @@ def test_tap_conv_adjoint_identity(padding, r, x_len, b_sz, stack, c_in, c_out, 
     z = rng.normal(size=(stack, c_in, x_len, b_sz))
     g = rng.normal(size=(stack, c_out, x_len * b_sz))
     conv = tap_conv(w, z, pad, ws)
-    g_z, g_win = surrogate._windows_adjoint(w, g, pad, b_sz, ws, "adj")
-    g_w = surrogate._tap_conv_weight_grad(z, g_win, pad, ws)
+    windows = surrogate._windows_adjoint(g, pad, b_sz, ws)
+    g_z = input_grad(w, windows, c_in)
+    g_w = surrogate._tap_conv_weight_grad(z.reshape(stack, c_in, -1), windows, k)
     lhs = float(np.sum(conv * g))
     # every side sums the same products w * z * g, so their magnitudes bound the rounding
     bound = 1e-12 * float(np.sum(tap_conv(np.abs(w), np.abs(z), pad, ws) * np.abs(g)))
