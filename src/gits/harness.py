@@ -19,8 +19,10 @@ error text of its failed pilot or chunk (:func:`_select_cells`). Trainings
 of one number of starts that wait for a worker run as one stacked task, whose
 trainings step together (:func:`gits.surrogate.train_stack`). ``gits select``
 and ``gits train`` queue one cell's tasks the same way
-(:func:`select_starts`). The tasks are plain functions: the scheduler
-times each one and records its exception (:class:`gits.parallel.Outcome`),
+(:func:`select_starts`). The tasks are plain functions of a list of items
+that return one value per item: a pilot, a scoring chunk and a selection
+take one item, a stack of trainings one per training. The scheduler times
+each call and records its exception (:class:`gits.parallel.Outcome`),
 which gives each seed's pilot and scoring seconds, each cell's selection
 seconds, and the training and evaluation seconds of each stack of distinct
 selections.
@@ -186,7 +188,8 @@ def train_downstream(
 
 # ----------------------------------------------------------------------
 # the grid's tasks: they run on the pool's workers, or here with one worker;
-# the scheduler times each one and records its exception
+# each takes a list of items and returns one value per item, and the
+# scheduler times each call and records its exception
 # ----------------------------------------------------------------------
 
 class _Run(NamedTuple):
@@ -201,34 +204,37 @@ class _Run(NamedTuple):
     scoring: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _pilot_task(run: _Run, seed: int) -> SurrogateParams:
-    """Train one seed's pilot for ``pilot_epochs`` under its pilot seed."""
+def _pilot_task(run: _Run, seeds: list[int]) -> list[SurrogateParams]:
+    """Train one seed's pilot for ``pilot_epochs`` under its pilot seed;
+    ``seeds`` is that one seed."""
+    [seed] = seeds
     cfg = replace(run.cfg.train, epochs_max=run.cfg.pilot_epochs, seed=stage_seed(seed, "pilot"))
-    return pilot_scoring.train_pilot(run.ds, run.candidates, cfg,
-                                     arch=_model_arch(run.cfg, run.ds))
+    return [pilot_scoring.train_pilot(run.ds, run.candidates, cfg,
+                                      arch=_model_arch(run.cfg, run.ds))]
 
 
-def _score_task(run: _Run, task) -> None:
+def _score_task(run: _Run, tasks: list) -> list[None]:
     """Score one chunk of a seed's candidates with its pilot into the seed's
-    shared arrays; ``task`` is ``(seed, pilot, positions)``."""
-    seed, pilot, positions = task
+    shared arrays; ``tasks`` is the one ``(seed, pilot, positions)``."""
+    [(seed, pilot, positions)] = tasks
     traj, losses, grads = run.scoring[seed]
     pilot_scoring._chunk_gradients(pilot, run.ds, traj, run.cfg.horizon,
                                    run.candidates.indices, positions, losses, grads)
+    return [None]
 
 
-def _select_task(run: _Run, cell) -> SelectionResult:
-    """Run one cell's sampler; ``cell`` is ``(ratio, sampler, seed)``. A
-    pilot-based sampler reads its seed's losses and gradients, which the
+def _select_task(run: _Run, cells: list) -> list[SelectionResult]:
+    """Run one cell's sampler; ``cells`` is the one ``(ratio, sampler, seed)``.
+    A pilot-based sampler reads its seed's losses and gradients, which the
     seed's scoring chunks wrote into the shared arrays."""
-    ratio, sampler, seed = cell
+    [(ratio, sampler, seed)] = cells
     needs = selector.SAMPLER_TABLE[sampler].needs
     pilot = None
     if needs is not None:
         _, losses, grads = run.scoring[seed]
         pilot = pilot_scoring.pilot_input(needs, losses, grads, run.candidates)
     budget = selector.budget_from_ratio(ratio, run.candidates.size)
-    return selector.run_sampler(sampler, run.candidates, run.cfg.objective, budget, pilot)
+    return [selector.run_sampler(sampler, run.candidates, run.cfg.objective, budget, pilot)]
 
 
 def _train_and_evaluate(run: _Run, keys) -> list:

@@ -1,14 +1,17 @@
 """One fork pool for the pipeline's independent work.
 
-A :class:`Scheduler` runs tasks ``fn(shared, item)`` on forked worker
-processes, one per CPU this process may run on (its CPU affinity), as they
-become ready. A task may carry a ``then`` callback that runs here with the
-task's :class:`Outcome` and may submit further tasks, so one pool runs a
-whole task graph: :func:`gits.harness.run_experiment` queues each seed's
-pilot, the pilot's return queues that seed's scoring chunks, the last
-chunk's return queues the seed's pilot-based selections, and each
-selection's return queues its training, while the selections and
-trainings that need no pilot already run on the other workers.
+A :class:`Scheduler` runs tasks on forked worker processes, one per CPU
+this process may run on (its CPU affinity), as they become ready. Every
+call is ``fn(shared, items)``: ``fn`` takes a list of items and returns a
+list of one value per item, so a lone task is a call of one item and a
+stack of tasks is one call of all their items. A task may carry a
+``then`` callback that runs here with the task's :class:`Outcome` and may
+submit further tasks, so one pool runs a whole task graph:
+:func:`gits.harness.run_experiment` queues each seed's pilot, the pilot's
+return queues that seed's scoring chunks, the last chunk's return queues
+the seed's pilot-based selections, and each selection's return queues its
+training, while the selections and trainings that need no pilot already
+run on the other workers.
 
 At most one task is in flight per worker. Whenever a worker is free, the
 scheduler hands it the ready task of the lowest priority number, and tasks
@@ -20,7 +23,7 @@ and selection on a pool of their own (:func:`gits.harness.select_starts`).
 
 Tasks submitted with a stack key run stacked when they wait for a worker:
 the free worker that takes one takes other ready tasks of its key, and
-``fn`` gets all their items in one call and returns one value per item.
+one call of ``fn`` gets all their items.
 The ready tasks of a key are shared out among the free workers and the
 workers busy with tasks of the same or a later priority, which will come
 back for more; a worker busy with more urgent work (a pilot, a scoring
@@ -32,16 +35,17 @@ steps its minibatches in one surrogate call
 it computes alone, so how the tasks were stacked does not change the
 outputs.
 
-Every task, wherever it runs, passes through :func:`_call`, which holds
-the one failure and timing policy: an exception a task raises becomes the
-outcome's error text (:func:`error_text`), and the outcome carries the
-task's ``time.perf_counter`` start and end. That clock is system-wide, so a
-span timed in a worker compares with one timed here. An exception in a
-``then`` callback, or a worker that dies, still raises from
-:meth:`Scheduler.run`.
+Every call, wherever it runs, passes through :func:`_call`, which holds
+the one failure and timing policy: an exception the call raises becomes
+the error text (:func:`error_text`) of each of its items, an exception
+that ``fn`` returns as an item's value becomes that item's, and each
+item's outcome carries the call's ``time.perf_counter`` start and end.
+That clock is system-wide, so a span timed in a worker compares with one
+timed here. An exception in a ``then`` callback, or a worker that dies,
+still raises from :meth:`Scheduler.run`.
 
-The workers inherit ``shared`` through fork, so only each task's item and
-outcome are pickled, and ``fn`` by its import path. They fork when the run
+The workers inherit ``shared`` through fork, so only each call's items and
+outcomes are pickled, and ``fn`` by its import path. They fork when the run
 starts, so ``shared`` must be complete by then; arrays from
 :func:`shared_zeros` in it carry the workers' writes back without pickling.
 With one worker the same tasks run in this process, in the same order, so
@@ -51,7 +55,7 @@ depend on the worker count.
 
 Scoring hands each worker one contiguous chunk of candidates
 (``pilot_scoring.score_chunks``), which the worker scores in stacks of
-several candidates per surrogate call (``pilot_scoring.stack_size``: 8 at
+several candidates per surrogate call (``surrogate.stack_size``: 8 at
 the long_axis_select bench shape, 1 at the default grid's). A stack is cut
 at the end of a chunk, and stacking does not change any candidate's
 arithmetic, so the chunking does not change the outputs either.
@@ -118,28 +122,21 @@ class Outcome(NamedTuple):
         return self.end - self.start
 
 
-def _call(fn, shared, item) -> Outcome:
-    """Run ``fn(shared, item)`` and time it; an exception becomes the outcome's error."""
+def _call(fn, shared, items: list) -> list[Outcome]:
+    """Run ``fn(shared, items)`` and time it: the outcome of each item.
+
+    Each item's outcome has the call's span and its own entry of the
+    returned list as its value, or as its error if that entry is an
+    exception; an exception the call raises is every item's error.
+    """
     start = time.perf_counter()
     try:
-        value, error = fn(shared, item), None
+        values = fn(shared, items)
     except Exception as exc:  # the task failure policy: record and continue
-        value, error = None, error_text(exc)
-    return Outcome(value, error, start, time.perf_counter())
-
-
-def _call_stack(fn, shared, items: list) -> list[Outcome]:
-    """Run the stacked tasks ``fn(shared, items)`` as :func:`_call` runs one.
-
-    Each task's outcome has the call's span and its own entry of the
-    returned list as its value, or as its error if that entry is an
-    exception; an exception the call raises is every task's error.
-    """
-    whole = _call(fn, shared, items)
-    if whole.error is not None:
-        return [whole] * len(items)
-    return [whole._replace(value=None, error=error_text(value)) if isinstance(value, Exception)
-            else whole._replace(value=value) for value in whole.value]
+        values = [exc] * len(items)
+    end = time.perf_counter()
+    return [Outcome(None, error_text(value), start, end) if isinstance(value, Exception)
+            else Outcome(value, None, start, end) for value in values]
 
 
 class _Call(NamedTuple):
@@ -148,16 +145,8 @@ class _Call(NamedTuple):
     priority: int
     number: int  # the submission number of its first task
     fn: Any
-    item: Any  # the task's item, or the list of the stacked tasks' items
+    items: list  # each task's item
     thens: list  # each task's callback
-    stacked: bool
-
-
-def _outcomes(fn, shared, item, stacked: bool) -> list[Outcome]:
-    """The outcome of each task of one call: one task, or a stack of them."""
-    if stacked:
-        return _call_stack(fn, shared, item)
-    return [_call(fn, shared, item)]
 
 
 def _install(shared) -> None:
@@ -165,12 +154,12 @@ def _install(shared) -> None:
     _shared = shared
 
 
-def _run(fn, item, stacked: bool) -> list[Outcome]:
-    return _outcomes(fn, _shared, item, stacked)
+def _run(fn, items: list) -> list[Outcome]:
+    return _call(fn, _shared, items)
 
 
 class Scheduler:
-    """Runs tasks ``fn(shared, item)`` by priority as they become ready.
+    """Runs tasks ``fn(shared, items)`` by priority as they become ready.
 
     :meth:`submit` queues a task; :meth:`run` runs every queued task, and
     every task that a ``then`` callback submits, until none is left.
@@ -184,15 +173,16 @@ class Scheduler:
         self._submitted = itertools.count()
 
     def submit(self, priority: int, fn, item, then=None, stack=None) -> None:
-        """Queue ``fn(shared, item)``; ``then(outcome)`` runs here when it returns.
+        """Queue ``item`` for ``fn``; ``then(outcome)`` runs here when it returns.
 
-        A lower ``priority`` runs first; within one, the first submitted.
-        Tasks of one ``fn`` and one ``stack`` key (not None) run stacked:
-        the worker that takes one takes ready tasks of that key with it,
-        as :meth:`_take` shares them out, and runs them as one call
-        ``fn(shared, [item, ...])``. With a free worker for each, every task
-        runs alone. Such an ``fn`` returns a list with one value per item,
-        where an exception is that item's failure, and each task's ``then``
+        ``fn(shared, items)`` returns a list with one value per item, where
+        an exception is that item's failure; a task without a ``stack`` key
+        is the call ``fn(shared, [item])``. A lower ``priority`` runs first;
+        within one, the first submitted. Tasks of one ``fn`` and one
+        ``stack`` key (not None) run stacked: the worker that takes one
+        takes ready tasks of that key with it, as :meth:`_take` shares them
+        out, and runs them as one call ``fn(shared, [item, ...])``. With a
+        free worker for each, every task runs alone. Each task's ``then``
         gets its own :class:`Outcome`.
         """
         heapq.heappush(self._ready, (priority, next(self._submitted), fn, item, then, stack))
@@ -212,7 +202,7 @@ class Scheduler:
         first = heapq.heappop(self._ready)
         priority, number, fn, item, then, stack = first
         if stack is None:
-            return [_Call(priority, number, fn, item, [then], False)]
+            return [_Call(priority, number, fn, [item], [then])]
         tasks = sorted([first] + [e for e in self._ready if e[2] is fn and e[5] == stack],
                        key=lambda entry: entry[1])
         self._ready = [e for e in self._ready if not (e[2] is fn and e[5] == stack)]
@@ -223,7 +213,7 @@ class Scheduler:
             for i in share:
                 heapq.heappush(self._ready, tasks[i])
         return [_Call(priority, tasks[share[0]][1], fn, [tasks[i][3] for i in share],
-                      [tasks[i][4] for i in share], True) for share in shares[:free]]
+                      [tasks[i][4] for i in share]) for share in shares[:free]]
 
     def run(self) -> None:
         """Run the tasks until none is ready or in flight.
@@ -235,8 +225,7 @@ class Scheduler:
         if self.workers == 1:
             while self._ready:
                 for call in self._take(1, []):
-                    self._returned(call, _outcomes(call.fn, self.shared, call.item,
-                                                   call.stacked))
+                    self._returned(call, _call(call.fn, self.shared, call.items))
             return
         with ProcessPoolExecutor(self.workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_install, initargs=(self.shared,)) as pool:
@@ -245,7 +234,7 @@ class Scheduler:
                 while self._ready and len(running) < self.workers:
                     busy = [call.priority for call in running.values()]
                     for call in self._take(self.workers - len(running), busy):
-                        running[pool.submit(_run, call.fn, call.item, call.stacked)] = call
+                        running[pool.submit(_run, call.fn, call.items)] = call
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in sorted(done, key=lambda f: running[f].number):
                     self._returned(running.pop(future), future.result())

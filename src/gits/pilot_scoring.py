@@ -34,6 +34,7 @@ from .surrogate import (
     _Workspace,
     effective_horizon,
     init_params,
+    stack_size,
     train,
 )
 
@@ -131,20 +132,6 @@ def scoring_trajectories(ds: TrajectoryDataset, batch_traj: int, seed: int) -> n
     perm = rng.permutation(len(train_idx))
     take = min(batch_traj, len(train_idx))
     return np.sort(train_idx[perm[:take]])
-
-
-def stack_size(columns: int) -> int:
-    """Candidates scored per surrogate call when each step has ``columns`` (X*B) columns.
-
-    8 at X*B = 256 and 4 at 512 (the bench's scoring shapes), 1 from 2048
-    on (the default grid, B = 32), where a stack of 2 saved nothing (at
-    H = 10 a candidate took 3.9–4.0 ms alone and 4.0–4.1 ms in a stack of
-    2, one CPU of a 2-core Intel Xeon VM) and held a second copy of every
-    step buffer.
-    ``STACK_COLUMNS`` lives in :mod:`gits.surrogate`, whose validation
-    rollouts stack to the same bound.
-    """
-    return max(1, STACK_COLUMNS // columns)
 
 
 def score_chunks(size: int) -> list[np.ndarray]:

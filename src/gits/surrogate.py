@@ -637,6 +637,19 @@ TRAIN_STACK_COLUMNS = 16384
 STACK_COLUMNS = 2048
 
 
+def stack_size(columns: int) -> int:
+    """Rollouts stacked per surrogate call when each has ``columns`` (X*B) columns.
+
+    For scored candidates that is 8 at X*B = 256 and 4 at 512 (the bench's
+    scoring shapes), 1 from 2048 on (the default grid, B = 32), where a
+    stack of 2 saved nothing (at H = 10 a candidate took 3.9–4.0 ms alone
+    and 4.0–4.1 ms in a stack of 2, one CPU of a 2-core Intel Xeon VM) and
+    held a second copy of every step buffer. The validation rollouts of a
+    stack of trainings stack to the same bound.
+    """
+    return max(1, STACK_COLUMNS // columns)
+
+
 class _Slice:
     """The state of one training of a stack that is still training.
 
@@ -791,7 +804,7 @@ def train_stack(trainings, ds: TrajectoryDataset) -> list:
         vals = {}
         if waiting:
             histories, truth = val_frames
-            most = max(1, STACK_COLUMNS // (ds.spatial_size * len(histories)))
+            most = stack_size(ds.spatial_size * len(histories))
             for lo in range(0, len(waiting), most):
                 rows = waiting[lo : lo + most]
                 thetas = np.array([th for *_, th in rows])

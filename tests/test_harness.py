@@ -208,6 +208,39 @@ def test_one_two_and_three_workers_write_identical_results(monkeypatch, tmp_path
                 == _strip_json(tmp_path / "w1/summary.json")), workers
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "neumann"])
+def test_burgers_grid_writes_identical_results_on_one_two_and_three_workers(
+        monkeypatch, tmp_path, boundary):
+    # the Rusanov-flux family through the whole grid; 6 epochs stack the
+    # trainings of K = 3 (6 x 3 > 1 x 10), and early stopping validates
+    # each one's pending epochs in blocks
+    sizes = []
+    train_stack = surrogate.train_stack
+
+    def recorded(trainings, ds):
+        sizes.append(len(trainings))
+        return train_stack(trainings, ds)
+
+    monkeypatch.setattr(surrogate, "train_stack", recorded)
+    cfg = small_experiment(
+        solver=SolverConfig(family="burgers1d", boundary=boundary, spatial_size=16, t_count=14,
+                            seed=3),
+        samplers=SAMPLERS, ratios=(0.1, 0.3), seeds=(0, 1),
+        train=TrainConfig(epochs_max=6, batch_size=16, min_epochs=1, patience=2))
+    for workers in (1, 2, 3):
+        _use_workers(monkeypatch, workers)
+        result = run_experiment(cfg)
+        assert len(result.cells) == len(SAMPLERS) * 2 * 2
+        assert result.failed == 0, [c.error for c in result.cells if not c.ok]
+        write_results(result, tmp_path / f"w{workers}")
+    assert max(sizes) > 1  # with one worker the trainings ran here, some in a stack
+    for workers in (2, 3):
+        assert (_strip_timing(tmp_path / f"w{workers}/results.csv")
+                == _strip_timing(tmp_path / "w1/results.csv")), workers
+        assert (_strip_json(tmp_path / f"w{workers}/summary.json")
+                == _strip_json(tmp_path / "w1/summary.json")), workers
+
+
 def test_training_that_needs_no_pilot_starts_while_the_pilot_trains(monkeypatch, tmp_path):
     # The pilot returns only once a downstream training has started: a file
     # handshake with a bounded wait. With the pilot and the uniform cell's

@@ -26,12 +26,13 @@ def test_cpu_count_is_the_affinity_set():
     assert parallel.cpu_count() == len(os.sched_getaffinity(0)) >= 1
 
 
-def _tag(shared, item):
-    return shared, item * item, os.getpid()
+def _tag(shared, items):
+    [item] = items
+    return [(shared, item * item, os.getpid())]
 
 
 def run_outcomes(fn, shared, items) -> list:
-    """Run ``fn(shared, item)`` for every item on one Scheduler; each ``then``
+    """Run ``fn(shared, [item])`` for every item on one Scheduler; each ``then``
     stores its outcome at its item's submission number."""
     items = list(items)
     outcomes = [None] * len(items)
@@ -60,10 +61,11 @@ def test_scheduler_keeps_order_and_forks_only_with_several_workers(monkeypatch, 
     assert run_each(_tag, None, []) == []
 
 
-def _fail_on_three(shared, item):
+def _fail_on_three(shared, items):
+    [item] = items
     if item == 3:
         raise ArithmeticError(f"task {item}")
-    return item
+    return [item]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -74,7 +76,7 @@ def test_scheduler_returns_a_task_exception_as_its_outcome(monkeypatch, cpus):
     assert [o.error for o in outcomes[:3] + outcomes[4:]] == [None] * 4
     assert outcomes[3].error.splitlines()[0] == "ArithmeticError: task 3"
     # the same text as the task's failure in this process
-    assert outcomes[3].error == parallel._call(_fail_on_three, None, 3).error
+    assert outcomes[3].error == parallel._call(_fail_on_three, None, [3])[0].error
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -92,9 +94,10 @@ def test_scheduler_raises_a_callback_exception_here(monkeypatch, cpus):
         scheduler.run()
 
 
-def _sleep(shared, seconds):
+def _sleep(shared, items):
+    [seconds] = items
     time.sleep(seconds)
-    return os.getpid()
+    return [os.getpid()]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -110,8 +113,9 @@ def test_outcome_times_the_task_where_it_ran(monkeypatch, cpus):
         assert before <= outcome.start <= outcome.end <= after
 
 
-def _record(shared, item):
-    return item, os.getpid()
+def _record(shared, items):
+    [item] = items
+    return [(item, os.getpid())]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -144,9 +148,11 @@ def test_scheduler_runs_follow_up_tasks_by_priority(monkeypatch, cpus):
         assert os.getpid() not in pids and len(pids) <= cpus
 
 
-def _fill(out, rows):
+def _fill(out, chunks):
+    [rows] = chunks
     for i in rows:
         out[i] = i + 0.5
+    return [None]
 
 
 def test_shared_zeros_carry_every_worker_write_back(monkeypatch):
@@ -277,12 +283,12 @@ def test_workers_busy_with_the_same_priority_keep_their_share_queued():
 
     scheduler = queued(5)
     # two free workers and one busy with a training: three shares of 2, 2, 1
-    assert [call.item for call in scheduler._take(2, [3])] == [[0, 1], [2, 3]]
+    assert [call.items for call in scheduler._take(2, [3])] == [[0, 1], [2, 3]]
     assert [entry[3] for entry in scheduler._ready] == [4]
     # a worker busy with a pilot (priority 0) gets no share
     scheduler = queued(4)
-    assert [call.item for call in scheduler._take(1, [0])] == [[0, 1, 2, 3]]
+    assert [call.items for call in scheduler._take(1, [0])] == [[0, 1, 2, 3]]
     assert scheduler._ready == []
     scheduler = queued(4)
-    assert [call.item for call in scheduler._take(1, [3, 0])] == [[0, 1]]
+    assert [call.items for call in scheduler._take(1, [3, 0])] == [[0, 1]]
     assert sorted(entry[3] for entry in scheduler._ready) == [2, 3]
