@@ -136,6 +136,15 @@ def _use_workers(monkeypatch, n):
     monkeypatch.setattr(parallel, "cpu_count", lambda: n)
 
 
+def _assert_same_as_one_worker(tmp_path):
+    """The outputs written to ``w2`` and ``w3`` equal those in ``w1``, timing aside."""
+    for workers in (2, 3):
+        assert (_strip_timing(tmp_path / f"w{workers}/results.csv")
+                == _strip_timing(tmp_path / "w1/results.csv")), workers
+        assert (_strip_json(tmp_path / f"w{workers}/summary.json")
+                == _strip_json(tmp_path / "w1/summary.json")), workers
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
@@ -201,11 +210,7 @@ def test_one_two_and_three_workers_write_identical_results(monkeypatch, tmp_path
         first_lines = {c.error.splitlines()[0].split(":")[0] for c in result.cells if not c.ok}
         assert first_lines == {"RuntimeError", "TrainingDivergedError"}, workers
         write_results(result, tmp_path / f"w{workers}")
-    for workers in (2, 3):
-        assert (_strip_timing(tmp_path / f"w{workers}/results.csv")
-                == _strip_timing(tmp_path / "w1/results.csv")), workers
-        assert (_strip_json(tmp_path / f"w{workers}/summary.json")
-                == _strip_json(tmp_path / "w1/summary.json")), workers
+    _assert_same_as_one_worker(tmp_path)
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "neumann"])
@@ -234,11 +239,7 @@ def test_burgers_grid_writes_identical_results_on_one_two_and_three_workers(
         assert result.failed == 0, [c.error for c in result.cells if not c.ok]
         write_results(result, tmp_path / f"w{workers}")
     assert max(sizes) > 1  # with one worker the trainings ran here, some in a stack
-    for workers in (2, 3):
-        assert (_strip_timing(tmp_path / f"w{workers}/results.csv")
-                == _strip_timing(tmp_path / "w1/results.csv")), workers
-        assert (_strip_json(tmp_path / f"w{workers}/summary.json")
-                == _strip_json(tmp_path / "w1/summary.json")), workers
+    _assert_same_as_one_worker(tmp_path)
 
 
 def test_training_that_needs_no_pilot_starts_while_the_pilot_trains(monkeypatch, tmp_path):
