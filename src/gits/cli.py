@@ -220,9 +220,9 @@ def _check_output(path, directory: bool = False) -> None:
 
 def _check_pair_output(path, payload_suffix: str) -> None:
     """:func:`_check_output` of both files of the pair that ``path`` names."""
-    stem = pde_data._pair_stem(path, payload_suffix)
+    stem = pde_data.pair_stem(path, payload_suffix)
     for suffix in (".json", payload_suffix):
-        _check_output(pde_data._pair_file(stem, suffix))
+        _check_output(pde_data.pair_file(stem, suffix))
 
 
 def _cmd_print_defaults(args) -> int:

@@ -214,12 +214,13 @@ def _pilot_task(run: _Run, seeds: list[int]) -> list[SurrogateParams]:
 
 
 def _score_task(run: _Run, tasks: list) -> list[None]:
-    """Score one chunk of a seed's candidates with its pilot into the seed's
-    shared arrays; ``tasks`` is the one ``(seed, pilot, positions)``."""
-    [(seed, pilot, positions)] = tasks
+    """Score one chunk of a seed's candidates with its pilot into their rows
+    of the seed's shared arrays; ``tasks`` is the one ``(seed, pilot, chunk)``,
+    the chunk a slice of the candidate positions."""
+    [(seed, pilot, chunk)] = tasks
     traj, losses, grads = run.scoring[seed]
-    pilot_scoring._chunk_gradients(pilot, run.ds, traj, run.cfg.horizon,
-                                   run.candidates.indices, positions, losses, grads)
+    surrogate.start_loss_grads(pilot, run.ds, traj, run.candidates.indices[chunk],
+                               run.cfg.horizon, losses[chunk], grads[chunk])
     return [None]
 
 
@@ -299,7 +300,9 @@ def _select_cells(
             pilot_free.append(cell)
         else:
             pilot_based.setdefault(seed, []).append(cell)
-    chunks = pilot_scoring.score_chunks(candidates.size)
+    # one contiguous chunk of candidate positions per worker
+    chunks = [slice(c[0], c[-1] + 1) for c in np.array_split(
+        np.arange(candidates.size), parallel.worker_count(candidates.size))]
     run = _Run(cfg, ds, candidates, {})
     # the pool is sized by every task known before a pilot-based cell is selected
     scheduler = parallel.Scheduler(run, parallel.worker_count(
@@ -332,8 +335,8 @@ def _select_cells(
             failed(seed, outcome.error)
             return
         outcomes = [None] * len(chunks)
-        for index, positions in enumerate(chunks):
-            scheduler.submit(SCORING, _score_task, (seed, outcome.value, positions),
+        for index, chunk in enumerate(chunks):
+            scheduler.submit(SCORING, _score_task, (seed, outcome.value, chunk),
                              then=functools.partial(chunk_returned, seed, outcome.seconds,
                                                     outcomes, index))
 

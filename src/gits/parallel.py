@@ -53,11 +53,11 @@ With one worker the same tasks run in this process, in the same order, so
 arithmetic in the same order wherever it runs, so the outputs do not
 depend on the worker count.
 
-Scoring hands each worker one contiguous chunk of candidates
-(``pilot_scoring.score_chunks``), which the worker scores in stacks of
-several candidates per surrogate call (``surrogate.stack_size``: 8 at
-the long_axis_select bench shape, 1 at the default grid's). A stack is cut
-at the end of a chunk, and stacking does not change any candidate's
+Scoring hands each worker one contiguous chunk of candidates, which the
+worker scores with ``surrogate.start_loss_grads`` in stacks of several
+candidates per surrogate call (``surrogate.stack_size``: 8 at the
+long_axis_select bench shape, 1 at the default grid's). A stack is cut at
+the end of a chunk, and stacking does not change any candidate's
 arithmetic, so the chunking does not change the outputs either.
 
 The workers are forked rather than spawned: a spawned worker would import

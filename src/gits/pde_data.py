@@ -298,7 +298,7 @@ def simulate_trajectories(cfg: SolverConfig, traj_indices) -> np.ndarray:
             speed = lambda a, b: np.maximum(np.abs(a), np.abs(b))
         else:
             flux = lambda v: c * v
-            speed = lambda a, b: np.abs(c) * np.ones_like(a)
+            speed = lambda a, b: np.abs(c)
 
         def step(u):
             ue = _ghost(u, cfg.boundary)
@@ -381,7 +381,7 @@ def generate_dataset(cfg: SolverConfig, n_traj: int) -> TrajectoryDataset:
 # serialization
 # ----------------------------------------------------------------------
 
-def _pair_stem(path, payload_suffix: str) -> Path:
+def pair_stem(path, payload_suffix: str) -> Path:
     """The stem of a ``<stem>.json`` + ``<stem><payload_suffix>`` pair.
 
     A path ending in either suffix names its pair; any other path is the stem.
@@ -393,7 +393,7 @@ def _pair_stem(path, payload_suffix: str) -> Path:
     return p.with_suffix("") if p.suffix in (".json", payload_suffix) else p
 
 
-def _pair_file(stem: Path, suffix: str) -> Path:
+def pair_file(stem: Path, suffix: str) -> Path:
     """``<stem><suffix>``: the suffix is appended, so a dotted stem keeps its name."""
     return stem.with_name(stem.name + suffix)
 
@@ -414,11 +414,11 @@ def _overwrite(path: Path, data: bytes) -> None:
 def write_pair(path, payload_suffix: str, version: int, header: dict, payload: bytes) -> Path:
     """Write ``header`` (with ``format_version`` and ``payload_crc32``), then
     ``payload``; returns the stem."""
-    stem = _pair_stem(path, payload_suffix)
+    stem = pair_stem(path, payload_suffix)
     stem.parent.mkdir(parents=True, exist_ok=True)
     header = {"format_version": version, **header, "payload_crc32": zlib.crc32(payload)}
-    _overwrite(_pair_file(stem, ".json"), json.dumps(header, sort_keys=True, indent=1).encode())
-    _overwrite(_pair_file(stem, payload_suffix), payload)
+    _overwrite(pair_file(stem, ".json"), json.dumps(header, sort_keys=True, indent=1).encode())
+    _overwrite(pair_file(stem, payload_suffix), payload)
     return stem
 
 
@@ -428,9 +428,9 @@ def read_header(path, payload_suffix: str, version: int, error: type[Exception],
 
     Undecodable JSON, a non-object or another version raises ``error``.
     """
-    stem = _pair_stem(path, payload_suffix)
+    stem = pair_stem(path, payload_suffix)
     try:
-        header = json.loads(_pair_file(stem, ".json").read_text())
+        header = json.loads(pair_file(stem, ".json").read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise error(f"malformed {name}: {exc}") from exc
     if not isinstance(header, dict):
@@ -448,7 +448,7 @@ def read_payload(stem: Path, payload_suffix: str, header: dict, expected: int,
     a CRC-32 other than the header's ``payload_crc32``. A header without that
     key, as written before it existed, is not checked.
     """
-    blob = _pair_file(stem, payload_suffix).read_bytes()
+    blob = pair_file(stem, payload_suffix).read_bytes()
     if len(blob) != expected:
         raise error(f"payload length mismatch: got {len(blob)} bytes, {name} implies {expected}")
     if "payload_crc32" in header:

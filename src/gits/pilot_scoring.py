@@ -8,13 +8,9 @@ short-rollout loss or the Euclidean norm of the loss gradient at the pilot
 parameters. Scoring uses one fixed subsample of training trajectories,
 chosen once from the scoring seed and shared by all candidates.
 
-Each surrogate call scores a stack of candidates that share one effective
-horizon, and returns each one's loss and gradient bit for bit as a call of
-that candidate alone would. At most :func:`stack_size` candidates go in a
-stack, fewer as the columns X*B of a step grow: on one CPU of a 2-core
-Intel Xeon VM (OpenBLAS 1 thread), a candidate of the long_axis_select
-bench shape (X*B = 256, H = 4) took 0.24 ms in a stack of 8 against
-0.49–0.51 ms alone.
+Every candidate's loss and gradient is
+:func:`gits.surrogate.start_loss_grads` of its start over that subsample;
+:func:`pilot_input` turns them into what a sampler needs.
 """
 
 from __future__ import annotations
@@ -23,20 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import parallel
 from .pde_data import TrajectoryDataset
-from .surrogate import (
-    STACK_COLUMNS,
-    SurrogateArch,
-    SurrogateParams,
-    TrainConfig,
-    _stack_loss_grad,
-    _Workspace,
-    effective_horizon,
-    init_params,
-    stack_size,
-    train,
-)
+from .surrogate import SurrogateArch, SurrogateParams, TrainConfig, init_params, train
 
 SCORE_KINDS = ("grad_norm", "rollout_loss")
 GRADIENTS = "gradients"  # the raw (|C|, param_count) gradient matrix, as a sampler's need
@@ -132,42 +116,6 @@ def scoring_trajectories(ds: TrajectoryDataset, batch_traj: int, seed: int) -> n
     perm = rng.permutation(len(train_idx))
     take = min(batch_traj, len(train_idx))
     return np.sort(train_idx[perm[:take]])
-
-
-def score_chunks(size: int) -> list[np.ndarray]:
-    """The positions ``0 .. size - 1`` of the candidates, in one contiguous chunk per worker."""
-    return np.array_split(np.arange(size), parallel.worker_count(size))
-
-
-def _chunk_gradients(pilot: SurrogateParams, ds: TrajectoryDataset, traj: np.ndarray,
-                     horizon: int, indices: np.ndarray, positions, losses: np.ndarray,
-                     grads: np.ndarray) -> None:
-    """Write the losses and gradients of the candidates at ``positions``.
-
-    ``traj`` is the :func:`scoring_trajectories` subsample, and row ``i`` of
-    ``losses`` and ``grads`` belongs to candidate ``indices[i]``. One
-    scoring worker runs this on one of :func:`score_chunks`. The candidates
-    are scored in stacks of at most :func:`stack_size` that share one
-    effective horizon, one surrogate call per stack. No candidate's
-    arithmetic depends on the chunks or the stacks: each row equals
-    ``rollout_loss_grad`` of that candidate's pairs, bit for bit. The chunk
-    makes one workspace and passes it to every call.
-    """
-    positions = np.asarray(positions)
-    ws = _Workspace()
-    h_eff = effective_horizon(horizon, ds.t_count, indices[positions])
-    most = stack_size(ds.spatial_size * traj.size)
-    # runs of one effective horizon, each cut into stacks of at most `most`
-    for run in np.split(np.arange(positions.size), np.flatnonzero(np.diff(h_eff)) + 1):
-        for lo in range(0, run.size, most):
-            part = run[lo : lo + most]
-            stack = positions[part]
-            ks = np.repeat(indices[stack][:, None], traj.size, axis=1)
-            g = np.zeros((stack.size, pilot.param_count))
-            losses[stack] = _stack_loss_grad(pilot.theta, pilot.arch, ds,
-                                             np.broadcast_to(traj, ks.shape), ks,
-                                             int(h_eff[part[0]]), traj.size, g, ws)
-            grads[stack] = g
 
 
 def pilot_input(need: str, losses, grads, candidates: CandidateSet):

@@ -560,6 +560,34 @@ def _stack_loss_grad(theta: np.ndarray, arch: SurrogateArch, ds: TrajectoryDatas
     return losses
 
 
+def start_loss_grads(params: SurrogateParams, ds: TrajectoryDataset, traj: np.ndarray,
+                     starts: np.ndarray, horizon: int, losses: np.ndarray,
+                     grads: np.ndarray) -> None:
+    """Short-rollout loss and gradient of each start, into its row of ``losses`` and ``grads``.
+
+    ``starts`` is an (S,) int array, and row i belongs to the pairs
+    ``(n, starts[i])`` for every n in ``traj`` (not checked): it is bit for
+    bit what :func:`rollout_loss_grad` of those pairs returns. Its gradient
+    is added into ``grads`` (S, P), which holds zeros. Consecutive starts
+    that share one effective horizon go in stacks of at most
+    :func:`stack_size`, one :func:`_stack_loss_grad` call per stack, each
+    adding into its rows of ``grads`` in place. The call makes one
+    workspace and passes it to every stack.
+    """
+    ws = _Workspace()
+    h_eff = effective_horizon(horizon, ds.t_count, starts)
+    most = stack_size(ds.spatial_size * traj.size)
+    # runs of one effective horizon, each cut into stacks of at most `most`
+    edges = [0, *(np.flatnonzero(np.diff(h_eff)) + 1).tolist(), len(starts)]
+    for first, end in zip(edges[:-1], edges[1:]):
+        for lo in range(first, end, most):
+            hi = min(lo + most, end)
+            ks = np.repeat(starts[lo:hi, None], traj.size, axis=1)
+            losses[lo:hi] = _stack_loss_grad(params.theta, params.arch, ds,
+                                             np.broadcast_to(traj, ks.shape), ks,
+                                             int(h_eff[lo]), traj.size, grads[lo:hi], ws)
+
+
 # ----------------------------------------------------------------------
 # training
 # ----------------------------------------------------------------------
@@ -641,11 +669,13 @@ def stack_size(columns: int) -> int:
     """Rollouts stacked per surrogate call when each has ``columns`` (X*B) columns.
 
     For scored candidates that is 8 at X*B = 256 and 4 at 512 (the bench's
-    scoring shapes), 1 from 2048 on (the default grid, B = 32), where a
-    stack of 2 saved nothing (at H = 10 a candidate took 3.9–4.0 ms alone
-    and 4.0–4.1 ms in a stack of 2, one CPU of a 2-core Intel Xeon VM) and
-    held a second copy of every step buffer. The validation rollouts of a
-    stack of trainings stack to the same bound.
+    scoring shapes; at 256 and H = 4 a candidate took 0.24 ms in a stack of
+    8 against 0.49–0.51 ms alone), 1 from 2048 on (the default grid,
+    B = 32), where a stack of 2 saved nothing (at H = 10 a candidate took
+    3.9–4.0 ms alone and 4.0–4.1 ms in a stack of 2) and held a second copy
+    of every step buffer. Both on one CPU of a 2-core Intel Xeon VM
+    (OpenBLAS 1 thread). The validation rollouts of a stack of trainings
+    stack to the same bound.
     """
     return max(1, STACK_COLUMNS // columns)
 
@@ -707,10 +737,12 @@ def train_stack(trainings, ds: TrajectoryDataset) -> list:
     :class:`TrainingDivergedError` that :func:`train` raises. An exception
     raised here (bad starts, an empty validation split) is every training's.
     A stack makes one workspace and passes it to every minibatch and
-    validation rollout; it is released on return.
+    validation rollout; it is released on return. An empty stack returns [].
     """
     from .diagnostics import nrmse_from_rollouts, split_frames  # diagnostics imports surrogate
 
+    if not trainings:
+        return []
     arch = trainings[0].params_init.arch
     train_idx = ds.split_indices("train")
     live: list[_Slice] = []  # the slices still training, in stack order

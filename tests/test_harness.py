@@ -407,14 +407,13 @@ def test_non_finite_pilot_score_fails_the_gits_cell_only(monkeypatch):
 def test_non_finite_gradient_row_is_named_by_every_cell_that_reads_it(monkeypatch):
     # a NaN in one gradient row of the scoring chunks; the losses stay finite,
     # so the samplers that read only the losses, or nothing, still select
-    chunk_gradients = pilot_scoring._chunk_gradients
+    start_loss_grads = surrogate.start_loss_grads
 
-    def nan_in_row_4(pilot, ds, traj, horizon, indices, positions, losses, grads):
-        chunk_gradients(pilot, ds, traj, horizon, indices, positions, losses, grads)
-        if 4 in positions:
-            grads[4, 1] = np.nan
+    def nan_in_row_4(pilot, ds, traj, starts, horizon, losses, grads):
+        start_loss_grads(pilot, ds, traj, starts, horizon, losses, grads)
+        grads[starts == 7, 1] = np.nan  # the row of candidate position 4, if in this chunk
 
-    monkeypatch.setattr(pilot_scoring, "_chunk_gradients", nan_in_row_4)
+    monkeypatch.setattr(surrogate, "start_loss_grads", nan_in_row_4)
     errors = {}
     for workers in (1, 2):
         _use_workers(monkeypatch, workers)
@@ -439,14 +438,15 @@ def test_failed_scoring_chunk_fails_only_its_seeds_pilot_based_cells(monkeypatch
         pilot_scoring.scoring_trajectories(ds, cfg.batch_traj, harness.stage_seed(seed, "scoring"))
         for seed in cfg.seeds)
     assert not np.array_equal(traj_0, traj_1)  # so a chunk knows its seed by them
-    chunk_gradients = pilot_scoring._chunk_gradients
+    start_loss_grads = surrogate.start_loss_grads
 
-    def failing_on_seed_1(pilot, ds, traj, horizon, indices, positions, losses, grads):
-        if np.array_equal(traj, traj_1) and 0 in positions:  # seed 1's first chunk
+    def failing_on_seed_1(pilot, ds, traj, starts, horizon, losses, grads):
+        # seed 1's first chunk: the one that holds the first candidate, start history_len
+        if np.array_equal(traj, traj_1) and starts[0] == cfg.history_len:
             raise FloatingPointError("chunk diverged")
-        chunk_gradients(pilot, ds, traj, horizon, indices, positions, losses, grads)
+        start_loss_grads(pilot, ds, traj, starts, horizon, losses, grads)
 
-    monkeypatch.setattr(pilot_scoring, "_chunk_gradients", failing_on_seed_1)
+    monkeypatch.setattr(surrogate, "start_loss_grads", failing_on_seed_1)
     errors = {}
     for workers in (1, 2):  # one chunk per seed, then two
         _use_workers(monkeypatch, workers)

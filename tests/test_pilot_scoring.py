@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gits import harness, pilot_scoring
+from gits import harness, surrogate
 from gits.pde_data import SolverConfig, TrajectoryDataset, generate_dataset
 from gits.pilot_scoring import (
     CandidateScores,
@@ -10,10 +10,16 @@ from gits.pilot_scoring import (
     default_arch,
     pilot_input,
     scoring_trajectories,
-    stack_size,
     train_pilot,
 )
-from gits.surrogate import SurrogateArch, TrainConfig, init_params, rollout_loss_grad
+from gits.surrogate import (
+    SurrogateArch,
+    TrainConfig,
+    init_params,
+    rollout_loss_grad,
+    stack_size,
+    start_loss_grads,
+)
 
 ARCH = SurrogateArch(history_len=3, hidden=3, kernel_radius=1)
 
@@ -39,11 +45,10 @@ def pilot(tiny_ds):
 
 def chunk_gradients(pilot, cands, ds, horizon, batch_traj, seed):
     """Every candidate's (losses, grads) under ``pilot``, as one scoring worker
-    computes them: ``_chunk_gradients`` over all positions."""
+    computes them: ``start_loss_grads`` of every candidate."""
     losses, grads = np.zeros(cands.size), np.zeros((cands.size, pilot.param_count))
     traj = scoring_trajectories(ds, batch_traj, seed)
-    pilot_scoring._chunk_gradients(pilot, ds, traj, horizon, cands.indices, np.arange(cands.size),
-                                   losses, grads)
+    start_loss_grads(pilot, ds, traj, cands.indices, horizon, losses, grads)
     return losses, grads
 
 
@@ -254,7 +259,7 @@ def scoring_dataset(kind):
 def test_stack_size_follows_the_columns_per_step():
     # long_axis_select (X = 32, B = 8), grid_default (64, 8), the default grid (64, 32)
     assert [stack_size(x * b) for x, b in ((32, 8), (64, 8), (64, 32), (64, 64))] == [8, 4, 1, 1]
-    assert stack_size(1) == pilot_scoring.STACK_COLUMNS
+    assert stack_size(1) == surrogate.STACK_COLUMNS
 
 
 @pytest.mark.parametrize("kind, radius, batch_traj", [
@@ -271,7 +276,7 @@ def test_stacked_scoring_equals_per_candidate_calls(monkeypatch, kind, radius, b
     cands = build_candidates(ds.t_count, 3)
     horizon = 4
     assert cands.size == 10
-    monkeypatch.setattr(pilot_scoring, "stack_size", lambda columns: stack)
+    monkeypatch.setattr(surrogate, "stack_size", lambda columns: stack)
     losses, grads = chunk_gradients(pilot, cands, ds, horizon, batch_traj, 2)
     traj = scoring_trajectories(ds, batch_traj, 2)
     for i, k in enumerate(cands.indices):

@@ -458,3 +458,43 @@ def test_table_dispatch_matches_the_named_algorithm():
         assert r.selected == expected[name].selected, name
         assert r.gains == expected[name].gains, name
         assert r.objective == expected[name].objective, name
+
+
+def test_table_steps_reach_their_algorithm_through_the_module_when_they_run(monkeypatch):
+    # the table's steps look each algorithm up as a selector attribute at call
+    # time, so a wrapper installed there (a profiler or the bench's tracer)
+    # sees every call
+    from gits import selector
+
+    calls = []
+    for name in ("greedy_select", "top_k", "sample_uniform", "grad_match_from_gradients"):
+        def recorder(*args, name=name, real=getattr(selector, name)):
+            calls.append((name, args))
+            return real(*args)
+
+        monkeypatch.setattr(selector, name, recorder)
+    rng = np.random.default_rng(5)
+    grad = make_scores(rng.uniform(0, 1, CANDS.size), kind="grad_norm")
+    loss = make_scores(rng.uniform(0, 1, CANDS.size), kind="rollout_loss")
+    grads = rng.normal(size=(CANDS.size, 4))
+    obj = default_obj()
+    k = 5
+    inputs = {None: None, "grad_norm": grad, "rollout_loss": loss, "gradients": grads}
+    expected = {
+        "gits": ("greedy_select", (grad, CANDS, obj, k)),
+        "uniform": ("sample_uniform", (CANDS, k)),
+        "loss_only": ("top_k", (loss, k)),
+        "coverage_only": ("greedy_select", (None, CANDS, obj, k)),
+        "grad_only": ("top_k", (grad, k)),
+        "loss_div": ("greedy_select", (loss, CANDS, obj, k)),
+        "grad_match": ("grad_match_from_gradients", (grads, CANDS, k)),
+    }
+    assert SAMPLERS == tuple(expected)
+    for sampler in SAMPLERS:
+        calls.clear()
+        run_sampler(sampler, CANDS, obj, k, inputs[SAMPLER_TABLE[sampler].needs])
+        [(name, args)] = calls
+        algorithm, expected_args = expected[sampler]
+        assert name == algorithm, sampler
+        assert len(args) == len(expected_args), sampler
+        assert all(a is b for a, b in zip(args, expected_args)), sampler

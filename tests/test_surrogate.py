@@ -600,6 +600,10 @@ def test_train_stack_of_no_epochs_returns_each_init(tiny_ds):
     assert [(p is t.params_init, h) for (p, h), t in zip(results, trainings)] == [(True, [])] * 2
 
 
+def test_empty_train_stack_trains_nothing(tiny_ds):
+    assert train_stack([], tiny_ds) == []
+
+
 @pytest.mark.parametrize("other", [
     surrogate.Training(init_params(TINY_ARCH, 1), [4, 5, 6], TrainConfig()),  # more pairs
     surrogate.Training(init_params(TINY_ARCH, 1), [4, 5], TrainConfig(batch_size=32)),
@@ -746,22 +750,21 @@ def test_train_uses_one_workspace_and_releases_it(tiny_ds, monkeypatch):
     assert made[0]() is None
 
 
-def test_chunk_gradients_uses_one_workspace(grid_ds, monkeypatch):
-    from gits import pilot_scoring
-
-    made = spy_workspaces(monkeypatch, pilot_scoring)
-    calls = spy_calls(monkeypatch, pilot_scoring, "_stack_loss_grad")
+def test_start_loss_grads_uses_one_workspace(grid_ds, monkeypatch):
+    made = spy_workspaces(monkeypatch, surrogate)
+    calls = spy_calls(monkeypatch, surrogate, "_stack_loss_grad")
     params = init_params(default_arch(grid_ds), 6)
     traj = np.arange(8)
     indices = np.arange(4, grid_ds.t_count - 1)
-    stack = pilot_scoring.stack_size(grid_ds.spatial_size * traj.size)
+    stack = surrogate.stack_size(grid_ds.spatial_size * traj.size)
     losses = np.zeros(indices.size)
     grads = np.zeros((indices.size, params.param_count))
     # two full stacks of the whole horizon, then three candidates, each with
     # a horizon of its own: five calls
     whole = np.flatnonzero(effective_horizon(10, grid_ds.t_count, indices) == 10)
-    positions = np.arange(whole[-1] - 2 * stack + 1, whole[-1] + 4)
-    pilot_scoring._chunk_gradients(params, grid_ds, traj, 10, indices, positions, losses, grads)
+    chunk = slice(whole[-1] - 2 * stack + 1, whole[-1] + 4)
+    surrogate.start_loss_grads(params, grid_ds, traj, indices[chunk], 10, losses[chunk],
+                               grads[chunk])
     assert len(calls) == 5
     assert len(made) == 1
     assert len({ws for ws, _ in calls}) == 1
@@ -792,11 +795,9 @@ def test_training_shape_calls_fault_in_no_pages_in_a_workspace(grid_ds):
 def test_scoring_chunk_calls_fault_in_no_pages_in_a_workspace(grid_ds):
     import resource
 
-    from gits import pilot_scoring
-
     params = init_params(default_arch(grid_ds), 6)
     traj = np.arange(8)
-    most = pilot_scoring.stack_size(grid_ds.spatial_size * traj.size)
+    most = surrogate.stack_size(grid_ds.spatial_size * traj.size)
     assert most > 1
     stack = scoring_stack(grid_ds, np.arange(24, 24 + most), traj)  # one full-horizon stack
     ws = surrogate._Workspace()
